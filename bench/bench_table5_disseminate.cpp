@@ -115,7 +115,7 @@ RunResult run(Approach approach, double rate_Bps) {
         i == kDevices - 1 ? chunk_count - first : per_device;
     apps.push_back(std::make_unique<apps::DisseminateApp>(
         *stacks[i], infra, devices[i]->wifi(), bed.simulator(), config,
-        first, count, &bed.trace()));
+        first, count));
   }
   for (auto& app : apps) app->start();
 

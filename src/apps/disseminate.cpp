@@ -10,8 +10,7 @@ DisseminateApp::DisseminateApp(baselines::D2dStack& stack,
                                radio::WifiRadio& infra_radio,
                                sim::Simulator& sim, DisseminateConfig config,
                                std::uint64_t assigned_first,
-                               std::uint64_t assigned_count,
-                               sim::TraceRecorder* trace)
+                               std::uint64_t assigned_count)
     : stack_(stack),
       infra_(infra),
       infra_radio_(infra_radio),
@@ -19,8 +18,19 @@ DisseminateApp::DisseminateApp(baselines::D2dStack& stack,
       config_(config),
       assigned_first_(assigned_first),
       assigned_count_(assigned_count),
-      trace_(trace),
-      store_(config.file_bytes, config.chunk_bytes) {}
+      store_(config.file_bytes, config.chunk_bytes) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
+    ev_chunk_infra_ = sc->app_event("disseminate.chunk_infra");
+    ev_chunk_d2d_ = sc->app_event("disseminate.chunk_d2d");
+    ev_complete_ = sc->app_event("disseminate.complete");
+  }
+}
+
+void DisseminateApp::note(const obs::AppEvent& ev, std::uint64_t a0) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc && sc->recording()) {
+    sc->mark_app(ev, a0);
+  }
+}
 
 void DisseminateApp::start() {
   OMNI_CHECK_MSG(!started_, "already started");
@@ -145,11 +155,7 @@ void DisseminateApp::on_chunk_obtained(std::uint64_t id, bool from_infra) {
     ++chunks_from_d2d_;
     d2d_samples_.emplace_back(sim_.now(), store_.size_of(id));
   }
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), "chunk",
-                   from_infra ? "infra" : "d2d",
-                   static_cast<double>(id));
-  }
+  note(from_infra ? ev_chunk_infra_ : ev_chunk_d2d_, id);
   refresh_advert();
 
   // Offer the new chunk to peers that lack it. Only chunks this device
@@ -175,7 +181,7 @@ void DisseminateApp::on_chunk_obtained(std::uint64_t id, bool from_infra) {
 
   if (store_.complete() && completed_at_ == TimePoint::max()) {
     completed_at_ = sim_.now();
-    if (trace_ != nullptr) trace_->record(sim_.now(), "complete", "", 0);
+    note(ev_complete_);
   }
 }
 

@@ -12,6 +12,10 @@
 // already supplied them — so a device is never idle waiting on a slow D2D
 // path (at high infrastructure rates this degrades gracefully to the
 // paper's "SP equals direct download" observation).
+//
+// With an Omniscope attached before construction, every newly stored chunk
+// (disseminate.chunk_infra / disseminate.chunk_d2d, a0 = chunk id) and the
+// file's completion (disseminate.complete) are counted and recorded.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +27,7 @@
 #include "apps/chunk_store.h"
 #include "baselines/d2d_stack.h"
 #include "net/infra.h"
-#include "sim/trace.h"
+#include "obs/omniscope.h"
 
 namespace omni::apps {
 
@@ -62,8 +66,7 @@ class DisseminateApp {
   DisseminateApp(baselines::D2dStack& stack, net::InfraNetwork& infra,
                  radio::WifiRadio& infra_radio, sim::Simulator& sim,
                  DisseminateConfig config, std::uint64_t assigned_first,
-                 std::uint64_t assigned_count,
-                 sim::TraceRecorder* trace = nullptr);
+                 std::uint64_t assigned_count);
 
   void start();
 
@@ -88,6 +91,8 @@ class DisseminateApp {
   std::size_t peer_holders(std::uint64_t id) const;
   /// Pick the next queued chunk for `peer` per the configured push order.
   std::uint64_t pick_queued_chunk(const std::set<std::uint64_t>& queued) const;
+  /// Count and record one app event on the Omniscope, if one is attached.
+  void note(const obs::AppEvent& ev, std::uint64_t a0 = 0);
 
   baselines::D2dStack& stack_;
   net::InfraNetwork& infra_;
@@ -96,7 +101,6 @@ class DisseminateApp {
   DisseminateConfig config_;
   std::uint64_t assigned_first_;
   std::uint64_t assigned_count_;
-  sim::TraceRecorder* trace_;
 
   ChunkStore store_;
   bool started_ = false;
@@ -122,6 +126,8 @@ class DisseminateApp {
   /// (time, bytes) samples of D2D chunk arrivals for rate estimation.
   std::deque<std::pair<TimePoint, std::uint64_t>> d2d_samples_;
   sim::EventHandle backfill_recheck_;
+
+  obs::AppEvent ev_chunk_infra_, ev_chunk_d2d_, ev_complete_;
 
   bool promised_by_peer(std::uint64_t id) const;
   double d2d_rate_Bps() const;

@@ -14,13 +14,26 @@ constexpr std::size_t kMessageHeader = 4 + 8 + 8;  // id, source, dest
 }
 
 ProphetNode::ProphetNode(baselines::D2dStack& stack, sim::Simulator& sim,
-                         ProphetConfig config, sim::TraceRecorder* trace)
+                         ProphetConfig config)
     : stack_(stack),
       sim_(sim),
       config_(config),
-      trace_(trace),
       next_message_id_(
-          static_cast<std::uint32_t>(stack.self() & 0xffffu) << 16 | 1u) {}
+          static_cast<std::uint32_t>(stack.self() & 0xffffu) << 16 | 1u) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
+    ev_originate_ = sc->app_event("prophet.originate");
+    ev_forward_ = sc->app_event("prophet.forward");
+    ev_deliver_attempt_ = sc->app_event("prophet.deliver_attempt");
+    ev_delivered_ = sc->app_event("prophet.delivered");
+    ev_buffered_ = sc->app_event("prophet.buffered");
+  }
+}
+
+void ProphetNode::note(const obs::AppEvent& ev, std::uint32_t id) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc && sc->recording()) {
+    sc->mark_app(ev, id);
+  }
+}
 
 void ProphetNode::start() {
   OMNI_CHECK_MSG(!started_, "already started");
@@ -99,9 +112,7 @@ std::uint32_t ProphetNode::originate(PeerId dest,
   buffer_message(Message{id, stack_.self(), dest, payload_bytes,
                          sim_.now()});
   seen_.insert(id);
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), "originate", std::to_string(id), 0);
-  }
+  note(ev_originate_, id);
   // An eligible carrier may already be in range.
   for (PeerId peer : stack_.known_peers()) try_forward(peer);
   return id;
@@ -178,9 +189,7 @@ void ProphetNode::on_advert(PeerId peer, const Bytes& summary) {
       stack_.send(peer, encode_message(m), [this, peer, id](Status s) {
         if (!s.is_ok()) offered_[peer].erase(id);  // retry on next advert
       });
-      if (trace_ != nullptr) {
-        trace_->record(sim_.now(), "forward", std::to_string(id), 0);
-      }
+      note(ev_forward_, id);
     }
   }
   try_forward(peer);
@@ -195,9 +204,7 @@ void ProphetNode::try_forward(PeerId peer) {
     stack_.send(peer, encode_message(m), [this, peer, id](Status s) {
       if (!s.is_ok()) offered_[peer].erase(id);
     });
-    if (trace_ != nullptr) {
-      trace_->record(sim_.now(), "deliver_attempt", std::to_string(id), 0);
-    }
+    note(ev_deliver_attempt_, id);
   }
 }
 
@@ -223,18 +230,14 @@ void ProphetNode::on_data(PeerId /*peer*/, const Bytes& wire) {
 
   if (dest.value() == stack_.self()) {
     delivered_here_.insert(id.value());
-    if (trace_ != nullptr) {
-      trace_->record(sim_.now(), "delivered", std::to_string(id.value()), 0);
-    }
+    note(ev_delivered_, id.value());
     if (on_delivered_) on_delivered_(id.value(), source.value());
     return;
   }
   // Buffer and carry.
   buffer_message(Message{id.value(), source.value(), dest.value(),
                          wire.size(), sim_.now()});
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), "buffered", std::to_string(id.value()), 0);
-  }
+  note(ev_buffered_, id.value());
   for (PeerId peer : stack_.known_peers()) try_forward(peer);
 }
 

@@ -12,6 +12,10 @@
 // historical encounters with neighboring peers"); buffered messages are
 // forwarded as *data* to encountered nodes with a strictly higher delivery
 // predictability for the destination.
+//
+// With an Omniscope attached before construction, every message lifecycle
+// step (prophet.originate/forward/deliver_attempt/delivered/buffered) is
+// counted and recorded as an instant whose a0 is the message id.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +25,8 @@
 #include <vector>
 
 #include "baselines/d2d_stack.h"
+#include "obs/omniscope.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace omni::apps {
 
@@ -47,7 +51,7 @@ class ProphetNode {
       std::function<void(std::uint32_t message_id, PeerId source)>;
 
   ProphetNode(baselines::D2dStack& stack, sim::Simulator& sim,
-              ProphetConfig config = {}, sim::TraceRecorder* trace = nullptr);
+              ProphetConfig config = {});
 
   void start();
 
@@ -93,11 +97,12 @@ class ProphetNode {
   void on_data(PeerId peer, const Bytes& wire);
   void try_forward(PeerId peer);
   Bytes encode_message(const Message& m) const;
+  /// Count and record one lifecycle step of message `id` on the Omniscope.
+  void note(const obs::AppEvent& ev, std::uint32_t id);
 
   baselines::D2dStack& stack_;
   sim::Simulator& sim_;
   ProphetConfig config_;
-  sim::TraceRecorder* trace_;
 
   std::map<PeerId, Entry> table_;
   std::vector<Message> buffer_;
@@ -109,6 +114,9 @@ class ProphetNode {
   bool started_ = false;
   std::uint64_t dropped_capacity_ = 0;
   std::uint64_t expired_ = 0;
+
+  obs::AppEvent ev_originate_, ev_forward_, ev_deliver_attempt_,
+      ev_delivered_, ev_buffered_;
 };
 
 }  // namespace omni::apps

@@ -1,9 +1,8 @@
 // Shared byte codec + sectioned binary container.
 //
-// One hardened encoding serves every durable byte stream in the repo: the
-// `.osnap` snapshot files (sim/snapshot.h) and the distributed engine's
-// wire frames (dist/protocol.h) are both instances of the same container
-// shape, parameterized only by magic, version, and section-name table.
+// One hardened encoding for durable byte streams: the `.osnap` snapshot
+// files (sim/snapshot.h) are an instance of this container shape,
+// parameterized by magic, version, and section-name table.
 // docs/FORMATS.md is the normative specification of this layout.
 //
 // Container layout (little-endian):
@@ -109,14 +108,14 @@ struct SectionContainer {
   const Section* find(std::uint32_t id) const;
 };
 
-/// Static description of one container format instance (snapshot, frame):
+/// Static description of one container format instance (e.g. snapshot):
 /// everything parse/serialize need beyond the bytes themselves.
 struct ContainerSpec {
   /// Exactly 4 magic bytes opening the stream.
   char magic[4];
   /// The one version this build reads and writes (readers reject others).
   std::uint32_t version;
-  /// Noun used in diagnostics ("snapshot", "frame").
+  /// Noun used in diagnostics ("snapshot").
   const char* what;
   /// Human name for a section id; must tolerate unknown ids.
   const char* (*section_name)(std::uint32_t id);

@@ -29,7 +29,6 @@
 #include "sim/fault_plan.h"
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
-#include "sim/trace.h"
 #include "sim/world.h"
 
 namespace omni::net {
@@ -165,7 +164,6 @@ class Testbed {
   radio::NanSystem& nan_system() { return nan_system_; }
   radio::MeshNetwork& mesh() { return *mesh_; }
   const radio::Calibration& calibration() const { return cal_; }
-  sim::TraceRecorder& trace() { return trace_; }
 
   Device& device(std::size_t i) { return *devices_.at(i); }
   std::size_t device_count() const { return devices_.size(); }
@@ -306,14 +304,10 @@ class Testbed {
     return snap;
   }
 
-  /// capture_snapshot + write to `path`. The capture always runs (it is
-  /// part of the deterministic schedule — see set_artifact_writes); only
-  /// the file write is gated.
+  /// capture_snapshot + write to `path`.
   Status write_snapshot(const std::string& path,
                         const std::string& label = {}) {
-    sim::Snapshot snap = capture_snapshot(label);
-    if (!artifact_writes_) return Status::ok();
-    return sim::write_snapshot_file(path, snap);
+    return sim::write_snapshot_file(path, capture_snapshot(label));
   }
 
   /// Arm a periodic checkpoint daemon: a barrier-serialized global event
@@ -327,10 +321,8 @@ class Testbed {
   void checkpoint_every(Duration interval, std::string dir = ".") {
     OMNI_ASSERT(interval > Duration::zero());
     checkpoint_dir_ = std::move(dir);
-    if (artifact_writes_) {
-      std::error_code ec;
-      std::filesystem::create_directories(checkpoint_dir_, ec);
-    }
+    std::error_code ec;
+    std::filesystem::create_directories(checkpoint_dir_, ec);
     schedule_checkpoint(interval);
   }
 
@@ -343,13 +335,6 @@ class Testbed {
   /// turn it into an error instead of silently ending up with fewer
   /// checkpoint files than scheduled.
   const std::string& checkpoint_error() const { return checkpoint_error_; }
-
-  /// Replica mode for the distributed engine: when off, snapshot /
-  /// checkpoint / trace *captures* still execute (they are events on the
-  /// deterministic schedule, and capture flush hooks touch energy-meter
-  /// state), but nothing is written to the filesystem. Defaults to on.
-  void set_artifact_writes(bool on) { artifact_writes_ = on; }
-  bool artifact_writes() const { return artifact_writes_; }
 
   /// Anchor this (freshly built, not yet run) testbed to a snapshot: load
   /// `path`, validate it against the rebuilt run (seed, scenario
@@ -424,9 +409,7 @@ class Testbed {
     const std::string path =
         checkpoint_dir_.empty() ? std::string(name)
                                 : checkpoint_dir_ + "/" + name;
-    sim::Snapshot snap = capture_snapshot("checkpoint");
-    if (!artifact_writes_) return;
-    Status s = sim::write_snapshot_file(path, snap);
+    Status s = sim::write_snapshot_file(path, capture_snapshot("checkpoint"));
     if (s.is_ok()) {
       checkpoints_.push_back(path);
     } else if (checkpoint_error_.empty()) {
@@ -478,7 +461,6 @@ class Testbed {
   radio::NanSystem nan_system_;
   radio::MeshNetwork* mesh_;
   std::vector<std::unique_ptr<Device>> devices_;
-  sim::TraceRecorder trace_;
   sim::FaultPlan fault_plan_;
   DiscoveryPolicy discovery_;
   std::unique_ptr<obs::Omniscope> scope_;
@@ -490,7 +472,6 @@ class Testbed {
   std::string checkpoint_dir_;
   std::vector<std::string> checkpoints_;
   std::string checkpoint_error_;
-  bool artifact_writes_ = true;
   std::unique_ptr<sim::Snapshot> resume_target_;
   TimePoint resume_at_;
   bool resume_checked_ = false;

@@ -86,6 +86,13 @@ void Omniscope::ensure_owner_capacity(std::size_t owner_count) {
   }
 }
 
+AppEvent Omniscope::app_event(std::string_view name) {
+  AppEvent ev;
+  ev.counter = metrics_.counter(std::string(name));
+  ev.cat = static_cast<Cat>(labels_.intern(name));
+  return ev;
+}
+
 void Omniscope::set_owner_name(sim::OwnerId owner, std::string name) {
   for (auto& [o, n] : owner_names_) {
     if (o == owner) {

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -82,6 +83,15 @@ struct CoreMetrics {
   MetricId engine_windows = kInvalidMetric;
   MetricId engine_global_events = kInvalidMetric;
   MetricId engine_mailbox_posts = kInvalidMetric;
+};
+
+/// An application-layer event (src/apps): a dynamic trace category and a
+/// counter registered under one name by Omniscope::app_event(). A
+/// default-constructed AppEvent is unregistered and mark_app() ignores it,
+/// so an app built before observability was enabled stays silent.
+struct AppEvent {
+  MetricId counter = kInvalidMetric;
+  Cat cat = Cat::kCount_;
 };
 
 class Omniscope {
@@ -193,6 +203,18 @@ class Omniscope {
   /// Record a histogram sample attributed to a specific node.
   void observe_on(sim::OwnerId owner, MetricId m, double sample) {
     metrics_.observe(lane(), m, owner, sample);
+  }
+
+  /// Register (or look up) the application event `name`: interns it as a
+  /// dynamic trace category and registers a counter of the same name.
+  /// Setup or global context only, like every registration.
+  AppEvent app_event(std::string_view name);
+
+  /// Count one application event and record it as an instant on the
+  /// current event's owner; a no-op for an unregistered event.
+  void mark_app(const AppEvent& ev, std::uint64_t a0 = 0,
+                std::uint64_t a1 = 0) {
+    if (ev.counter != kInvalidMetric) mark(ev.counter, ev.cat, a0, a1);
   }
 
   // --- Components -----------------------------------------------------------

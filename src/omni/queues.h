@@ -7,8 +7,7 @@
 // directly (guarded against recursion) — same virtual instant, no event
 // overhead, and the owner's events are serial so nothing can interleave.
 // Pushes from any other context defer the wakeup to a fresh event under the
-// owner. The thread-safe ConcurrentQueue in common/ provides the same
-// interface for real-time deployments.
+// owner.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +62,7 @@ class SimQueue {
     return out;
   }
 
-  /// Swap out the entire backlog (mirrors ConcurrentQueue::drain so
-  /// consumers written against one queue type work against the other).
+  /// Swap out the entire backlog.
   std::vector<T> drain() {
     std::vector<T> out;
     out.swap(items_);
@@ -134,10 +132,7 @@ class SimQueue {
   /// The wakeup is a queue-drain descriptor naming this queue's callback
   /// slot, not a `this`-capturing closure: same owner, delay, and scheduling
   /// order as the closure it replaced (so event sequences are untouched),
-  /// but the slab stores 4 payload bytes and — crucially for dist/ — a
-  /// cross-owner wake (a node-shard producer waking a global-pinned tech
-  /// queue, or vice versa) is a serializable post that partitioned workers
-  /// can ship instead of a closure they can only replicate.
+  /// but the slab stores 4 payload bytes and no capture is heap-allocated.
   void deferred_wake() {
     wake_pending_ = true;
     sim::OwnerId owner = pinned_ ? owner_ : sim_->current_owner();

@@ -759,7 +759,7 @@ Result<std::unique_ptr<Scenario>> Scenario::parse(const std::string& text) {
 }
 
 Status Scenario::run(std::ostream& out, unsigned threads, bool observe,
-                     const std::string& resume_path, const RunHooks& hooks) {
+                     const std::string& resume_path) {
   Impl& impl = *impl_;
   net::Testbed bed(impl.seed, radio::Calibration::defaults(), threads);
   if (observe || impl.wants_observability) bed.enable_observability();
@@ -776,10 +776,6 @@ Status Scenario::run(std::ostream& out, unsigned threads, bool observe,
     out << "resume: replaying to t="
         << anchored.value().at.as_seconds() << "s against " << resume_path
         << "\n";
-  }
-  if (hooks.on_ready) {
-    Status s = hooks.on_ready(bed);
-    if (!s.is_ok()) return s;
   }
   std::vector<Impl::LiveDevice> live(impl.devices.size());
 
@@ -926,19 +922,14 @@ Status Scenario::run(std::ostream& out, unsigned threads, bool observe,
       if (sc == nullptr) {
         return Status::error("dump trace: observability is not enabled");
       }
-      // Capture unconditionally: flush hooks mutate energy-meter state, so
-      // skipping the capture on a worker replica would diverge from the
-      // coordinator. Only the file write is gated.
       obs::TraceCapture cap = obs::capture(*sc);
-      if (bed.artifact_writes()) {
-        const std::string& path = dump->path;
-        const bool json = path.size() >= 5 &&
-                          path.compare(path.size() - 5, 5, ".json") == 0;
-        const bool ok =
-            json ? obs::write_perfetto_json(path, cap, bed.export_options())
-                 : obs::write_trace_file(path, cap);
-        if (!ok) return Status::error("dump trace: cannot write " + path);
-      }
+      const std::string& path = dump->path;
+      const bool json = path.size() >= 5 &&
+                        path.compare(path.size() - 5, 5, ".json") == 0;
+      const bool ok =
+          json ? obs::write_perfetto_json(path, cap, bed.export_options())
+               : obs::write_trace_file(path, cap);
+      if (!ok) return Status::error("dump trace: cannot write " + path);
     } else if (const auto* snap = std::get_if<SnapshotInstr>(&instruction)) {
       Status s = bed.write_snapshot(snap->path, "snapshot");
       if (!s.is_ok()) {
@@ -965,9 +956,6 @@ Status Scenario::run(std::ostream& out, unsigned threads, bool observe,
   // for.
   if (!bed.checkpoint_error().empty()) {
     return Status::error("checkpoint: " + bed.checkpoint_error());
-  }
-  if (hooks.on_complete) {
-    return hooks.on_complete(bed);
   }
   return Status::ok();
 }

@@ -31,7 +31,6 @@
 // argument is an error with a line number.
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -41,25 +40,7 @@
 #include "common/result.h"
 #include "common/time.h"
 
-namespace omni::net {
-class Testbed;
-}
-
 namespace omni::scenario {
-
-/// Observation points a driver can hang on a scenario execution. The
-/// distributed engine (dist/) uses these to handshake its protocol links
-/// and install the sim::DistDriver before the first instruction, and to
-/// exchange end-of-run summaries after the last one. A non-ok Status from
-/// either hook aborts the run with that error.
-struct RunHooks {
-  /// Runs once the testbed exists — after the scenario fingerprint is set
-  /// and any resume target anchored, before any device is created.
-  std::function<Status(net::Testbed&)> on_ready;
-  /// Runs after the last instruction (and resume verification, checkpoint
-  /// error checks) succeeded.
-  std::function<Status(net::Testbed&)> on_complete;
-};
 
 /// A parsed, runnable scenario.
 class Scenario {
@@ -86,12 +67,8 @@ class Scenario {
   /// byte-verifies its recomputed state against the file when it reaches the
   /// snapshot instant, erroring out on any divergence — including a snapshot
   /// captured at a different --threads count.
-  ///
-  /// `hooks` lets a driver observe the run (see RunHooks); default-empty
-  /// hooks cost nothing and change nothing.
   Status run(std::ostream& out, unsigned threads = 1, bool observe = false,
-             const std::string& resume_path = {},
-             const RunHooks& hooks = {});
+             const std::string& resume_path = {});
 
   // Introspection for tests.
   std::size_t device_count() const;

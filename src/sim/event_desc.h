@@ -1,20 +1,20 @@
 // Typed, serializable event descriptors.
 //
 // The event queue's native payload is an opaque `std::function` closure —
-// perfect for the long tail of one-off callbacks, but opaque closures cannot
-// travel between processes, and captures beyond the small-buffer limit heap-
-// allocate on every schedule. An EventDesc is the alternative for the hot
-// recurring event classes (beacon/advert timers, SimQueue drains, BLE sweep
-// batches, discovery ticks, mobility hops, maintenance/expiry, scenario
-// timers): a tagged POD of kind + owner + at most 32 payload bytes, stored
-// inline in the event slab (sim/event_queue.h) and dispatched through a
-// kind→handler registry on the Simulator (sim/simulator.h). Because a
-// descriptor is pure data, a cross-owner descriptor post can be encoded onto
-// the distributed wire (dist/protocol.h, docs/FORMATS.md) and into `.osnap`
-// snapshots, where a closure post can only be *verified* by replication.
+// perfect for the long tail of one-off callbacks, but opaque to snapshots,
+// and captures beyond the small-buffer limit heap-allocate on every
+// schedule. An EventDesc is the alternative for the hot recurring event
+// classes (beacon/advert timers, SimQueue drains, BLE sweep batches,
+// discovery ticks, mobility hops, maintenance/expiry, scenario timers): a
+// tagged POD of kind + owner + at most 32 payload bytes, stored inline in the
+// event slab (sim/event_queue.h) and dispatched through a kind→handler
+// registry on the Simulator (sim/simulator.h). Because a descriptor is pure
+// data, a pending descriptor is recorded in `.osnap` snapshots
+// (docs/FORMATS.md) by what it will do, where a closure is recorded only by
+// when it fires.
 //
-// Kinds are part of the wire format: renumbering an existing kind is a
-// breaking format change (bump the frame/snapshot version), appending is not.
+// Kinds are part of the snapshot format: renumbering an existing kind is a
+// breaking format change (bump the snapshot version), appending is not.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +92,7 @@ inline std::uint8_t pack_u64(unsigned char* payload, std::uint64_t v) {
 
 // --- Wire encoding -----------------------------------------------------------
 // var(kind) var(psize) payload[psize]. Used by the `.osnap` pending-descriptor
-// section and the OFRM descriptor-post section (docs/FORMATS.md).
+// section (docs/FORMATS.md).
 
 inline void encode_event_desc(codec::ByteWriter& w, EventKind kind,
                               std::uint8_t psize,
@@ -102,7 +102,7 @@ inline void encode_event_desc(codec::ByteWriter& w, EventKind kind,
   for (std::uint8_t i = 0; i < psize; ++i) w.u8(payload[i]);
 }
 
-/// Strict decode into `out` (owner is not on the wire — it travels in the
+/// Strict decode into `out` (owner is not encoded — it travels in the
 /// enclosing record). Returns false on overrun, kind 0 / out-of-range kind,
 /// or psize > kEventPayloadMax; the reader's fail flag is also set so an
 /// enclosing section decode fails closed.

@@ -43,7 +43,7 @@ Simulator::Simulator(std::uint64_t seed, unsigned threads)
       rng_(seed) {
   for (Shard& sh : shards_) sh.out.resize(nshards_ + 1);
   // Slot-call kinds all dispatch through the callback-slot directory; the
-  // kind tag distinguishes them for diagnostics, telemetry, and the wire.
+  // kind tag distinguishes them for diagnostics, telemetry, and snapshots.
   for (EventKind k : {kEventQueueDrain, kEventMgrMaintenance,
                       kEventMgrPeerSweep, kEventMobilityHop,
                       kEventScenarioTimer, kEventDiscoveryTick,
@@ -276,16 +276,6 @@ void Simulator::dispatch_desc(const EventQueue::Popped& popped) {
   h.fn(h.ctx, *this, d);
 }
 
-void Simulator::set_partition_accounting(std::uint32_t worker,
-                                         std::uint32_t nworkers) {
-  const ExecCtx& c = tls_ctx_;
-  OMNI_CHECK_MSG(c.sim != this || c.shard == nullptr,
-                 "set_partition_accounting must run outside windows");
-  partition_worker_ = worker;
-  partition_nworkers_ = nworkers;
-  owned_events_ = 0;
-}
-
 bool Simulator::idle() const {
   if (!global_q_.empty()) return false;
   for (const Shard& sh : shards_) {
@@ -355,10 +345,6 @@ void Simulator::run_shard_window(Shard& sh, TimePoint window_end) {
       dispatch_desc(popped);
     }
     ++sh.executed;
-    if (partition_nworkers_ != 0 &&
-        popped.owner % partition_nworkers_ == partition_worker_) {
-      ++sh.owned;
-    }
   }
   c = ExecCtx{};
 }
@@ -422,8 +408,6 @@ std::uint64_t Simulator::run_windows(TimePoint window_end) {
   for (Shard& sh : shards_) {
     total += sh.executed;
     sh.executed = 0;
-    owned_events_ += sh.owned;
-    sh.owned = 0;
   }
   executed_ += total;
   return total;
@@ -452,13 +436,6 @@ void Simulator::merge_mailboxes() {
               });
     EventQueue& q = dst == nshards_ ? global_q_ : shards_[dst].q;
     mailbox_posts_ += merge_scratch_.size();
-    if (dist_driver_ != nullptr) {
-      for (const Post& p : merge_scratch_) {
-        PostRecord rec{p.at, p.src, p.seq, p.dst, p.kind, p.psize, {}};
-        std::memcpy(rec.payload, p.payload, kEventPayloadMax);
-        window_posts_.push_back(rec);
-      }
-    }
     for (Post& p : merge_scratch_) {
       OMNI_ASSERTF(p.dst == kGlobalOwner || (p.dst < owner_rngs_.size() &&
                                              owner_rngs_[p.dst] != nullptr),
@@ -521,33 +498,10 @@ std::uint64_t Simulator::run_loop(TimePoint deadline, bool advance_clock) {
       // don't — the window end is exclusive.
       w = deadline + Duration::micros(1);
     }
-    const std::uint64_t round = windows_;
-    if (dist_driver_ != nullptr && !dist_driver_->window_open(round, t, w)) {
-      stop_requested_.store(true, std::memory_order_relaxed);
-      break;
-    }
     ran += run_windows(w);
     ++windows_;
     merge_mailboxes();
     for (auto& hook : barrier_hooks_) hook();
-    if (dist_driver_ != nullptr) {
-      // merge_mailboxes collected records per destination; re-sort the
-      // union into the global canonical (time, src_owner, seq) order — seq
-      // counts all posts of one source, so the triple is a total order over
-      // the whole window.
-      std::sort(window_posts_.begin(), window_posts_.end(),
-                [](const PostRecord& a, const PostRecord& b) {
-                  if (a.at != b.at) return a.at < b.at;
-                  if (a.src != b.src) return a.src < b.src;
-                  return a.seq < b.seq;
-                });
-      const bool go = dist_driver_->window_close(round, window_posts_);
-      window_posts_.clear();
-      if (!go) {
-        stop_requested_.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
   }
   if (advance_clock && now_ < deadline &&
       !stop_requested_.load(std::memory_order_relaxed)) {

@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -57,50 +56,6 @@ class Omniscope;
 }
 
 namespace omni::sim {
-
-/// The metadata of one cross-owner mailbox post, as merged at a window
-/// barrier: everything about the post except its closure. This is exactly
-/// what the distributed engine puts on the wire — the canonical
-/// (time, src_owner, seq) merge order is a pure function of these tuples,
-/// so two replicas that observe equal record streams provably merged their
-/// mailboxes identically.
-///
-/// Posts made through schedule_desc_on additionally carry the descriptor
-/// itself (kind + payload): such a post is *complete* as data — a partitioned
-/// worker receiving the record can reconstruct and execute the event without
-/// having run the posting owner. Closure posts keep kind == kEventClosure and
-/// an empty payload; they can be verified but not shipped.
-struct PostRecord {
-  TimePoint at;        ///< firing time (already clamped to >= window end)
-  OwnerId src;         ///< posting owner
-  std::uint64_t seq;   ///< src's mailbox sequence counter at post time
-  OwnerId dst;         ///< destination owner (kGlobalOwner for global work)
-  EventKind kind = kEventClosure;  ///< descriptor kind; 0 = opaque closure
-  std::uint8_t psize = 0;
-  unsigned char payload[kEventPayloadMax] = {};
-
-  friend bool operator==(const PostRecord&, const PostRecord&) = default;
-};
-
-/// Observer/controller seam for the distributed engine (dist/): the run
-/// loop reports every conservative window as an explicit round. Both hooks
-/// run on the driving thread outside any parallel window; returning false
-/// requests a stop (equivalent to Simulator::stop()). The default engine
-/// pays one null-pointer test per window when no driver is installed.
-class DistDriver {
- public:
-  virtual ~DistDriver() = default;
-
-  /// A window [t, w) is about to execute as round `round` (the cumulative
-  /// windows_run() value at open time).
-  virtual bool window_open(std::uint64_t round, TimePoint t, TimePoint w) = 0;
-
-  /// Round `round` finished: mailboxes merged, barrier hooks run. `posts`
-  /// holds every cross-owner record of the window in canonical
-  /// (time, src_owner, seq) order.
-  virtual bool window_close(std::uint64_t round,
-                            std::span<const PostRecord> posts) = 0;
-};
 
 class Simulator {
  public:
@@ -117,7 +72,6 @@ class Simulator {
   /// medium can produce (Testbed sets this from BleMedium::min_latency()).
   /// Parallel windows span [t, t + lookahead).
   void set_lookahead(Duration lookahead);
-  Duration lookahead() const { return lookahead_; }
 
   /// Current virtual time. Inside a node-owned event this is the exact event
   /// time on the owning shard's clock; elsewhere it is the global clock.
@@ -187,9 +141,8 @@ class Simulator {
   /// and the same scheduling-order guarantees (both draw from one generation
   /// counter per queue), but the event is `psize` payload bytes tagged with
   /// `kind` instead of a closure — no capture allocation on schedule, direct
-  /// kind-dispatch on pop, and cross-owner posts travel as data (the
-  /// distributed engine can ship them between processes, which opaque
-  /// closures categorically cannot).
+  /// kind-dispatch on pop, and a pending event that snapshots can record as
+  /// data.
   EventHandle schedule_desc_on(OwnerId owner, Duration delay, EventKind kind,
                                const unsigned char* payload,
                                std::uint8_t psize);
@@ -227,9 +180,8 @@ class Simulator {
   /// Register a callback slot: a stable small integer naming (ctx, fn) so
   /// recurring per-component events can be descriptors ({u32 slot} payload)
   /// instead of `this`-capturing closures. Ids are assigned in registration
-  /// order with free-list reuse — deterministic, and therefore equal across
-  /// replicas of one scenario, which is what lets a slot id in a shipped
-  /// descriptor resolve to the same component in another process.
+  /// order with free-list reuse — deterministic, so a slot id recorded in a
+  /// snapshot names the same component in every run of one scenario.
   std::uint32_t register_callback_slot(void* ctx, void (*fn)(void* ctx));
 
   /// Release a slot id for reuse. A descriptor still pending for the slot
@@ -323,20 +275,6 @@ class Simulator {
     return cross_shard_posts_;
   }
 
-  /// Partitioned-run accounting (dist/ --mode=partitioned): attribute every
-  /// node-owned event popped from a shard queue to the worker owning its
-  /// OwnerId (owner % nworkers, matching dist::owner_worker). Counters are
-  /// telemetry only — execution is unchanged — but they are exact: summed
-  /// over a fleet whose workers cover every residue class once,
-  /// owned_node_events() totals to node_events_run() of a 1-process run.
-  /// nworkers = 0 (the default) disables the per-pop test entirely.
-  void set_partition_accounting(std::uint32_t worker, std::uint32_t nworkers);
-  /// Node-owned events this process owned under the partition (0 when
-  /// accounting is off).
-  std::uint64_t owned_node_events() const { return owned_events_; }
-  /// All node-owned (shard-queue) events executed: executed minus global.
-  std::uint64_t node_events_run() const { return executed_ - global_events_; }
-
   /// Owner of the currently executing event (kGlobalOwner outside events).
   OwnerId current_owner() const;
 
@@ -391,15 +329,6 @@ class Simulator {
   /// police its per-node caches.
   bool owns_context(OwnerId owner) const;
 
-  /// Install (or clear, with nullptr) the distributed-engine driver. The
-  /// driver must outlive every run; install it from a quiescent context.
-  /// With a driver installed the run loop additionally records the
-  /// PostRecord stream of every window — behavior is otherwise unchanged,
-  /// and a run with no driver is byte-identical to one before the seam
-  /// existed.
-  void set_dist_driver(DistDriver* driver) { dist_driver_ = driver; }
-  DistDriver* dist_driver() const { return dist_driver_; }
-
  private:
   /// A cross-owner schedule captured during a window, merged at the barrier.
   /// Either a closure (kind == kEventClosure, fn live) or a descriptor
@@ -419,7 +348,6 @@ class Simulator {
     EventQueue q;
     TimePoint now = TimePoint::origin();  ///< last executed event time
     std::uint64_t executed = 0;           ///< events run in the open window
-    std::uint64_t owned = 0;  ///< partition-owned subset of `executed`
     /// Outgoing posts, one mailbox per destination shard; back() = global.
     std::vector<std::vector<Post>> out;
   };
@@ -469,8 +397,6 @@ class Simulator {
   std::vector<std::uint32_t> owner_shard_;  ///< place_owner pins; see above
   std::vector<Post> merge_scratch_;
   std::vector<std::function<void()>> barrier_hooks_;
-  DistDriver* dist_driver_ = nullptr;
-  std::vector<PostRecord> window_posts_;  ///< driver-visible records/window
   std::uint64_t executed_ = 0;
   std::uint64_t windows_ = 0;
   std::uint64_t global_events_ = 0;
@@ -493,10 +419,6 @@ class Simulator {
   };
   std::vector<CallbackSlot> callback_slots_;
   std::uint32_t callback_free_head_ = 0xffffffffu;
-
-  std::uint32_t partition_worker_ = 0;
-  std::uint32_t partition_nworkers_ = 0;  ///< 0 = accounting off
-  std::uint64_t owned_events_ = 0;
 
   // Worker pool (lazily started on the first multi-shard window). Workers
   // sleep on epoch_; the driver publishes window_end_, arms running_workers_,

@@ -117,7 +117,7 @@ void capture_events(const Simulator& sim, TimePoint at, Snapshot& snap) {
   snap.section(kSecEvents).bytes = w.take();
   // Companion section, index-aligned with the kSecEvents order: each pending
   // event's descriptor body. Closures write a bare kind 0; descriptors write
-  // kind + payload, so replica verification proves not just *when* events
+  // kind + payload, so resume verification proves not just *when* events
   // fire but *what* the typed ones will do. Additive — kSecEvents bytes are
   // untouched and old readers skip unknown section ids.
   ByteWriter dw;

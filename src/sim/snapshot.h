@@ -74,9 +74,8 @@ enum SectionId : std::uint32_t {
 /// unknown ids — the returned pointer for those is a static scratch).
 const char* section_name(std::uint32_t id);
 
-// The codec and container machinery live in common/codec.h now (the wire
-// frames of the distributed engine share them); these aliases keep the
-// historical sim-layer spellings working.
+// The codec and container machinery live in common/codec.h; these aliases
+// give them their sim-layer spellings.
 using ::omni::codec::ByteReader;
 using ::omni::codec::ByteWriter;
 using SnapshotSection = ::omni::codec::Section;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 
 #include "apps/disseminate.h"
 #include "baselines/omni_stack.h"
@@ -93,6 +95,51 @@ TEST_F(DisseminateAppTest, TwoOmniDevicesCompleteViaExchange) {
   EXPECT_GE(app_b.chunks_from_d2d(), 3u);
   // Completion near the 2 s assigned-download time, not the 4 s solo time.
   EXPECT_LT(app_a.completed_at().as_seconds(), 3.5);
+}
+
+TEST_F(DisseminateAppTest, ChunkEventsLandOnOmniscope) {
+  obs::Omniscope& scope = bed.enable_observability();
+  auto& da = bed.add_device("a", {0, 0});
+  auto& db = bed.add_device("b", {10, 0});
+  OmniNode na(da, bed.mesh());
+  OmniNode nb(db, bed.mesh());
+  baselines::OmniStack sa(na), sb(nb);
+  DisseminateConfig config = small_config();
+  DisseminateApp app_a(sa, infra, da.wifi(), bed.simulator(), config, 0, 4);
+  DisseminateApp app_b(sb, infra, db.wifi(), bed.simulator(), config, 4, 4);
+  app_a.start();
+  app_b.start();
+  bed.simulator().run_for(Duration::seconds(60));
+  ASSERT_TRUE(app_a.complete());
+  ASSERT_TRUE(app_b.complete());
+
+  const obs::MetricsRegistry& m = scope.metrics();
+  auto total = [&m](const char* name) {
+    const obs::MetricId id = m.find(name);
+    EXPECT_NE(id, obs::kInvalidMetric) << name;
+    return id == obs::kInvalidMetric ? 0 : m.counter_total(id);
+  };
+  EXPECT_EQ(total("disseminate.chunk_infra"),
+            app_a.chunks_from_infra() + app_b.chunks_from_infra());
+  EXPECT_EQ(total("disseminate.chunk_d2d"),
+            app_a.chunks_from_d2d() + app_b.chunks_from_d2d());
+  EXPECT_EQ(total("disseminate.complete"), 2u);
+
+  // Every stored chunk is also an instant under its interned category,
+  // carrying the chunk id.
+  obs::TraceCapture cap = obs::capture(scope);
+  ASSERT_EQ(cap.dropped, 0u);
+  std::set<std::uint64_t> ids;
+  std::size_t records = 0;
+  for (const obs::TraceRecord& r : cap.records) {
+    const std::string name = cap.category_name(r.cat);
+    if (name == "disseminate.chunk_infra" || name == "disseminate.chunk_d2d") {
+      ++records;
+      ids.insert(r.a0);
+    }
+  }
+  EXPECT_EQ(records, 2 * config.file_bytes / config.chunk_bytes);
+  EXPECT_EQ(ids.size(), config.file_bytes / config.chunk_bytes);
 }
 
 TEST_F(DisseminateAppTest, SoloDeviceFallsBackToInfraEntirely) {

@@ -92,6 +92,40 @@ TEST_F(ProphetTest, DirectDeliveryToNeighbor) {
   EXPECT_EQ(b.prophet->delivered_count(), 1u);
 }
 
+TEST_F(ProphetTest, LifecycleEventsLandOnOmniscope) {
+  obs::Omniscope& scope = bed.enable_observability();
+  auto a = make_actor("a", {0, 0});
+  auto b = make_actor("b", {10, 0});
+  a.prophet->start();
+  b.prophet->start();
+  bed.simulator().run_for(Duration::seconds(2));
+  const std::uint32_t id = a.prophet->originate(b.stack->self(), 500);
+  bed.simulator().run_for(Duration::seconds(3));
+  ASSERT_EQ(b.prophet->delivered_count(), 1u);
+
+  const obs::MetricsRegistry& m = scope.metrics();
+  auto total = [&m](const char* name) {
+    const obs::MetricId mid = m.find(name);
+    EXPECT_NE(mid, obs::kInvalidMetric) << name;
+    return mid == obs::kInvalidMetric ? 0 : m.counter_total(mid);
+  };
+  EXPECT_EQ(total("prophet.originate"), 1u);
+  EXPECT_GE(total("prophet.deliver_attempt"), 1u);
+  EXPECT_EQ(total("prophet.delivered"), 1u);
+  EXPECT_EQ(total("prophet.buffered"), 0u);
+
+  // The delivery instant carries the message id.
+  obs::TraceCapture cap = obs::capture(scope);
+  bool saw_delivery = false;
+  for (const obs::TraceRecord& r : cap.records) {
+    if (cap.category_name(r.cat) == "prophet.delivered") {
+      EXPECT_EQ(r.a0, id);
+      saw_delivery = true;
+    }
+  }
+  EXPECT_TRUE(saw_delivery);
+}
+
 TEST_F(ProphetTest, DeliveryIsIdempotent) {
   auto a = make_actor("a", {0, 0});
   auto b = make_actor("b", {10, 0});

@@ -334,6 +334,49 @@ TEST(SnapshotResume, TamperedCheckpointFailsLoudly) {
   EXPECT_NE(s.message().find("corrupt"), std::string::npos) << s.message();
 }
 
+TEST(SnapshotResume, ResumeFromCorruptSnapshotNamesTheDamage) {
+  TempDir tmp("truncated");
+  const std::string path = tmp.path("a.osnap");
+  const std::string text = "seed 3\ndevice a 0 0\nsnapshot " + path +
+                           "\nrun 1s\n";
+  ASSERT_TRUE(run_text(text, 1).is_ok());
+
+  // Truncate the snapshot and resume from it: the fail-soft reader's
+  // diagnostic must surface through the scenario error, not vanish.
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 16u);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+  }
+  Status s = run_text(text, 1, path);
+  ASSERT_FALSE(s.is_ok());
+  EXPECT_NE(s.message().find("truncated"), std::string::npos) << s.message();
+}
+
+TEST(SnapshotResume, CheckpointWriteFailureFailsTheRun) {
+  // Point the checkpoint daemon at a directory that cannot exist: a path
+  // *through* an existing regular file. The writes must fail the run, not
+  // leave it "succeeding" with zero checkpoints.
+  TempDir tmp("blocked");
+  const std::string blocker = tmp.path("blocker");
+  {
+    std::ofstream f(blocker);
+    f << "not a directory";
+  }
+  const std::string text = "seed 3\ndevice a 0 0\ncheckpoint every 1s " +
+                           blocker + "/sub\nrun 2s\n";
+  Status s = run_text(text, 1);
+  ASSERT_FALSE(s.is_ok());
+  EXPECT_NE(s.message().find("checkpoint:"), std::string::npos)
+      << s.message();
+}
+
 // The golden tourist scenario (the paper's §2.2 walkthrough) checkpoints
 // every 30 s of its 120 s tour; a resume at a different thread count from a
 // mid-tour checkpoint must byte-verify the replayed state AND produce the

@@ -1,73 +1,25 @@
-// omnisnap: inspect, verify, and diff .osnap snapshot files — and dump the
-// distributed engine's .ofrs frame-capture streams.
+// omnisnap: inspect, verify, and diff .osnap snapshot files.
 //
 //   $ omnisnap inspect run.osnap          # manifest + per-section summary
-//   $ omnisnap inspect run.ofrs           # one line per protocol frame
 //   $ omnisnap verify run.osnap           # full integrity check + round-trip
 //   $ omnisnap diff a.osnap b.osnap       # section-level byte comparison
 //   $ omnisnap diff --state a.osnap b.osnap   # ignore manifests (A/B runs)
 //
-// `inspect` sniffs the container magic: "OSNP" files are snapshots, a
-// varint-prefixed "OFRM" stream is a frame capture from run_distributed
-// --capture (see docs/FORMATS.md). `verify` exercises the same hardened
-// loader the engine uses (magic, version, table bounds, per-section
-// checksums, trailer) and additionally proves the parse/serialize round
-// trip is byte-identical. Exit status: 0 on success / no differences, 1 on
-// corruption or divergence, 2 on usage.
+// `verify` exercises the same hardened loader the engine uses (magic,
+// version, table bounds, per-section checksums, trailer) and additionally
+// proves the parse/serialize round trip is byte-identical. Exit status: 0 on
+// success / no differences, 1 on corruption or divergence, 2 on usage.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "dist/protocol.h"
 #include "omni/manager_snapshot.h"
 #include "sim/snapshot.h"
 
 namespace {
 
-using omni::sim::Snapshot;
-
-bool read_file(const std::string& path, std::vector<std::uint8_t>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out.assign(std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>());
-  return true;
-}
-
-/// True when the bytes open with a LEB128 length followed by the frame
-/// magic — the .ofrs stream shape. Snapshots open with "OSNP" directly.
-bool looks_like_frame_stream(const std::vector<std::uint8_t>& bytes) {
-  std::size_t i = 0;
-  while (i < bytes.size() && i < 10 && (bytes[i] & 0x80u) != 0) ++i;
-  ++i;  // last varint byte
-  return i + 4 <= bytes.size() &&
-         std::memcmp(bytes.data() + i, omni::dist::kFrameMagic, 4) == 0;
-}
-
-int inspect_frame_stream(const std::string& path,
-                         const std::vector<std::uint8_t>& bytes) {
-  std::vector<omni::dist::Frame> frames;
-  omni::Status st = omni::dist::parse_frame_stream(bytes, frames);
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    std::printf("[%4zu] %s\n", i,
-                omni::dist::describe_frame(frames[i]).c_str());
-  }
-  if (!st.is_ok()) {
-    std::fprintf(stderr, "omnisnap: %s\n", st.message().c_str());
-    return 1;
-  }
-  std::printf("%s: %zu frames, %zu bytes\n", path.c_str(), frames.size(),
-              bytes.size());
-  return 0;
-}
-
 int cmd_inspect(const std::string& path) {
-  if (std::vector<std::uint8_t> bytes;
-      read_file(path, bytes) && looks_like_frame_stream(bytes)) {
-    return inspect_frame_stream(path, bytes);
-  }
   auto snap = omni::sim::read_snapshot_file(path);
   if (!snap.is_ok()) {
     std::fprintf(stderr, "omnisnap: %s\n", snap.error_message().c_str());
@@ -136,7 +88,7 @@ int cmd_diff(const std::string& a_path, const std::string& b_path,
 
 int usage() {
   std::fprintf(stderr,
-               "usage: omnisnap inspect <file.osnap | file.ofrs>\n"
+               "usage: omnisnap inspect <file.osnap>\n"
                "       omnisnap verify <file.osnap>\n"
                "       omnisnap diff [--state] <a.osnap> <b.osnap>\n");
   return 2;
