@@ -12,9 +12,10 @@
 //                             end of the run (must be 0)
 //   * beacon_downtime_s       per-node-summed virtual seconds the BLE
 //                             address beacon was down, sampled at 250 ms
-//   * digest                  FNV-1a over every deterministic observable;
-//                             the bench exits 1 if any thread count
-//                             disagrees with the single-threaded digest
+//   * digest                  snapshot_digest of the end-of-run state
+//                             capture (sim + managers) without its
+//                             manifest; the bench exits 1 if any thread
+//                             count's capture differs from the first one's
 //
 // Writes BENCH_chaos.json (one row per thread count) so the resilience
 // numbers feed the trajectory alongside BENCH_scale.json.
@@ -24,22 +25,17 @@
 //   $ ./bench/bench_chaos 1 --trace chaos.json
 //       # additionally record a flight-recorder trace of the first run and
 //       # export it as Perfetto JSON (fault windows as labelled spans);
-//       # open at https://ui.perfetto.dev
+//       # open at https://ui.perfetto.dev. Every run then attaches the
+//       # scope, so every capture (and the digest) holds the metrics section
 //   $ ./bench/bench_chaos --checkpoint ckpts
-//       # snapshot the full run state (sim + managers) every 10 virtual
-//       # seconds into ckpts/t<N>/; on a digest mismatch the bench bisects
-//       # the checkpoint pairs, names the first divergent 10 s window, and
-//       # prints the omnisnap command line that reproduces the comparison
-//   $ ./bench/bench_chaos 8 --replay ckpts/t1/ckpt_000020000000.osnap
-//       # replay-anchored reproduction: re-run from t=0 with the same
-//       # 10 s checkpoint cadence and byte-verify the replayed state
-//       # against the file at its capture instant (combine with --trace
-//       # for a flight recording of the reproduction)
+//       # also capture the full run state every 10 virtual seconds into
+//       # ckpts/t<N>/ and compare each same-instant pair with the first
+//       # thread count's; the first divergent pair names its 10 s window
+//       # and the omnisnap command that reproduces the comparison offline
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -62,21 +58,9 @@ constexpr int kNodes = 12;
 constexpr std::uint64_t kSeed = 20260805;
 constexpr double kSimSeconds = 60.0;
 constexpr double kBeaconSamplePeriodS = 0.25;
-// Checkpoint cadence for --checkpoint / --replay. Checkpoint capture is
-// itself an event, so a replay must re-arm the same cadence to land on the
-// same capture instants; keep this in lockstep with any snapshot it replays.
+// Checkpoint cadence for --checkpoint. Checkpoint capture is itself an
+// event, so only runs with the same cadence compare.
 constexpr double kCheckpointPeriodS = 10.0;
-
-/// FNV-1a accumulator over 64-bit words.
-struct Digest {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x00000100000001B3ull;
-    }
-  }
-};
 
 struct ChaosPoint {
   unsigned threads = 1;
@@ -93,17 +77,21 @@ struct ChaosPoint {
   std::uint64_t beacon_rearms = 0;
   std::uint64_t quarantines = 0;
   sim::FaultPlan::Stats fault_stats;
+  /// End-of-run state capture: the cross-thread determinism oracle.
+  sim::Snapshot state;
   std::vector<std::string> checkpoints;
-  bool replay_armed = false;
-  bool replay_ok = false;
-  std::string replay_error;
 };
 
-ChaosPoint run_point(unsigned threads, const std::string& trace_path = "",
-                     const std::string& ckpt_dir = "",
-                     const std::string& replay_path = "") {
+ChaosPoint run_point(unsigned threads, bool observe,
+                     const std::string& trace_path,
+                     const std::string& ckpt_dir) {
   net::Testbed bed(kSeed, radio::Calibration::defaults(), threads);
-  if (!trace_path.empty()) bed.enable_observability(/*ring_capacity=*/1 << 20);
+  // A traced sweep attaches the scope at every thread count so every
+  // capture holds the metrics section; only the exported run needs a ring
+  // deep enough for the whole minute.
+  if (observe) {
+    bed.enable_observability(trace_path.empty() ? 1 << 12 : 1 << 20);
+  }
   std::vector<net::Device*> devices;
   std::vector<std::unique_ptr<OmniNode>> nodes;
   for (int i = 0; i < kNodes; ++i) {
@@ -158,29 +146,9 @@ ChaosPoint run_point(unsigned threads, const std::string& trace_path = "",
   plan.add_partition(split);
   bed.schedule_faults();
 
-  // Checkpointing and replay share the same capture schedule: a replay only
-  // verifies if it recomputes state at the instant the file was captured.
-  if (!ckpt_dir.empty() || !replay_path.empty()) {
-    bed.add_snapshot_source([&nodes](sim::Snapshot& snap) {
-      std::vector<const OmniManager*> managers;
-      managers.reserve(nodes.size());
-      for (const auto& n : nodes) managers.push_back(&n->manager());
-      capture_managers(managers, /*deep=*/true, snap);
-    });
-    bed.checkpoint_every(Duration::seconds(kCheckpointPeriodS),
-                         ckpt_dir.empty() ? "chaos_replay_ckpts" : ckpt_dir);
-  }
-  if (!replay_path.empty()) {
-    auto anchored = bed.resume_from(replay_path);
-    if (!anchored.is_ok()) {
-      ChaosPoint p;
-      p.threads = threads;
-      p.replay_armed = true;
-      p.replay_error = anchored.error_message();
-      return p;
-    }
-    std::printf("  replaying to t=%.0fs against %s\n",
-                anchored.value().at.as_seconds(), replay_path.c_str());
+  add_manager_snapshot_source(bed, nodes);
+  if (!ckpt_dir.empty()) {
+    bed.checkpoint_every(Duration::seconds(kCheckpointPeriodS), ckpt_dir);
   }
 
   for (auto& n : nodes) n->start();
@@ -265,51 +233,25 @@ ChaosPoint run_point(unsigned threads, const std::string& trace_path = "",
   p.beacon_downtime_s =
       static_cast<double>(beacon_down_samples) * kBeaconSamplePeriodS;
 
-  Digest d;
-  d.add(p.events);
-  d.add(sim.now().as_micros());
   for (auto& n : nodes) {
     const ManagerStats& s = n->manager().stats();
     p.ops_leaked += n->manager().pending_data_count() +
                     n->manager().data_attempt_count() +
                     n->manager().context_attempt_count();
-    d.add(n->manager().peer_table().size());
-    d.add(s.packets_received);
-    d.add(s.beacons_received);
-    d.add(s.data_received);
-    d.add(s.data_sends);
-    d.add(s.data_failovers);
-    d.add(s.context_failovers);
-    d.add(s.engagements);
-    d.add(s.disengagements);
-    d.add(s.deadline_failovers);
-    d.add(s.beacon_rearms);
-    d.add(s.quarantines);
-    d.add(s.overload_rejections);
     p.deadline_failovers += s.deadline_failovers;
     p.beacon_rearms += s.beacon_rearms;
     p.quarantines += s.quarantines;
   }
   p.fault_stats = plan.stats();
-  d.add(p.fault_stats.drops);
-  d.add(p.fault_stats.corruptions);
-  d.add(p.fault_stats.delays);
-  d.add(p.fault_stats.partition_drops);
-  d.add(static_cast<std::uint64_t>(p.sends_ok));
-  d.add(static_cast<std::uint64_t>(p.sends_failed));
-  d.add(beacon_down_samples);
-  p.digest = d.h;
+  p.state = bed.capture_snapshot();
+  // The manifest records the capturing thread count; the digest covers
+  // everything else, so it is one value at every thread count.
+  sim::Snapshot body = p.state;
+  std::erase_if(body.sections, [](const sim::SnapshotSection& sec) {
+    return sec.id == sim::kSecManifest;
+  });
+  p.digest = sim::snapshot_digest(body);
   p.checkpoints = bed.checkpoints();
-  if (!replay_path.empty()) {
-    p.replay_armed = true;
-    if (bed.resume_pending()) {
-      p.replay_error = "the run never reached the snapshot instant";
-    } else if (!bed.resume_verified()) {
-      p.replay_error = bed.resume_error();
-    } else {
-      p.replay_ok = true;
-    }
-  }
 
   if (!trace_path.empty()) {
     obs::TraceCapture cap = obs::capture(*bed.observability());
@@ -335,42 +277,39 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-// Walk two runs' checkpoint lists in lockstep and report the first pair
-// whose state sections differ — the divergence happened inside the 10 s
-// window that checkpoint closes. Prints the offline reproduction command.
-void bisect_checkpoints(const ChaosPoint& base, const ChaosPoint& bad) {
-  const std::size_t n = std::min(base.checkpoints.size(),
-                                 bad.checkpoints.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    auto a = omni::sim::read_snapshot_file(base.checkpoints[i]);
-    auto b = omni::sim::read_snapshot_file(bad.checkpoints[i]);
+// Compare two runs' checkpoint streams pair by pair. The first pair whose
+// state differs pins the divergence to the 10 s window it closes; report it
+// with the omnisnap command that reproduces the comparison offline.
+bool checkpoints_match(const ChaosPoint& base, const ChaosPoint& p) {
+  if (base.checkpoints.size() != p.checkpoints.size()) {
+    std::fprintf(stderr, "CHECKPOINT COUNT: %zu at %u threads vs %zu at %u\n",
+                 p.checkpoints.size(), p.threads, base.checkpoints.size(),
+                 base.threads);
+    return false;
+  }
+  for (std::size_t i = 0; i < p.checkpoints.size(); ++i) {
+    auto a = sim::read_snapshot_file(base.checkpoints[i]);
+    auto b = sim::read_snapshot_file(p.checkpoints[i]);
     if (!a.is_ok() || !b.is_ok()) {
-      std::fprintf(stderr, "bisect: cannot load checkpoint pair %zu: %s\n", i,
+      std::fprintf(stderr, "CHECKPOINT UNREADABLE: %s\n",
                    (!a.is_ok() ? a : b).error_message().c_str());
-      return;
+      return false;
     }
-    const std::string diff = omni::sim::diff_snapshots(
-        a.value(), b.value(), /*skip_manifest=*/true);
+    const std::string diff =
+        sim::diff_snapshots(a.value(), b.value(), /*ignore_threads=*/true);
     if (!diff.empty()) {
       std::fprintf(stderr,
-                   "bisect: first divergent checkpoint pins the bug to "
-                   "(%.0fs, %.0fs]\n%s\nreproduce offline with:\n"
-                   "  omnisnap diff --state %s %s\n"
-                   "replay the window with a trace:\n"
-                   "  ./bench/bench_chaos %u --replay %s --trace replay.json\n",
+                   "DETERMINISM VIOLATION in (%.0fs, %.0fs] at %u threads: "
+                   "%s\nreproduce offline with:\n  omnisnap diff --state %s "
+                   "%s\n",
                    kCheckpointPeriodS * static_cast<double>(i),
-                   kCheckpointPeriodS * static_cast<double>(i + 1),
+                   kCheckpointPeriodS * static_cast<double>(i + 1), p.threads,
                    diff.c_str(), base.checkpoints[i].c_str(),
-                   bad.checkpoints[i].c_str(), bad.threads,
-                   i > 0 ? base.checkpoints[i - 1].c_str()
-                         : base.checkpoints[i].c_str());
-      return;
+                   p.checkpoints[i].c_str());
+      return false;
     }
   }
-  std::fprintf(stderr,
-               "bisect: all %zu checkpoint pairs identical — the divergence "
-               "is after the last checkpoint\n",
-               n);
+  return true;
 }
 
 }  // namespace
@@ -379,15 +318,12 @@ int main(int argc, char** argv) {
   std::vector<unsigned> thread_counts = {1, 2, 8};
   std::string trace_path;
   std::string ckpt_root;
-  std::string replay_path;
   std::vector<unsigned> explicit_counts;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::string(argv[i]) == "--checkpoint" && i + 1 < argc) {
       ckpt_root = argv[++i];
-    } else if (std::string(argv[i]) == "--replay" && i + 1 < argc) {
-      replay_path = argv[++i];
     } else {
       explicit_counts.push_back(static_cast<unsigned>(std::atoi(argv[i])));
     }
@@ -407,42 +343,41 @@ int main(int argc, char** argv) {
                   std::to_string(std::thread::hardware_concurrency()));
 
   bool ok = true;
-  std::uint64_t digest_1t = 0;
   ChaosPoint baseline;
-  for (unsigned threads : thread_counts) {
+  for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
+    const unsigned threads = thread_counts[ti];
     // The trace rides the first run only; instrumentation does not change
-    // the digest, so the traced run still participates in the invariance
-    // check.
-    const bool traced = threads == thread_counts.front();
+    // the run, so the traced run still anchors the comparison.
     const std::string ckpt_dir =
         ckpt_root.empty() ? ""
                           : ckpt_root + "/t" + std::to_string(threads);
-    ChaosPoint p =
-        run_point(threads, traced ? trace_path : "", ckpt_dir, replay_path);
-    if (p.replay_armed) {
-      if (p.replay_ok) {
-        std::printf("  replay verified byte-identical at the snapshot "
-                    "instant (%u threads)\n",
-                    threads);
-      } else {
-        std::fprintf(stderr, "REPLAY FAILED at %u threads: %s\n", threads,
-                     p.replay_error.c_str());
-        ok = false;
-        if (p.events == 0) continue;  // refused before the run started
-      }
-    }
-    if (threads == thread_counts.front()) {
-      digest_1t = p.digest;
+    ChaosPoint p = run_point(threads, !trace_path.empty(),
+                             ti == 0 ? trace_path : "", ckpt_dir);
+    if (ti == 0) {
       baseline = p;
-    }
-    if (p.digest != digest_1t) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: digest %s at %u threads vs %s at "
-                   "%u\n",
-                   hex64(p.digest).c_str(), threads, hex64(digest_1t).c_str(),
-                   thread_counts.front());
-      if (!p.checkpoints.empty()) bisect_checkpoints(baseline, p);
-      ok = false;
+    } else {
+      const std::string diff = sim::diff_snapshots(
+          baseline.state, p.state, /*ignore_threads=*/true);
+      if (!diff.empty()) {
+        std::fprintf(stderr,
+                     "DETERMINISM VIOLATION: end-of-run state at %u threads "
+                     "vs %u: %s\n",
+                     threads, baseline.threads, diff.c_str());
+        ok = false;
+      }
+      // Bench-side tallies the capture does not hold.
+      if (p.sends_ok != baseline.sends_ok ||
+          p.sends_failed != baseline.sends_failed ||
+          p.beacon_downtime_s != baseline.beacon_downtime_s) {
+        std::fprintf(stderr,
+                     "DETERMINISM VIOLATION: sends %d/%d, beacon down %.2f s "
+                     "at %u threads vs %d/%d, %.2f s at %u\n",
+                     p.sends_ok, p.sends_failed, p.beacon_downtime_s, threads,
+                     baseline.sends_ok, baseline.sends_failed,
+                     baseline.beacon_downtime_s, baseline.threads);
+        ok = false;
+      }
+      if (!checkpoints_match(baseline, p)) ok = false;
     }
     if (p.ops_leaked != 0) {
       std::fprintf(stderr, "LEAK: %zu op-table entries left at %u threads\n",

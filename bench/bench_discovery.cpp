@@ -12,7 +12,8 @@
 // at least one resident have found each other. Energy (mean resident current
 // + the fleet's ble_scan rail), total simulator events, and the scheduler
 // counters complete the Pareto point. Every configuration runs at each
-// thread count in the sweep and must produce a bit-identical digest.
+// thread count in the sweep, and its end-of-run state capture and entrant
+// latency must match the first thread count's.
 //
 // The bench FAILS (exit 1) unless adaptive dominates fixed in both regimes:
 // fewer events and no more scan charge, with entrant discovery latency
@@ -22,7 +23,6 @@
 //   $ ./bench/bench_discovery            # full: 30 s warmup + 30 s, 1/2/8 threads
 //   $ ./bench/bench_discovery --smoke    # CI time box: shorter run, 1/2 threads
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -32,7 +32,9 @@
 #include "bench_util.h"
 #include "net/testbed.h"
 #include "obs/omniscope.h"
+#include "omni/manager_snapshot.h"
 #include "omni/omni_node.h"
+#include "sim/snapshot.h"
 
 namespace {
 
@@ -61,19 +63,14 @@ struct RunResult {
   std::uint64_t scan_windows_skipped = 0;
   double mean_beacon_interval_ms = 0.0;
   std::uint64_t beacons_received = 0;
-  /// Thread-invariance oracle: folds every determinism-sensitive output.
-  std::uint64_t digest = 0;
+  /// End-of-run state capture: the thread-invariance oracle.
+  sim::Snapshot state;
 };
 
 DiscoveryPolicy make_policy(bool adaptive) {
   DiscoveryPolicy p;
   p.mode = adaptive ? DiscoveryPolicy::Mode::kAdaptive
                     : DiscoveryPolicy::Mode::kFixed;
-  if (std::getenv("BENCH_NO_DUTY") != nullptr) p.min_scan_duty = 1.0;
-  if (std::getenv("BENCH_NO_RAMP") != nullptr) {
-    p.ceiling = p.floor;
-    p.sparse_ceiling = p.floor;
-  }
   return p;
 }
 
@@ -100,6 +97,12 @@ RunResult run_regime(const Regime& regime, const DiscoveryPolicy& policy,
   // The late entrant starts far outside radio range of everyone.
   net::Device& entrant_dev = bed.add_device("entrant", {50000.0, 50000.0});
   auto entrant = std::make_unique<OmniNode>(entrant_dev, bed.mesh(), opts);
+  bed.add_snapshot_source([&nodes, &entrant](sim::Snapshot& snap) {
+    std::vector<const OmniManager*> managers = {&entrant->manager()};
+    for (const auto& node : nodes) managers.push_back(&node->manager());
+    capture_managers(managers, managers.size() <= kDeepCaptureMaxManagers,
+                     snap);
+  });
   for (auto& node : nodes) node->start();
   entrant->start();
 
@@ -142,6 +145,7 @@ RunResult run_regime(const Regime& regime, const DiscoveryPolicy& policy,
   RunResult r;
   r.events = bed.simulator().executed_events();
   r.latency_ms = latency_ms;
+  r.state = bed.capture_snapshot();
   scope.flush();
   double ma_sum = 0.0;
   double interval_sum_ms = 0.0;
@@ -157,47 +161,9 @@ RunResult run_regime(const Regime& regime, const DiscoveryPolicy& policy,
     r.ble_scan_mAs +=
         scope.energy().rail_mAs(devices[i]->node(), obs::EnergyRail::kBleScan);
   }
-  if (std::getenv("BENCH_DISCOVERY_DEBUG") != nullptr) {
-    ManagerStats sum;
-    for (auto& node : nodes) {
-      const ManagerStats& st = node->manager().stats();
-      sum.packets_received += st.packets_received;
-      sum.beacons_received += st.beacons_received;
-      sum.context_received += st.context_received;
-      sum.data_sends += st.data_sends;
-      sum.engagements += st.engagements;
-      sum.disengagements += st.disengagements;
-      sum.beacon_encodes += st.beacon_encodes;
-      sum.beacon_rearms += st.beacon_rearms;
-      sum.peer_expire_sweeps += st.peer_expire_sweeps;
-      sum.context_failovers += st.context_failovers;
-      sum.deadline_failovers += st.deadline_failovers;
-    }
-    std::fprintf(stderr,
-                 "[debug] pkts=%llu beac_rx=%llu ctx_rx=%llu sends=%llu "
-                 "eng=%llu diseng=%llu encodes=%llu rearms=%llu sweeps=%llu "
-                 "ctx_fo=%llu dl_fo=%llu\n",
-                 (unsigned long long)sum.packets_received,
-                 (unsigned long long)sum.beacons_received,
-                 (unsigned long long)sum.context_received,
-                 (unsigned long long)sum.data_sends,
-                 (unsigned long long)sum.engagements,
-                 (unsigned long long)sum.disengagements,
-                 (unsigned long long)sum.beacon_encodes,
-                 (unsigned long long)sum.beacon_rearms,
-                 (unsigned long long)sum.peer_expire_sweeps,
-                 (unsigned long long)sum.context_failovers,
-                 (unsigned long long)sum.deadline_failovers);
-  }
   r.mean_resident_ma = ma_sum / static_cast<double>(nodes.size());
   r.mean_beacon_interval_ms =
       interval_sum_ms / static_cast<double>(nodes.size());
-
-  r.digest = r.events;
-  r.digest = r.digest * 1000003u + r.beacons_received;
-  r.digest = r.digest * 1000003u +
-             static_cast<std::uint64_t>(latency_ms < 0 ? 0 : latency_ms * 1000);
-  r.digest = r.digest * 1000003u + r.beacons_suppressed;
   return r;
 }
 
@@ -233,16 +199,19 @@ int main(int argc, char** argv) {
       for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
         RunResult r = run_regime(regime, policy, thread_counts[ti]);
         if (ti == 0) {
-          base = r;
-        } else if (r.digest != base.digest) {
+          base = std::move(r);
+          continue;
+        }
+        const std::string diff = sim::diff_snapshots(
+            base.state, r.state, /*ignore_threads=*/true);
+        // The entrant latency is measured by the bench, outside the capture.
+        if (!diff.empty() || r.latency_ms != base.latency_ms) {
           std::fprintf(stderr,
-                       "DETERMINISM VIOLATION: %s/%s digest %llu at %u "
-                       "threads vs %llu at %u\n",
+                       "DETERMINISM VIOLATION: %s/%s at %u threads vs %u: "
+                       "latency %.1f vs %.1f ms; %s\n",
                        regime.name, adaptive ? "adaptive" : "fixed",
-                       static_cast<unsigned long long>(r.digest),
-                       thread_counts[ti],
-                       static_cast<unsigned long long>(base.digest),
-                       thread_counts[0]);
+                       thread_counts[ti], thread_counts[0], r.latency_ms,
+                       base.latency_ms, diff.c_str());
           return 1;
         }
       }

@@ -14,13 +14,14 @@
 // sweep so its peak_rss_kb is a true high-water mark for the 100k world
 // (ru_maxrss is process-monotonic).
 //
-// Snapshot coverage rides the sweep: at 10k nodes (and in --smoke) the
-// 1-thread run writes a full .osnap at the end of its span, every other
-// thread count resumes against it (replay + byte-verification — the
-// checkpoint/resume smoke), and the serialized size is gated at
-// <= 1 KB per full-stack node (<= 64 B per crowd node in the city) and
-// reported as snapshot_bytes in BENCH_scale.json. The .osnap file is left
-// behind for `omnisnap verify`.
+// Determinism rides the sweep: every run captures its state at the end of
+// its span, and each thread count's capture must equal the 1-thread one
+// (sim::diff_snapshots, capturing threads ignored). At 10k nodes (and in
+// --smoke) every thread count also writes its capture as
+// scale_<n|smoke>_t<threads>.osnap, for `omnisnap verify` and
+// `omnisnap diff --state`; the serialized size is gated at <= 1 KB per
+// full-stack node (<= 64 B per crowd node in the city) and reported as
+// snapshot_bytes in BENCH_scale.json.
 //
 //   $ ./bench/bench_scale              # full sweep: 10..10000 nodes x 1/2/4/8 threads
 //   $ ./bench/bench_scale 500          # just one count (before/after checks)
@@ -129,12 +130,21 @@ struct ScalePoint {
   std::uint64_t trace_records = 0;
   std::uint64_t trace_dropped = 0;
   double export_seconds = 0;
-  // Snapshot extras (zero unless the run captured one).
+  // End-of-span state capture, and its serialized size when written.
+  sim::Snapshot state;
   std::uint64_t snapshot_bytes = 0;
-  bool resume_armed = false;
-  bool resume_ok = false;
-  std::string resume_error;
 };
+
+/// Capture the end-of-span state into `p`; with a path, also write it and
+/// record its size.
+void capture_state(net::Testbed& bed, const std::string& label,
+                   const std::string& snap_path, ScalePoint& p) {
+  p.state = bed.capture_snapshot(label);
+  if (snap_path.empty()) return;
+  p.snapshot_bytes = sim::serialize_snapshot(p.state).size();
+  Status ws = sim::write_snapshot_file(snap_path, p.state);
+  if (!ws.is_ok()) std::fprintf(stderr, "warning: %s\n", ws.message().c_str());
+}
 
 void collect_engine(net::Testbed& bed, ScalePoint& p) {
   p.events = bed.simulator().executed_events();
@@ -154,14 +164,10 @@ void collect_engine(net::Testbed& bed, ScalePoint& p) {
 /// recorder + metrics live at the always-on profile (per-frame records
 /// gated off), 2 = additionally capture + serialize Perfetto JSON after the
 /// run (timed separately as export_seconds), 3 = full per-frame detail.
-/// snap_path: write a full .osnap at end-of-span (and report its size).
-/// resume_path: anchor this run to a snapshot written by a previous run of
-/// the same configuration; the end-of-span capture then byte-verifies the
-/// replayed state (the checkpoint/resume smoke).
+/// snap_path: also write the end-of-span capture (and report its size).
 ScalePoint run_point(std::size_t n, unsigned threads, int obs_mode = 0,
                      DiscoveryPolicy discovery = {},
-                     const std::string& snap_path = "",
-                     const std::string& resume_path = "") {
+                     const std::string& snap_path = "") {
   net::Testbed bed(42, radio::Calibration::defaults(), threads);
   bed.set_discovery_policy(discovery);
   // Modes 1/2 measure the always-on profile (counters + lifecycle records,
@@ -196,55 +202,16 @@ ScalePoint run_point(std::size_t n, unsigned threads, int obs_mode = 0,
     node->start();
     node->manager().add_context(ContextParams{}, Bytes{0x5c}, nullptr);
   }
-
-  // Snapshot coverage: manager records ride along (digest-only peer tables
-  // at fleet scale — same verification strength, bounded size).
-  ScalePoint p;
-  if (!snap_path.empty() || !resume_path.empty()) {
-    bed.add_snapshot_source([&nodes, n](sim::Snapshot& snap) {
-      std::vector<const OmniManager*> managers;
-      managers.reserve(nodes.size());
-      for (const auto& node : nodes) managers.push_back(&node->manager());
-      capture_managers(managers, /*deep=*/n <= 64, snap);
-    });
-  }
-  if (!resume_path.empty()) {
-    p.resume_armed = true;
-    auto anchored = bed.resume_from(resume_path);
-    if (!anchored.is_ok()) {
-      p.nodes = n;
-      p.threads = threads;
-      p.resume_error = anchored.error_message();
-      return p;
-    }
-  }
+  // Manager records ride along (digest-only peer tables at fleet scale —
+  // same verification strength, bounded size).
+  add_manager_snapshot_source(bed, nodes);
 
   auto t0 = std::chrono::steady_clock::now();
   bed.simulator().run_for(Duration::seconds(g_sim_seconds));
   auto t1 = std::chrono::steady_clock::now();
 
-  // End-of-span capture: writes the file, and/or triggers the resume
-  // byte-verification (the replayed run reaches the same instant).
-  if (!snap_path.empty() || !resume_path.empty()) {
-    sim::Snapshot snap = bed.capture_snapshot("scale");
-    p.snapshot_bytes = sim::serialize_snapshot(snap).size();
-    if (!snap_path.empty()) {
-      Status ws = sim::write_snapshot_file(snap_path, snap);
-      if (!ws.is_ok()) {
-        std::fprintf(stderr, "warning: %s\n", ws.message().c_str());
-      }
-    }
-    if (!resume_path.empty()) {
-      if (bed.resume_verified()) {
-        p.resume_ok = true;
-      } else {
-        p.resume_error = bed.resume_pending()
-                             ? "the run never reached the snapshot instant"
-                             : bed.resume_error();
-      }
-    }
-  }
-
+  ScalePoint p;
+  capture_state(bed, "scale", snap_path, p);
   p.nodes = n;
   p.threads = threads;
   p.sim_seconds = g_sim_seconds;
@@ -338,6 +305,9 @@ ScalePoint run_city(std::size_t n, std::size_t core, unsigned threads,
   churn_opts.per_tick = 200;
   sim::CrowdChurn churn(bed.world(), std::move(movers), churn_opts, 4242);
   churn.start();
+  // The crowd dominates the capture, so its size measures the per-node cost
+  // of the world SoA rows; manager records are digest-only at this scale.
+  add_manager_snapshot_source(bed, nodes);
 
   auto t0 = std::chrono::steady_clock::now();
   bed.simulator().run_for(Duration::seconds(g_sim_seconds));
@@ -345,22 +315,7 @@ ScalePoint run_city(std::size_t n, std::size_t core, unsigned threads,
   churn.stop();
 
   ScalePoint p;
-  // City snapshot: the crowd dominates, so this measures the per-node cost
-  // of the world SoA rows; manager records are digest-only at this scale.
-  if (!snap_path.empty()) {
-    bed.add_snapshot_source([&nodes](sim::Snapshot& snap) {
-      std::vector<const OmniManager*> managers;
-      managers.reserve(nodes.size());
-      for (const auto& node : nodes) managers.push_back(&node->manager());
-      capture_managers(managers, /*deep=*/false, snap);
-    });
-    sim::Snapshot snap = bed.capture_snapshot("city");
-    p.snapshot_bytes = sim::serialize_snapshot(snap).size();
-    Status ws = sim::write_snapshot_file(snap_path, snap);
-    if (!ws.is_ok()) {
-      std::fprintf(stderr, "warning: %s\n", ws.message().c_str());
-    }
-  }
+  capture_state(bed, "city", snap_path, p);
   p.nodes = n;
   p.threads = threads;
   p.sim_seconds = g_sim_seconds;
@@ -446,8 +401,8 @@ int main(int argc, char** argv) {
 
   // City section first (see file comment: ru_maxrss is process-monotonic).
   // The city runs once per discovery policy — fixed (the paper's 500 ms
-  // cadence) then adaptive — each across the thread sweep with a bit-exact
-  // determinism check; adaptive must then cut total events >= 25% vs fixed.
+  // cadence) then adaptive — each across the thread sweep with a state
+  // comparison; adaptive must then cut total events >= 25% vs fixed.
   if (huge) {
     constexpr std::size_t kCityNodes = 100000;
     constexpr std::size_t kCityCore = 1000;
@@ -458,7 +413,8 @@ int main(int argc, char** argv) {
       DiscoveryPolicy city_policy;
       if (adaptive != 0) city_policy.mode = DiscoveryPolicy::Mode::kAdaptive;
       const char* policy_name = adaptive != 0 ? "adaptive" : "fixed";
-      std::uint64_t events_1t = 0, contexts_1t = 0, migrations_1t = 0;
+      sim::Snapshot state_1t;
+      std::uint64_t migrations_1t = 0;
       for (unsigned threads : {1u, 2u, 8u}) {
         // The 1-thread fixed-policy run leaves scale_city.osnap behind for
         // `omnisnap verify` and the per-node size gate.
@@ -486,24 +442,21 @@ int main(int argc, char** argv) {
           }
         }
         if (threads == 1) {
-          events_1t = p.events;
-          contexts_1t = p.contexts_received;
+          state_1t = p.state;
           migrations_1t = p.migrations;
           (adaptive != 0 ? adaptive_events : fixed_events) = p.events;
-        } else if (p.events != events_1t ||
-                   p.contexts_received != contexts_1t ||
-                   p.migrations != migrations_1t) {
+        }
+        const std::string diff = sim::diff_snapshots(
+            state_1t, p.state, /*ignore_threads=*/true);
+        // World migrations are counted outside the capture.
+        if (!diff.empty() || p.migrations != migrations_1t) {
           std::fprintf(stderr,
                        "CITY DETERMINISM VIOLATION (%s) at %u threads: "
-                       "events %llu vs %llu, contexts %llu vs %llu, "
-                       "migrations %llu vs %llu\n",
+                       "migrations %llu vs %llu; %s\n",
                        policy_name, threads,
-                       static_cast<unsigned long long>(p.events),
-                       static_cast<unsigned long long>(events_1t),
-                       static_cast<unsigned long long>(p.contexts_received),
-                       static_cast<unsigned long long>(contexts_1t),
                        static_cast<unsigned long long>(p.migrations),
-                       static_cast<unsigned long long>(migrations_1t));
+                       static_cast<unsigned long long>(migrations_1t),
+                       diff.c_str());
           return 1;
         }
         double rss_per_node = static_cast<double>(p.peak_rss_kb) /
@@ -580,32 +533,18 @@ int main(int argc, char** argv) {
 
   for (std::size_t n : counts) {
     double wall_1t = 0;
-    std::uint64_t events_1t = 0;
-    // Snapshot + resume smoke at scale: the first thread count writes a
-    // full .osnap at end-of-span; every later thread count replays against
-    // it and must byte-verify (cross-thread resume, no separate run).
+    sim::Snapshot state_1t;
+    // At scale every thread count also writes its capture, so the
+    // cross-thread comparison can be repeated offline with omnisnap.
     const bool snap_here = smoke || n >= 10000;
-    const std::string snap_file =
-        snap_here ? (smoke ? std::string("scale_smoke.osnap")
-                           : "scale_" + std::to_string(n) + ".osnap")
-                  : std::string();
     for (unsigned threads : thread_counts) {
-      const bool writes_snap = snap_here && threads == thread_counts.front();
-      ScalePoint p = run_point(n, threads, /*obs_mode=*/0, sweep_policy,
-                               writes_snap ? snap_file : "",
-                               writes_snap ? "" : snap_file);
-      if (p.resume_armed) {
-        if (p.resume_ok) {
-          std::printf("  %5zu nodes, %u threads: resume verified "
-                      "byte-identical against %s\n",
-                      n, threads, snap_file.c_str());
-        } else {
-          std::fprintf(stderr, "RESUME FAILED at %zu nodes, %u threads: %s\n",
-                       n, threads, p.resume_error.c_str());
-          return 1;
-        }
-      }
-      if (writes_snap) {
+      const std::string snap_file =
+          snap_here ? "scale_" + (smoke ? "smoke" : std::to_string(n)) +
+                          "_t" + std::to_string(threads) + ".osnap"
+                    : std::string();
+      ScalePoint p =
+          run_point(n, threads, /*obs_mode=*/0, sweep_policy, snap_file);
+      if (snap_here) {
         const double per_node = static_cast<double>(p.snapshot_bytes) /
                                 static_cast<double>(n);
         std::printf("  %5zu nodes snapshot: %llu bytes (%.0f B/node, budget "
@@ -622,16 +561,15 @@ int main(int argc, char** argv) {
       }
       if (threads == 1) {
         wall_1t = p.wall_seconds;
-        events_1t = p.events;
+        state_1t = p.state;
       }
-      // Determinism spot check: every thread count must execute the exact
-      // same event sequence.
-      if (p.events != events_1t) {
+      // Determinism: every thread count must reach the same state.
+      const std::string diff =
+          sim::diff_snapshots(state_1t, p.state, /*ignore_threads=*/true);
+      if (!diff.empty()) {
         std::fprintf(stderr,
-                     "DETERMINISM VIOLATION at %zu nodes: %llu events at "
-                     "%u threads vs %llu at 1\n",
-                     n, static_cast<unsigned long long>(p.events), threads,
-                     static_cast<unsigned long long>(events_1t));
+                     "DETERMINISM VIOLATION at %zu nodes, %u threads: %s\n",
+                     n, threads, diff.c_str());
         return 1;
       }
       // RSS budget: full-stack devices are allowed kFullStackRssBudgetKb

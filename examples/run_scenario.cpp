@@ -2,14 +2,10 @@
 //
 //   $ ./examples/run_scenario path/to/scenario.txt
 //   $ ./examples/run_scenario --threads 8 path/to/scenario.txt
-//   $ ./examples/run_scenario --resume ckpt.osnap path/to/scenario.txt
 //   $ ./examples/run_scenario            # runs the built-in demo scenario
 //
 // --threads N runs the parallel sharded engine; the report is bit-identical
-// at any thread count. --resume anchors the run to an .osnap snapshot from a
-// previous execution of the same script: state is byte-verified against the
-// file at the snapshot instant (any thread count on either side). See
-// src/scenario/scenario.h for the DSL reference.
+// at any thread count. See src/scenario/scenario.h for the DSL reference.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -47,7 +43,6 @@ report
 int main(int argc, char** argv) {
   unsigned threads = 1;
   const char* path = nullptr;
-  std::string resume;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--threads") {
@@ -61,18 +56,11 @@ int main(int argc, char** argv) {
         return 1;
       }
       threads = static_cast<unsigned>(v);
-    } else if (arg == "--resume") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--resume needs an .osnap path\n");
-        return 1;
-      }
-      resume = argv[++i];
     } else if (path == nullptr) {
       path = argv[i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--threads N] [--resume snap.osnap] "
-                   "[scenario-file]\n",
+                   "usage: %s [--threads N] [scenario-file]\n",
                    argv[0]);
       return 1;
     }
@@ -102,7 +90,7 @@ int main(int argc, char** argv) {
   std::printf("scenario: %zu devices, %zu instructions\n\n",
               parsed.value()->device_count(),
               parsed.value()->instruction_count());
-  omni::Status s = parsed.value()->run(std::cout, threads, false, resume);
+  omni::Status s = parsed.value()->run(std::cout, threads);
   if (!s.is_ok()) {
     std::fprintf(stderr, "run error: %s\n", s.message().c_str());
     return 1;

@@ -238,8 +238,7 @@ std::uint64_t container_digest(const SectionContainer& c,
 
 std::string diff_containers(const SectionContainer& a,
                             const SectionContainer& b,
-                            const ContainerSpec& spec,
-                            std::uint32_t skip_id) {
+                            const ContainerSpec& spec) {
   std::string out;
   auto note = [&out](const std::string& line) {
     if (!out.empty()) out += "; ";
@@ -263,7 +262,6 @@ std::string diff_containers(const SectionContainer& a,
     }
     ++ia;
     ++ib;
-    if (sa->id == skip_id) continue;
     if (sa->bytes == sb->bytes) continue;
     std::size_t off = 0;
     const std::size_t lim = std::min(sa->bytes.size(), sb->bytes.size());

@@ -137,11 +137,9 @@ std::uint64_t container_digest(const SectionContainer& c,
 
 /// "" when the containers carry byte-identical sections; otherwise a
 /// diagnostic naming every divergent/missing section and the first
-/// differing byte offset. Sections with id `skip_id` are ignored (pass 0 —
-/// never a valid id — to compare everything).
+/// differing byte offset.
 std::string diff_containers(const SectionContainer& a,
                             const SectionContainer& b,
-                            const ContainerSpec& spec,
-                            std::uint32_t skip_id = 0);
+                            const ContainerSpec& spec);
 
 }  // namespace omni::codec

@@ -254,7 +254,7 @@ class Testbed {
     }
   }
 
-  // --- Snapshot / checkpoint / resume (see sim/snapshot.h) ------------------
+  // --- Snapshot / checkpoint (see sim/snapshot.h) ---------------------------
 
   /// Register an extra section writer run by every capture_snapshot call.
   /// Upper layers use this to contribute state the net layer cannot see —
@@ -263,9 +263,9 @@ class Testbed {
     if (source) snapshot_sources_.push_back(std::move(source));
   }
 
-  /// Identify the driving scenario in every snapshot manifest (resume
-  /// refuses a snapshot whose fingerprint disagrees with the rebuilt run).
-  /// `text` optionally embeds the scenario source itself.
+  /// Identify the driving scenario in every snapshot manifest, so captures
+  /// of different scripts never compare equal. `text` optionally embeds the
+  /// scenario source itself.
   void set_scenario_fingerprint(std::uint64_t hash, std::string text = {}) {
     scenario_hash_ = hash;
     scenario_text_ = std::move(text);
@@ -277,6 +277,11 @@ class Testbed {
   /// Metrics are captured from the registry directly — deliberately without
   /// running flush hooks, which would perturb in-progress energy-level
   /// accounting relative to a run that never checkpointed.
+  ///
+  /// This capture, compared by sim::diff_snapshots with `ignore_threads`
+  /// set, is the one cross-thread determinism check: runs of one seed at
+  /// different thread counts must capture equal state at every shared
+  /// instant.
   sim::Snapshot capture_snapshot(const std::string& label = {}) {
     sim::Snapshot snap;
     sim::SnapshotManifest m;
@@ -300,7 +305,6 @@ class Testbed {
       snap.section(sim::kSecMetrics).bytes = w.take();
     }
     for (auto& source : snapshot_sources_) source(snap);
-    maybe_verify_resume(snap);
     return snap;
   }
 
@@ -313,11 +317,11 @@ class Testbed {
   /// Arm a periodic checkpoint daemon: a barrier-serialized global event
   /// captures every `interval` and writes `dir/ckpt_<t_us>.osnap`. Capture
   /// runs before the next event is scheduled, so a checkpoint never contains
-  /// its own continuation — a resumed run that re-arms the same cadence
-  /// reproduces every later checkpoint byte-for-byte.
+  /// its own continuation.
   ///
-  /// Checkpoint events are part of the event schedule: an A/B digest
-  /// comparison must run the same cadence on both sides (or none on both).
+  /// Checkpoint events are part of the event schedule: two runs compare
+  /// only when both checkpoint at the same cadence (or neither does). Then
+  /// the first divergent checkpoint pair bounds a divergence to one window.
   void checkpoint_every(Duration interval, std::string dir = ".") {
     OMNI_ASSERT(interval > Duration::zero());
     checkpoint_dir_ = std::move(dir);
@@ -335,49 +339,6 @@ class Testbed {
   /// turn it into an error instead of silently ending up with fewer
   /// checkpoint files than scheduled.
   const std::string& checkpoint_error() const { return checkpoint_error_; }
-
-  /// Anchor this (freshly built, not yet run) testbed to a snapshot: load
-  /// `path`, validate it against the rebuilt run (seed, scenario
-  /// fingerprint), and hold it as the verification target. The caller then
-  /// re-runs the identical setup past the manifest instant T; the first
-  /// capture_snapshot at exactly T (normally the re-armed checkpoint daemon)
-  /// is byte-compared against the file. resume_verified()/resume_error()
-  /// report the outcome. Returns the manifest (so the driver knows T).
-  Result<sim::SnapshotManifest> resume_from(const std::string& path) {
-    using R = Result<sim::SnapshotManifest>;
-    auto snap = sim::read_snapshot_file(path);
-    if (!snap.is_ok()) return R::error(snap.error_message());
-    auto manifest = sim::read_manifest(snap.value());
-    if (!manifest.is_ok()) return R::error(manifest.error_message());
-    const sim::SnapshotManifest m = std::move(manifest).value();
-    if (m.seed != sim_.seed()) {
-      return R::error("resume: snapshot seed " + std::to_string(m.seed) +
-                      " != testbed seed " + std::to_string(sim_.seed()));
-    }
-    if (m.scenario_hash != 0 && scenario_hash_ != 0 &&
-        m.scenario_hash != scenario_hash_) {
-      return R::error("resume: scenario fingerprint mismatch");
-    }
-    if (m.at < sim_.now()) {
-      return R::error("resume: snapshot instant is in this run's past");
-    }
-    resume_target_ = std::make_unique<sim::Snapshot>(std::move(snap).value());
-    resume_at_ = m.at;
-    resume_checked_ = false;
-    resume_error_.clear();
-    return m;
-  }
-
-  /// True once the resume target was reached and byte-verified clean.
-  bool resume_verified() const {
-    return resume_checked_ && resume_error_.empty();
-  }
-  /// True while a resume target is loaded but its instant not yet reached.
-  bool resume_pending() const {
-    return resume_target_ != nullptr && !resume_checked_;
-  }
-  /// Diff diagnostic when verification failed; empty otherwise.
-  const std::string& resume_error() const { return resume_error_; }
 
   /// Arm OMNI_ASSERT crash capture: on any assertion failure, write
   /// `dir/crash_reason.txt`, the flight-recorder tail (`crash_tail.otr`,
@@ -417,18 +378,6 @@ class Testbed {
     }
   }
 
-  void maybe_verify_resume(const sim::Snapshot& snap) {
-    if (resume_target_ == nullptr || resume_checked_ ||
-        sim_.now() != resume_at_) {
-      return;
-    }
-    resume_checked_ = true;
-    // The manifest legitimately differs (capturing thread count, label);
-    // every state section must match byte-for-byte.
-    resume_error_ = sim::diff_snapshots(*resume_target_, snap,
-                                        /*skip_manifest=*/true);
-  }
-
   void write_crash_dump(const char* reason) {
     const std::string dir = crash_dir_.empty() ? "." : crash_dir_;
     {
@@ -465,17 +414,13 @@ class Testbed {
   DiscoveryPolicy discovery_;
   std::unique_ptr<obs::Omniscope> scope_;
 
-  // Snapshot / checkpoint / resume state.
+  // Snapshot / checkpoint state.
   std::vector<std::function<void(sim::Snapshot&)>> snapshot_sources_;
   std::uint64_t scenario_hash_ = 0;
   std::string scenario_text_;
   std::string checkpoint_dir_;
   std::vector<std::string> checkpoints_;
   std::string checkpoint_error_;
-  std::unique_ptr<sim::Snapshot> resume_target_;
-  TimePoint resume_at_;
-  bool resume_checked_ = false;
-  std::string resume_error_;
   std::string crash_dir_;
   bool crash_dumps_armed_ = false;
 };

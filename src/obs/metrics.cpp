@@ -54,7 +54,11 @@ MetricId MetricsRegistry::histogram(std::string name,
 void MetricsRegistry::shape(std::size_t owner_count, std::size_t lanes) {
   std::size_t want_owners = owner_count + 1;  // + global slot
   if (want_owners <= owner_capacity_ && lanes <= lanes_.size()) return;
-  owner_capacity_ = std::max(owner_capacity_, want_owners);
+  // Owners grow geometrically: testbeds add devices one at a time, and each
+  // re-layout copies every lane.
+  if (want_owners > owner_capacity_) {
+    owner_capacity_ = std::max(want_owners, 2 * owner_capacity_);
+  }
   if (lanes > lanes_.size()) lanes_.resize(lanes);
   relayout();
 }

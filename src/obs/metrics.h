@@ -52,9 +52,10 @@ class MetricsRegistry {
   /// (an implicit +inf bucket is appended). Bounds must be increasing.
   MetricId histogram(std::string name, std::span<const double> bounds);
 
-  /// Size storage for owners 0..owner_count-1 plus the global owner, across
-  /// `lanes` execution lanes (shards + 1). Callable repeatedly as nodes are
-  /// added — existing cell values are preserved. Must not run concurrently
+  /// Size storage for at least owners 0..owner_count-1 plus the global
+  /// owner, across `lanes` execution lanes (shards + 1). Callable repeatedly
+  /// as nodes are added — owner capacity at least doubles when it grows, and
+  /// existing cell values are preserved. Must not run concurrently
   /// with lane writes (i.e. only outside parallel windows, which is where
   /// all setup happens).
   void shape(std::size_t owner_count, std::size_t lanes);

@@ -94,13 +94,12 @@ AppEvent Omniscope::app_event(std::string_view name) {
 }
 
 void Omniscope::set_owner_name(sim::OwnerId owner, std::string name) {
-  for (auto& [o, n] : owner_names_) {
-    if (o == owner) {
-      n = std::move(name);
-      return;
-    }
+  auto [it, fresh] = owner_name_index_.try_emplace(owner, owner_names_.size());
+  if (fresh) {
+    owner_names_.emplace_back(owner, std::move(name));
+  } else {
+    owner_names_[it->second].second = std::move(name);
   }
-  owner_names_.emplace_back(owner, std::move(name));
 }
 
 void Omniscope::flush() {

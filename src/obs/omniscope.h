@@ -28,6 +28,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -249,8 +250,7 @@ class Omniscope {
   void flush();
 
   /// Canonical metrics dump (MetricsRegistry::dump), after a flush. Byte-
-  /// identical across thread counts for deterministic workloads — the digest
-  /// oracle for the parallel-engine metric tests.
+  /// identical across thread counts for deterministic workloads.
   std::string metrics_dump();
 
  private:
@@ -282,6 +282,8 @@ class Omniscope {
   StringTable labels_{kCatCount};
   CoreMetrics core_;
   std::vector<std::pair<std::uint32_t, std::string>> owner_names_;
+  /// owner -> its position in owner_names_.
+  std::unordered_map<sim::OwnerId, std::size_t> owner_name_index_;
   std::vector<std::function<void()>> flush_hooks_;
 };
 

@@ -231,7 +231,7 @@ void OmniManager::on_attempt_deadline(std::uint64_t request_id) {
 
 void OmniManager::note_status_flap(TechSlot& s) {
   const auto& sh = options_.self_healing;
-  if (!sh.enabled || !running_) return;
+  if (!running_) return;
   TimePoint now = sim_.now();
   if (s.flaps == 0 || now - s.flap_window_start > sh.flap_window) {
     s.flap_window_start = now;
@@ -280,8 +280,7 @@ void OmniManager::note_status_flap(TechSlot& s) {
 }
 
 void OmniManager::schedule_beacon_rearm(TechSlot& s) {
-  const auto& sh = options_.self_healing;
-  if (!sh.enabled || !running_ || s.beacon_rearm.pending()) return;
+  if (!running_ || s.beacon_rearm.pending()) return;
   ++stats_.beacon_rearms;
   if (obs::Omniscope* sc = scope_of(sim_)) {
     sc->instant_on(options_.owner, obs::Cat::kRetry, s.beacon_failures, 0,
@@ -762,11 +761,9 @@ void OmniManager::schedule_peer_sweep() {
   // self-reschedules before doing its work, so at every shared instant its
   // sequence number stays below the maintenance tick's — inductively
   // preserving the expire-then-adapt order the old combined tick had.
-  Duration interval = options_.peer_sweep_interval > Duration::zero()
-                          ? options_.peer_sweep_interval
-                          : options_.probe_interval;
-  peer_sweep_event_ = sim_.schedule_slot_on(
-      options_.owner, interval, sim::kEventMgrPeerSweep, peer_sweep_slot_);
+  peer_sweep_event_ =
+      sim_.schedule_slot_on(options_.owner, options_.probe_interval,
+                            sim::kEventMgrPeerSweep, peer_sweep_slot_);
 }
 
 void OmniManager::peer_sweep_thunk(void* ctx) {
@@ -1594,10 +1591,8 @@ void OmniManager::dispatch_context_add(ContextRecord& record) {
   attempt.id = record.id;
   attempt.tech = *tech;
   attempt.op = SendOp::kAddContext;
-  if (options_.self_healing.enabled) {
-    attempt.deadline =
-        arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
-  }
+  attempt.deadline =
+      arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
   context_attempts_[req.request_id] = std::move(attempt);
   slot(*tech)->send_queue->push(std::move(req));
 }
@@ -1688,10 +1683,8 @@ void OmniManager::update_context(ContextId id, const ContextParams& params,
   attempt.id = id;
   attempt.tech = *rec->tech;
   attempt.op = SendOp::kUpdateContext;
-  if (options_.self_healing.enabled) {
-    attempt.deadline =
-        arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
-  }
+  attempt.deadline =
+      arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
   context_attempts_[req.request_id] = std::move(attempt);
   s->send_queue->push(std::move(req));
 }
@@ -1738,10 +1731,8 @@ void OmniManager::remove_context(ContextId id, StatusCallback callback) {
   attempt.id = id;
   attempt.tech = *rec->tech;
   attempt.op = SendOp::kRemoveContext;
-  if (options_.self_healing.enabled) {
-    attempt.deadline =
-        arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
-  }
+  attempt.deadline =
+      arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
   context_attempts_[req.request_id] = std::move(attempt);
   slot(*rec->tech)->send_queue->push(std::move(req));
 }
@@ -1836,17 +1827,14 @@ void OmniManager::dispatch_data(std::uint64_t op_id) {
   DataAttempt attempt;
   attempt.op_id = op_id;
   attempt.tech = *tech;
-  if (options_.self_healing.enabled) {
-    const auto& sh = options_.self_healing;
-    // Budget scaled to the expected transfer time (connection setup plus
-    // size/throughput), floored so tiny transfers get a sane minimum.
-    Duration est = slot(*tech)->tech->estimate_data_time(
-        op.packed.size(), info.requires_refresh);
-    Duration budget =
-        std::max(sh.min_op_deadline, est * sh.deadline_factor +
-                                         sh.deadline_slack);
-    attempt.deadline = arm_deadline(req.request_id, budget);
-  }
+  // Budget scaled to the expected transfer time (connection setup plus
+  // size/throughput), floored so tiny transfers get a sane minimum.
+  const auto& sh = options_.self_healing;
+  Duration est = slot(*tech)->tech->estimate_data_time(op.packed.size(),
+                                                       info.requires_refresh);
+  Duration budget =
+      std::max(sh.min_op_deadline, est * sh.deadline_factor + sh.deadline_slack);
+  attempt.deadline = arm_deadline(req.request_id, budget);
   data_attempts_[req.request_id] = std::move(attempt);
   slot(*tech)->send_queue->push(std::move(req));
 }
@@ -1881,8 +1869,7 @@ void OmniManager::send_data(const std::vector<OmniAddress>& destinations,
   }
   Bytes packed = PackedStruct::data(self_, std::move(data)).encode();
   for (OmniAddress dest : destinations) {
-    if (options_.self_healing.enabled &&
-        pending_data_.size() >= options_.self_healing.max_pending_ops) {
+    if (pending_data_.size() >= options_.self_healing.max_pending_ops) {
       // Overload shed: bound the pending table rather than letting a dead
       // network grow it without limit.
       ++stats_.overload_rejections;
@@ -1967,8 +1954,8 @@ void OmniManager::snapshot_state(sim::ByteWriter& w, bool deep) const {
   w.u8(running_ ? 1 : 0);
 
   // Cache-invalidating generations. The beacon wire frame and the receive
-  // memo are rebuilt on resume; the generations prove the rebuilt run has
-  // (in)validated its caches the same number of times.
+  // memo are not captured; the generations prove two compared runs have
+  // (in)validated their caches the same number of times.
   w.var(beacon_gen_);
   w.var(beacon_wire_gen_);
   w.u64(beacon_wire_ctx_gen_);

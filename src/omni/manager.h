@@ -57,12 +57,10 @@ struct ManagerOptions {
   /// Engagement maintenance / probe cadence (paper: "e.g., every five
   /// seconds").
   Duration probe_interval = Duration::seconds(5);
-  /// How long a peer mapping stays usable without being re-heard.
+  /// How long a peer mapping stays usable without being re-heard. Expiry
+  /// runs in an owner-local sweep at the probe_interval cadence, just
+  /// before each maintenance tick.
   Duration peer_ttl = Duration::seconds(10);
-  /// Cadence of the owner-local peer-expiry sweep event. Zero = follow
-  /// probe_interval (the sweep then fires just before each maintenance tick,
-  /// matching the pre-sweep behavior where expiry ran inside it).
-  Duration peer_sweep_interval = Duration::zero();
   /// Receiver-side beacon fast path: memoize the last beacon wire frame per
   /// (technology, link-level sender). A repeat whose length and 64-bit
   /// digest match — the steady state, since senders cache their sealed
@@ -133,8 +131,6 @@ struct ManagerOptions {
   /// deadlines only fire when a technology never responds (healthy paths
   /// cancel them first), and backoff/quarantine only engage after failures.
   struct SelfHealing {
-    /// Master switch (ablation / A-B comparisons).
-    bool enabled = true;
     /// Floor for the per-attempt response deadline.
     Duration min_op_deadline = Duration::seconds(2);
     /// Data-op deadline = max(min_op_deadline,

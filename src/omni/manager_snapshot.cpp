@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <string_view>
 
+#include "net/testbed.h"
 #include "omni/manager.h"
+#include "omni/omni_node.h"
 
 namespace omni {
 
@@ -30,6 +32,16 @@ void capture_managers(const std::vector<const OmniManager*>& managers,
                            bytes.size()));
   }
   snap.section(sim::kSecManagers).bytes = w.take();
+}
+
+void add_manager_snapshot_source(
+    net::Testbed& bed, const std::vector<std::unique_ptr<OmniNode>>& nodes) {
+  bed.add_snapshot_source([&nodes](sim::Snapshot& snap) {
+    std::vector<const OmniManager*> managers;
+    managers.reserve(nodes.size());
+    for (const auto& node : nodes) managers.push_back(&node->manager());
+    capture_managers(managers, nodes.size() <= kDeepCaptureMaxManagers, snap);
+  });
 }
 
 std::vector<std::pair<std::uint64_t, std::size_t>> list_manager_records(

@@ -213,9 +213,8 @@ struct DumpTraceInstr {
 };
 
 /// `snapshot <path>` — capture the full deterministic run state at this point
-/// of the script and write an .osnap file (see sim/snapshot.h). A later
-/// `--resume <path>` run re-executes the same script and byte-verifies
-/// against it when reaching the same instant.
+/// of the script and write an .osnap file (see sim/snapshot.h). Two runs of
+/// the script compare with `omnisnap diff --state`.
 struct SnapshotInstr {
   std::string path;
 };
@@ -758,25 +757,15 @@ Result<std::unique_ptr<Scenario>> Scenario::parse(const std::string& text) {
   return scenario;
 }
 
-Status Scenario::run(std::ostream& out, unsigned threads, bool observe,
-                     const std::string& resume_path) {
+Status Scenario::run(std::ostream& out, unsigned threads, bool observe) {
   Impl& impl = *impl_;
   net::Testbed bed(impl.seed, radio::Calibration::defaults(), threads);
   if (observe || impl.wants_observability) bed.enable_observability();
   // Snapshots carry the script fingerprint; small scripts are embedded
-  // whole, so an .osnap alone suffices to rebuild the run it anchors.
+  // whole, so an .osnap alone names the script that produced it.
   bed.set_scenario_fingerprint(
       impl.source_hash,
       impl.source_text.size() <= 16384 ? impl.source_text : std::string());
-  // Anchor a resume before any device exists: a refused snapshot (wrong
-  // seed/script) must bail out while teardown is still trivially safe.
-  if (!resume_path.empty()) {
-    auto anchored = bed.resume_from(resume_path);
-    if (!anchored.is_ok()) return Status::error(anchored.error_message());
-    out << "resume: replaying to t="
-        << anchored.value().at.as_seconds() << "s against " << resume_path
-        << "\n";
-  }
   std::vector<Impl::LiveDevice> live(impl.devices.size());
 
   for (std::size_t i = 0; i < impl.devices.size(); ++i) {
@@ -832,7 +821,7 @@ Status Scenario::run(std::ostream& out, unsigned threads, bool observe,
     std::vector<const OmniManager*> managers;
     managers.reserve(live.size());
     for (const auto& ld : live) managers.push_back(&ld.node->manager());
-    capture_managers(managers, /*deep=*/live.size() <= 64, snap);
+    capture_managers(managers, live.size() <= kDeepCaptureMaxManagers, snap);
   });
   if (impl.checkpoint_interval > Duration::zero()) {
     bed.checkpoint_every(impl.checkpoint_interval, impl.checkpoint_dir);
@@ -938,18 +927,6 @@ Status Scenario::run(std::ostream& out, unsigned threads, bool observe,
     }
   }
 
-  if (!resume_path.empty()) {
-    if (bed.resume_pending()) {
-      return Status::error(
-          "resume: the script never reached the snapshot instant (add or "
-          "keep the run blocks that got there)");
-    }
-    if (!bed.resume_verified()) {
-      return Status::error("resume: replayed state diverged from " +
-                           resume_path + ":\n" + bed.resume_error());
-    }
-    out << "resume: verified byte-identical at the snapshot instant\n";
-  }
   // The checkpoint daemon runs inside global events where it cannot abort
   // the run; a write failure it recorded must still fail the scenario
   // instead of silently producing fewer checkpoints than the script asked

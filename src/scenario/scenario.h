@@ -60,15 +60,7 @@ class Scenario {
   /// Returns an error if execution hits an impossible instruction (e.g. a
   /// send between devices that never discovered each other is fine — it
   /// reports a failed send — but an unknown device name is not).
-  ///
-  /// `resume_path` anchors the run to an .osnap snapshot written by a
-  /// previous execution of the *same* script (a `snapshot <path>` directive
-  /// or a `checkpoint every` file): the run replays from time zero and
-  /// byte-verifies its recomputed state against the file when it reaches the
-  /// snapshot instant, erroring out on any divergence — including a snapshot
-  /// captured at a different --threads count.
-  Status run(std::ostream& out, unsigned threads = 1, bool observe = false,
-             const std::string& resume_path = {});
+  Status run(std::ostream& out, unsigned threads = 1, bool observe = false);
 
   // Introspection for tests.
   std::size_t device_count() const;

@@ -306,8 +306,8 @@ class Simulator {
   /// Per-owner RNG stream digests — fnv1a64 over the serialized mt19937_64
   /// state — ascending by owner, the global stream last as kGlobalOwner.
   /// Digests (rather than the ~2.5 KB raw states) are what snapshots store:
-  /// under replay-anchored resume they only need to *verify* streams, and
-  /// they keep a 10k-owner snapshot within its size budget.
+  /// a state comparison only needs to tell streams apart, and digests keep
+  /// a 10k-owner snapshot within its size budget.
   void snapshot_rng_digests(
       std::vector<std::pair<OwnerId, std::uint64_t>>& out) const;
 

@@ -117,7 +117,7 @@ void capture_events(const Simulator& sim, TimePoint at, Snapshot& snap) {
   snap.section(kSecEvents).bytes = w.take();
   // Companion section, index-aligned with the kSecEvents order: each pending
   // event's descriptor body. Closures write a bare kind 0; descriptors write
-  // kind + payload, so resume verification proves not just *when* events
+  // kind + payload, so a state comparison proves not just *when* events
   // fire but *what* the typed ones will do. Additive — kSecEvents bytes are
   // untouched and old readers skip unknown section ids.
   ByteWriter dw;
@@ -265,10 +265,28 @@ std::uint64_t snapshot_digest(const Snapshot& snap) {
   return codec::container_digest(snap, snapshot_spec());
 }
 
+namespace {
+
+// `snap` with its manifest's capturing thread count zeroed. A manifest that
+// does not decode stays as it is, so the comparison still names it.
+Snapshot without_threads(const Snapshot& snap) {
+  Snapshot out = snap;
+  Result<SnapshotManifest> m = read_manifest(snap);
+  if (m) {
+    SnapshotManifest manifest = std::move(m).value();
+    manifest.threads = 0;
+    write_manifest(manifest, out);
+  }
+  return out;
+}
+
+}  // namespace
+
 std::string diff_snapshots(const Snapshot& a, const Snapshot& b,
-                           bool skip_manifest) {
-  return codec::diff_containers(a, b, snapshot_spec(),
-                         skip_manifest ? kSecManifest : 0);
+                           bool ignore_threads) {
+  if (!ignore_threads) return codec::diff_containers(a, b, snapshot_spec());
+  return codec::diff_containers(without_threads(a), without_threads(b),
+                                snapshot_spec());
 }
 
 std::string describe_snapshot(const Snapshot& snap) {

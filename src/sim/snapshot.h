@@ -5,26 +5,24 @@
 // RNG stream digests and mailbox sequence counters, the world's motion rows,
 // the fault plan and its injection counters, plus sections contributed by
 // upper layers (OmniManager state, metrics) through the testbed. Together
-// with the manifest (seed, capture time, scenario fingerprint) that state
-// identifies the run bit-for-bit.
+// with the manifest (seed, capture time, executed events, scenario
+// fingerprint) that state identifies the run bit-for-bit.
 //
-// What is serialized vs rebuilt — the central design decision: events hold
-// opaque std::function closures, so a snapshot cannot *materialize* them in
-// a fresh process. Resume is therefore **replay-anchored**: the caller
-// rebuilds the run from the manifest (same seed, same scenario), re-executes
-// to T, and the engine byte-verifies every recomputed section against the
-// file before continuing. Anything derivable from that replay — radio-medium
-// fan-out caches, nodes_near caches, beacon frame caches, observability
-// rings — is deliberately *not* serialized: it is rebuilt by construction.
-// The serialized sections are the oracle that proves the rebuilt world is
-// the same world.
+// What is serialized vs rebuilt: events hold opaque std::function closures,
+// so a snapshot records *when* each pending event fires (and the body of
+// typed ones), not what a closure captured; a snapshot is an oracle to
+// compare runs against, not a run to load. Anything derivable by
+// construction — radio-medium fan-out caches, nodes_near caches, beacon
+// frame caches, observability rings — is deliberately *not* serialized.
 //
 // Canonical encoding: every section is byte-identical regardless of the
 // capturing run's --threads value. Pending events are grouped per owner and
 // ordered by (time, fire order) — never by engine-internal generation
-// values, which are per-queue and thread-count-dependent. This makes
-// checkpoint files themselves a cross-thread determinism oracle, and lets a
-// run checkpointed at 8 threads resume at 1 (or vice versa).
+// values, which are per-queue and thread-count-dependent. Only the
+// manifest's `threads` field records the capturing thread count, so
+// diff_snapshots(a, b, /*ignore_threads=*/true) is the repository's one
+// cross-thread determinism check: capture the same run at two thread counts
+// (at the end, or at every checkpoint of the same cadence) and compare.
 //
 // File layout: the shared sectioned container of common/codec.h with magic
 // "OSNP" (docs/FORMATS.md is the normative byte-level spec). Loading is
@@ -97,8 +95,8 @@ static_assert(kSnapshotVersion == 1,
 struct SnapshotManifest {
   std::uint64_t seed = 0;
   TimePoint at;                    ///< capture instant
-  std::uint32_t threads = 0;       ///< capturing run (informational only —
-                                   ///< excluded from resume verification)
+  std::uint32_t threads = 0;       ///< capturing run's thread count (the
+                                   ///< one field a state comparison ignores)
   std::uint64_t executed_events = 0;
   std::uint64_t node_count = 0;
   std::uint64_t device_count = 0;
@@ -106,7 +104,7 @@ struct SnapshotManifest {
   /// fnv1a64 of the driving scenario source, 0 when not scenario-driven.
   std::uint64_t scenario_hash = 0;
   /// Optionally embedded scenario source (small runs), so a snapshot alone
-  /// is enough to rebuild the run it anchors.
+  /// names the script that produced it.
   std::string scenario_text;
 };
 
@@ -147,10 +145,11 @@ std::uint64_t snapshot_digest(const Snapshot& snap);
 
 /// "" when the snapshots carry byte-identical sections; otherwise a
 /// diagnostic naming every divergent/missing section and the first
-/// differing byte offset. `skip_manifest` ignores kSecManifest (resume
-/// verification: the manifest legitimately differs in thread count).
+/// differing byte offset. `ignore_threads` compares the manifest with its
+/// capturing `threads` field ignored — the state comparison that checks two
+/// runs of one seed at different thread counts.
 std::string diff_snapshots(const Snapshot& a, const Snapshot& b,
-                           bool skip_manifest = false);
+                           bool ignore_threads = false);
 
 /// One-line-per-section human summary (omnisnap inspect): decodes the
 /// manifest and per-section entry counts where the layout is known.

@@ -7,10 +7,10 @@
 // Asserts the two properties the fault engine promises:
 //  * self-healing invariants: every op reaches a terminal status and all
 //    manager op tables drain to empty (during the run and after stop());
-//  * determinism: a digest over every deterministic observable is
-//    byte-identical at 1, 2, and 8 threads.
+//  * determinism: the end-of-run state capture (sim + managers + metrics)
+//    is identical at 1, 2, and 8 threads.
 //
-// The checkpointed variant additionally snapshots the full run state every
+// The checkpointed variant additionally captures the full run state every
 // 10 virtual seconds; should a divergence ever appear, the first divergent
 // checkpoint pins it to a 10 s window and the failure message carries the
 // exact omnisnap command line that reproduces the comparison offline.
@@ -36,27 +36,12 @@ namespace {
 constexpr int kNodes = 12;
 constexpr std::uint64_t kSeed = 20260805;
 
-/// FNV-1a accumulator over 64-bit words.
-struct Digest {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x00000100000001B3ull;
-    }
-  }
-};
-
 struct ChaosResult {
-  std::uint64_t digest = 0;
+  /// End-of-run state capture, compared across thread counts.
+  sim::Snapshot state;
   int sends_ok = 0;
   int sends_failed = 0;
-  std::uint64_t deadline_failovers = 0;
-  std::uint64_t beacon_rearms = 0;
   sim::FaultPlan::Stats fault_stats;
-  /// Canonical Omniscope metrics dump — a second, independent digest that
-  /// must also be thread-count invariant.
-  std::string metrics;
   /// Checkpoint files written during the run (empty unless armed).
   std::vector<std::string> checkpoints;
 };
@@ -123,18 +108,11 @@ ChaosResult run_chaos(unsigned threads, const std::string& ckpt_dir = "") {
   plan.add_partition(split);
   bed.schedule_faults();
 
-  // Auto-checkpointing: full state (sim + managers, deep peer tables) every
-  // 10 virtual seconds. Checkpoint capture is itself an event, so only runs
-  // with the same cadence are digest-comparable.
-  if (!ckpt_dir.empty()) {
-    bed.add_snapshot_source([&nodes](sim::Snapshot& snap) {
-      std::vector<const OmniManager*> managers;
-      managers.reserve(nodes.size());
-      for (const auto& n : nodes) managers.push_back(&n->manager());
-      capture_managers(managers, /*deep=*/true, snap);
-    });
-    bed.checkpoint_every(Duration::seconds(10), ckpt_dir);
-  }
+  // Captures carry the managers (deep peer tables). Auto-checkpointing
+  // captures every 10 virtual seconds; checkpoint capture is itself an
+  // event, so only runs with the same cadence compare.
+  add_manager_snapshot_source(bed, nodes);
+  if (!ckpt_dir.empty()) bed.checkpoint_every(Duration::seconds(10), ckpt_dir);
 
   for (auto& n : nodes) n->start();
 
@@ -182,37 +160,8 @@ ChaosResult run_chaos(unsigned threads, const std::string& ckpt_dir = "") {
     EXPECT_EQ(n->manager().context_attempt_count(), 0u);
   }
 
-  // Digest every deterministic observable.
-  Digest d;
-  d.add(bed.simulator().executed_events());
-  d.add(bed.simulator().now().as_micros());
-  for (auto& n : nodes) {
-    const ManagerStats& s = n->manager().stats();
-    d.add(n->manager().peer_table().size());
-    d.add(s.packets_received);
-    d.add(s.beacons_received);
-    d.add(s.data_received);
-    d.add(s.data_sends);
-    d.add(s.data_failovers);
-    d.add(s.context_failovers);
-    d.add(s.engagements);
-    d.add(s.disengagements);
-    d.add(s.deadline_failovers);
-    d.add(s.beacon_rearms);
-    d.add(s.quarantines);
-    d.add(s.overload_rejections);
-    result.deadline_failovers += s.deadline_failovers;
-    result.beacon_rearms += s.beacon_rearms;
-  }
   result.fault_stats = plan.stats();
-  d.add(result.fault_stats.drops);
-  d.add(result.fault_stats.corruptions);
-  d.add(result.fault_stats.delays);
-  d.add(result.fault_stats.partition_drops);
-  d.add(static_cast<std::uint64_t>(result.sends_ok));
-  d.add(static_cast<std::uint64_t>(result.sends_failed));
-  result.digest = d.h;
-  result.metrics = scope.metrics_dump();
+  result.state = bed.capture_snapshot();
   result.checkpoints = bed.checkpoints();
   EXPECT_GT(scope.metrics().counter_total(scope.core().fault_drops), 0u);
 
@@ -237,12 +186,12 @@ TEST(ChaosSoakTest, FaultsActuallyInject) {
   EXPECT_GT(r.sends_ok + r.sends_failed, 0);
 }
 
-// Checkpointed soak at two thread counts: digests must still agree, and
-// every pair of same-instant checkpoints must be byte-identical once the
-// manifest (which records the capturing thread count) is excluded. If a
-// divergence ever slips in, the failure message names the first divergent
-// checkpoint — bounding the bug to one 10 s window — and carries the
-// omnisnap command line that reproduces the comparison offline.
+// Checkpointed soak at two thread counts: every pair of same-instant
+// checkpoints, and the end-of-run captures, must be identical apart from the
+// manifest's capturing thread count. If a divergence ever slips in, the
+// failure message names the first divergent checkpoint — bounding the bug to
+// one 10 s window — and carries the omnisnap command line that reproduces
+// the comparison offline.
 TEST(ChaosSoakTest, CheckpointBisectionPinpointsDivergence) {
   namespace fs = std::filesystem;
   const fs::path base = fs::temp_directory_path() /
@@ -251,7 +200,8 @@ TEST(ChaosSoakTest, CheckpointBisectionPinpointsDivergence) {
   const std::string dir8 = (base / "t8").string();
   ChaosResult r1 = run_chaos(1, dir1);
   ChaosResult r8 = run_chaos(8, dir8);
-  EXPECT_EQ(r1.digest, r8.digest);
+  EXPECT_EQ(sim::diff_snapshots(r1.state, r8.state, /*ignore_threads=*/true),
+            "");
   ASSERT_EQ(r1.checkpoints.size(), r8.checkpoints.size());
   ASSERT_GE(r1.checkpoints.size(), 5u);  // 60 s run, 10 s cadence
 
@@ -262,7 +212,7 @@ TEST(ChaosSoakTest, CheckpointBisectionPinpointsDivergence) {
     ASSERT_TRUE(a.is_ok()) << a.error_message();
     ASSERT_TRUE(b.is_ok()) << b.error_message();
     const std::string diff =
-        sim::diff_snapshots(a.value(), b.value(), /*skip_manifest=*/true);
+        sim::diff_snapshots(a.value(), b.value(), /*ignore_threads=*/true);
     if (!diff.empty()) {
       char window[64];
       std::snprintf(window, sizeof window, "(%zus, %zus]", 10 * i,
@@ -281,15 +231,16 @@ TEST(ChaosSoakTest, CheckpointBisectionPinpointsDivergence) {
 
 TEST(ChaosSoakTest, DigestIsThreadCountInvariant) {
   ChaosResult r1 = run_chaos(1);
-  ChaosResult r2 = run_chaos(2);
-  ChaosResult r8 = run_chaos(8);
-  EXPECT_EQ(r1.digest, r2.digest);
-  EXPECT_EQ(r1.digest, r8.digest);
-  EXPECT_EQ(r1.sends_ok, r8.sends_ok);
-  EXPECT_EQ(r1.sends_failed, r8.sends_failed);
-  EXPECT_EQ(r1.metrics, r2.metrics);
-  EXPECT_EQ(r1.metrics, r8.metrics);
-  EXPECT_FALSE(r1.metrics.empty());
+  ASSERT_NE(r1.state.find(sim::kSecMetrics), nullptr);
+  for (unsigned threads : {2u, 8u}) {
+    ChaosResult r = run_chaos(threads);
+    EXPECT_EQ(sim::diff_snapshots(r1.state, r.state, /*ignore_threads=*/true),
+              "")
+        << threads << " threads";
+    // Callback tallies live in the test, not in the capture.
+    EXPECT_EQ(r1.sends_ok, r.sends_ok);
+    EXPECT_EQ(r1.sends_failed, r.sends_failed);
+  }
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 //    ceiling and starts suppressing beacons/scan windows; an isolated pair
 //    (below sparse_peers) never leaves the floor, so entrant discovery
 //    latency stays paper-faithful where it matters;
-//  * determinism: the adaptive digest (with and without jitter) is
-//    byte-identical at 1, 2 and 8 threads, and the controller leaks no ops
-//    under crash/restart churn;
+//  * determinism: the adaptive run's end-of-run state capture (with and
+//    without jitter) is identical at 1, 2 and 8 threads, and the controller
+//    leaks no ops under crash/restart churn;
 //  * compatibility: an explicit `discovery fixed` directive reproduces the
 //    default tourist golden trace byte for byte, and the hint-scaled
 //    PeerTable expiry keeps long-interval beaconers alive without touching
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "net/testbed.h"
+#include "omni/manager_snapshot.h"
 #include "omni/omni_node.h"
 #include "omni/peer_table.h"
 #include "scenario/scenario.h"
@@ -41,7 +42,7 @@ DiscoveryPolicy adaptive_policy() {
 }
 
 /// A testbed with `n` full-stack nodes on a tight grid (spacing well inside
-/// BLE range), all running `policy`.
+/// BLE range), all running `policy`. Its captures carry the managers.
 struct Clique {
   Clique(int n, const DiscoveryPolicy& policy, unsigned threads,
          double spacing_m = 10.0)
@@ -56,6 +57,7 @@ struct Clique {
       auto& dev = bed.add_device("n" + std::to_string(i), pos);
       nodes.push_back(std::make_unique<OmniNode>(dev, bed.mesh(), opts));
     }
+    add_manager_snapshot_source(bed, nodes);
     for (auto& node : nodes) node->start();
   }
 
@@ -95,56 +97,40 @@ TEST(DiscoveryPolicyTest, IsolatedPairStaysAtFloor) {
   }
 }
 
-/// FNV-1a over every deterministic observable of a clique run.
-std::uint64_t run_digest(const DiscoveryPolicy& policy, unsigned threads) {
+/// End-of-run state capture of a 45 s clique run.
+sim::Snapshot run_state(const DiscoveryPolicy& policy, unsigned threads) {
   Clique clique(12, policy, threads);
   clique.bed.simulator().run_for(Duration::seconds(45));
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto fold = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x00000100000001B3ull;
-    }
-  };
-  fold(clique.bed.simulator().executed_events());
-  for (auto& node : clique.nodes) {
-    const ManagerStats& s = node->manager().stats();
-    fold(node->manager().peer_table().size());
-    fold(static_cast<std::uint64_t>(
-        node->manager().current_beacon_interval().as_micros()));
-    fold(s.beacons_received);
-    fold(s.beacons_suppressed);
-    fold(s.scan_windows_skipped);
-    fold(s.packets_received);
-    fold(s.beacon_rearms);
-  }
+  sim::Snapshot state = clique.bed.capture_snapshot();
   for (auto& node : clique.nodes) node->stop();
-  return h;
+  return state;
 }
 
 // The controller's inputs are all deterministic local signals and its only
-// randomness is owner-hashed counter-indexed jitter, so the digest must be
-// bit-identical at any thread count — with jitter off (the default) and on.
+// randomness is owner-hashed counter-indexed jitter, so the run state must be
+// identical at any thread count — with jitter off (the default) and on.
 TEST(DiscoveryPolicyTest, AdaptiveDigestIsThreadCountInvariant) {
-  DiscoveryPolicy policy = adaptive_policy();
-  const std::uint64_t d1 = run_digest(policy, 1);
-  EXPECT_EQ(d1, run_digest(policy, 2));
-  EXPECT_EQ(d1, run_digest(policy, 8));
-
   DiscoveryPolicy jittered = adaptive_policy();
   jittered.jitter = 0.25;
-  const std::uint64_t j1 = run_digest(jittered, 1);
-  EXPECT_EQ(j1, run_digest(jittered, 2));
-  EXPECT_EQ(j1, run_digest(jittered, 8));
+  std::vector<sim::Snapshot> at_1t;
+  for (const DiscoveryPolicy& policy : {adaptive_policy(), jittered}) {
+    at_1t.push_back(run_state(policy, 1));
+    for (unsigned threads : {2u, 8u}) {
+      EXPECT_EQ(sim::diff_snapshots(at_1t.back(), run_state(policy, threads),
+                                    /*ignore_threads=*/true),
+                "")
+          << "jitter " << policy.jitter << ", " << threads << " threads";
+    }
+  }
   // Jitter de-phases the advertising lattice, so it must actually change
   // the run (otherwise the knob is dead code).
-  EXPECT_NE(d1, j1);
+  EXPECT_NE(sim::diff_snapshots(at_1t[0], at_1t[1]), "");
 }
 
 // Crash/restart churn plus background loss under the adaptive scheduler:
 // every op still reaches a terminal status, the manager tables drain, and
-// the run stays thread-count invariant. Guards against the backoff timer
-// wedging re-arms after a restart.
+// the run state stays thread-count invariant. Guards against the backoff
+// timer wedging re-arms after a restart.
 TEST(DiscoveryPolicyTest, AdaptiveChaosSoakIsLeakFree) {
   auto run = [](unsigned threads) {
     Clique clique(8, adaptive_policy(), threads, 15.0);
@@ -176,18 +162,21 @@ TEST(DiscoveryPolicyTest, AdaptiveChaosSoakIsLeakFree) {
     clique.bed.simulator().run_for(Duration::seconds(60));
 
     EXPECT_EQ(callbacks, ops);
-    std::uint64_t events = clique.bed.simulator().executed_events();
+    sim::Snapshot state = clique.bed.capture_snapshot();
     for (auto& node : clique.nodes) {
       EXPECT_EQ(node->manager().pending_data_count(), 0u);
       EXPECT_EQ(node->manager().data_attempt_count(), 0u);
       EXPECT_EQ(node->manager().context_attempt_count(), 0u);
     }
     for (auto& node : clique.nodes) node->stop();
-    return events;
+    return state;
   };
-  const std::uint64_t e1 = run(1);
-  EXPECT_EQ(e1, run(2));
-  EXPECT_EQ(e1, run(8));
+  const sim::Snapshot s1 = run(1);
+  for (unsigned threads : {2u, 8u}) {
+    EXPECT_EQ(sim::diff_snapshots(s1, run(threads), /*ignore_threads=*/true),
+              "")
+        << threads << " threads";
+  }
 }
 
 // `discovery fixed` must be a pure no-op: the tourist scenario with the

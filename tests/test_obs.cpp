@@ -19,6 +19,7 @@
 #include "obs/perfetto.h"
 #include "obs/strings.h"
 #include "obs/trace_file.h"
+#include "omni/omni_node.h"
 #include "scenario/scenario.h"
 
 namespace omni::obs {
@@ -204,6 +205,33 @@ TEST(OmniscopeTest, DevicesGetOwnerNamesEitherSideOfEnable) {
   }
   EXPECT_TRUE(saw_early);
   EXPECT_TRUE(saw_late);
+}
+
+// The scope reports the same run whether it is attached before the devices
+// exist or after: owner storage grows as devices arrive without changing
+// what the metrics and the trace say.
+TEST(OmniscopeTest, AttachBeforeOrAfterDevicesReportsTheSame) {
+  auto run = [](bool attach_first) {
+    net::Testbed bed(3);
+    if (attach_first) bed.enable_observability();
+    std::vector<std::unique_ptr<OmniNode>> nodes;
+    for (int i = 0; i < 200; ++i) {
+      net::Device& dev = bed.add_device(
+          "n" + std::to_string(i), {25.0 * (i % 15), 25.0 * (i / 15)});
+      nodes.push_back(std::make_unique<OmniNode>(dev, bed.mesh()));
+    }
+    Omniscope& sc = bed.enable_observability();
+    for (auto& node : nodes) node->start();
+    bed.simulator().run_for(Duration::seconds(5));
+    std::ostringstream json;
+    write_perfetto_json(json, capture(sc), bed.export_options());
+    return std::make_pair(sc.metrics_dump(), json.str());
+  };
+  const auto before = run(true);
+  const auto after = run(false);
+  EXPECT_EQ(before.first, after.first);
+  EXPECT_EQ(before.second, after.second);
+  EXPECT_NE(before.first.find("owner 199 ="), std::string::npos);
 }
 
 TEST(OmniscopeTest, BleBeaconingProducesRecordsAndCounters) {

@@ -9,10 +9,10 @@
 //   * A churn stress: a 5x5 grid of full-stack nodes beaconing and
 //     engaging while a rolling subset stops and restarts mid-run. Churn
 //     exercises the barrier-deferred scan-state snapshot, owner teardown,
-//     and mailbox merge under maximum contention; the digest folds every
-//     node's peer count and context receptions plus the global event and
-//     delivery totals, so any divergence in event order or RNG draw order
-//     across thread counts fails the comparison.
+//     and mailbox merge under maximum contention. The end-of-run state
+//     capture (pending events, RNG streams, managers, metrics) must match
+//     across thread counts, and so must the engine counters the capture
+//     does not hold and the merged flight-recorder record stream.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -24,8 +24,10 @@
 #include "net/testbed.h"
 #include "obs/omniscope.h"
 #include "obs/trace_file.h"
+#include "omni/manager_snapshot.h"
 #include "omni/omni_node.h"
 #include "scenario/scenario.h"
+#include "sim/snapshot.h"
 
 namespace omni {
 namespace {
@@ -49,8 +51,18 @@ TEST(ParallelEngineTest, TouristScenarioBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(sequential, scenario::run_scenario_text(script, 8));
 }
 
-/// Run the churn stress at `threads` and digest the observable outcome.
-std::string churn_digest(unsigned threads) {
+struct ChurnRun {
+  /// End-of-run state capture.
+  sim::Snapshot state;
+  /// BLE deliveries, windows and mailbox posts: engine counters outside the
+  /// capture.
+  std::string engine;
+  /// Record count and hash of the merged flight-recorder stream.
+  std::string trace;
+};
+
+/// Run the churn stress at `threads`.
+ChurnRun run_churn(unsigned threads) {
   constexpr std::size_t kSide = 5;
   constexpr std::size_t kNodes = kSide * kSide;
   constexpr double kSpacingM = 25.0;
@@ -62,16 +74,14 @@ std::string churn_digest(unsigned threads) {
   // would legitimately differ across partitions).
   obs::Omniscope& scope = bed.enable_observability(/*ring_capacity=*/1 << 20);
   std::vector<std::unique_ptr<OmniNode>> nodes;
-  std::vector<std::uint64_t> rx_ctx(kNodes, 0);
   nodes.reserve(kNodes);
   for (std::size_t i = 0; i < kNodes; ++i) {
     double x = static_cast<double>(i % kSide) * kSpacingM;
     double y = static_cast<double>(i / kSide) * kSpacingM;
     net::Device& dev = bed.add_device("n" + std::to_string(i), {x, y});
     nodes.push_back(std::make_unique<OmniNode>(dev, bed.mesh()));
-    nodes.back()->manager().request_context(
-        [&rx_ctx, i](const OmniAddress&, const Bytes&) { ++rx_ctx[i]; });
   }
+  add_manager_snapshot_source(bed, nodes);
   for (auto& node : nodes) {
     node->start();
     node->manager().add_context(ContextParams{}, Bytes{0x51}, nullptr);
@@ -91,15 +101,12 @@ std::string churn_digest(unsigned threads) {
 
   sim.run_for(Duration::seconds(30));
 
-  std::ostringstream os;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    os << i << ":peers=" << nodes[i]->manager().peer_table().size()
-       << ",ctx=" << rx_ctx[i] << "\n";
-  }
-  os << "events=" << sim.executed_events()
-     << " delivered=" << bed.ble_medium().delivered_count()
-     << " windows=" << sim.windows_run()
-     << " posts=" << sim.mailbox_posts() << "\n";
+  ChurnRun run;
+  run.state = bed.capture_snapshot();
+  run.engine = "delivered=" +
+               std::to_string(bed.ble_medium().delivered_count()) +
+               " windows=" + std::to_string(sim.windows_run()) +
+               " posts=" + std::to_string(sim.mailbox_posts());
 
   obs::TraceCapture cap = obs::capture(scope);
   EXPECT_EQ(cap.dropped, 0u) << "ring too small for a lossless capture";
@@ -117,21 +124,29 @@ std::string churn_digest(unsigned threads) {
     mix(r.a1);
     mix(r.tech);
   }
-  os << "trace_records=" << cap.records.size() << " trace_hash=" << h
-     << "\n";
-  os << scope.metrics_dump();
-  return os.str();
+  run.trace = "trace_records=" + std::to_string(cap.records.size()) +
+              " trace_hash=" + std::to_string(h);
+  return run;
+}
+
+void expect_same_run(const ChurnRun& a, const ChurnRun& b) {
+  EXPECT_EQ(sim::diff_snapshots(a.state, b.state, /*ignore_threads=*/true),
+            "");
+  EXPECT_EQ(a.engine, b.engine);
+  EXPECT_EQ(a.trace, b.trace);
 }
 
 TEST(ParallelEngineTest, ChurnStressDigestInvariantAcrossThreadCounts) {
-  std::string sequential = churn_digest(1);
-  SCOPED_TRACE(sequential);
-  EXPECT_EQ(sequential, churn_digest(2));
-  EXPECT_EQ(sequential, churn_digest(8));
+  const ChurnRun sequential = run_churn(1);
+  ASSERT_NE(sequential.state.find(sim::kSecMetrics), nullptr);
+  for (unsigned threads : {2u, 8u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    expect_same_run(sequential, run_churn(threads));
+  }
 }
 
 TEST(ParallelEngineTest, ChurnStressIsRunToRunDeterministicAt8Threads) {
-  EXPECT_EQ(churn_digest(8), churn_digest(8));
+  expect_same_run(run_churn(8), run_churn(8));
 }
 
 }  // namespace

@@ -3,12 +3,15 @@
 //   $ omnisnap inspect run.osnap          # manifest + per-section summary
 //   $ omnisnap verify run.osnap           # full integrity check + round-trip
 //   $ omnisnap diff a.osnap b.osnap       # section-level byte comparison
-//   $ omnisnap diff --state a.osnap b.osnap   # ignore manifests (A/B runs)
+//   $ omnisnap diff --state a.osnap b.osnap   # ignore the capturing threads
 //
 // `verify` exercises the same hardened loader the engine uses (magic,
 // version, table bounds, per-section checksums, trailer) and additionally
-// proves the parse/serialize round trip is byte-identical. Exit status: 0 on
-// success / no differences, 1 on corruption or divergence, 2 on usage.
+// proves the parse/serialize round trip is byte-identical. `diff --state` is
+// the cross-thread determinism check offline: it compares everything,
+// manifest included, except the manifest's capturing thread count. Exit
+// status: 0 on success / no differences, 1 on corruption or divergence, 2 on
+// usage.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -68,7 +71,7 @@ int cmd_verify(const std::string& path) {
 }
 
 int cmd_diff(const std::string& a_path, const std::string& b_path,
-             bool state_only) {
+             bool ignore_threads) {
   auto a = omni::sim::read_snapshot_file(a_path);
   auto b = omni::sim::read_snapshot_file(b_path);
   if (!a.is_ok() || !b.is_ok()) {
@@ -77,12 +80,13 @@ int cmd_diff(const std::string& a_path, const std::string& b_path,
     return 1;
   }
   const std::string diff =
-      omni::sim::diff_snapshots(a.value(), b.value(), state_only);
+      omni::sim::diff_snapshots(a.value(), b.value(), ignore_threads);
   if (diff.empty()) {
-    std::printf("identical%s\n", state_only ? " (manifests ignored)" : "");
+    std::printf("identical%s\n",
+                ignore_threads ? " (capturing threads ignored)" : "");
     return 0;
   }
-  std::printf("%s", diff.c_str());
+  std::printf("%s\n", diff.c_str());
   return 1;
 }
 
@@ -102,13 +106,13 @@ int main(int argc, char** argv) {
   if (cmd == "inspect" && argc == 3) return cmd_inspect(argv[2]);
   if (cmd == "verify" && argc == 3) return cmd_verify(argv[2]);
   if (cmd == "diff") {
-    bool state_only = false;
+    bool ignore_threads = false;
     int i = 2;
     if (i < argc && std::strcmp(argv[i], "--state") == 0) {
-      state_only = true;
+      ignore_threads = true;
       ++i;
     }
-    if (argc - i == 2) return cmd_diff(argv[i], argv[i + 1], state_only);
+    if (argc - i == 2) return cmd_diff(argv[i], argv[i + 1], ignore_threads);
   }
   return usage();
 }
