@@ -101,10 +101,9 @@ struct ScalePoint {
   std::uint64_t mailbox_posts;
   std::uint64_t contexts_received;
   std::size_t min_peers;
-  // Beacon fast-path counters summed over every node's ManagerStats (live
-  // with observability off); prove in the JSON that the receive memo and
-  // sender frame cache actually fired for the measured run.
-  std::uint64_t beacon_decode_skips;
+  // Sender frame-cache counter summed over every node's ManagerStats (live
+  // with observability off); proves in the JSON that the cache actually
+  // fired for the measured run.
   std::uint64_t beacon_encodes;
   // Region-sharded world telemetry (schema v3): region tiles instantiated,
   // nodes handed between regions on mobility events, and mailbox posts whose
@@ -221,12 +220,10 @@ ScalePoint run_point(std::size_t n, unsigned threads, int obs_mode = 0,
       p.wall_seconds > 0 ? static_cast<double>(p.events) / p.wall_seconds : 0;
   p.contexts_received = contexts.load(std::memory_order_relaxed);
   p.min_peers = nodes.empty() ? 0 : SIZE_MAX;
-  p.beacon_decode_skips = 0;
   p.beacon_encodes = 0;
   double interval_sum_ms = 0;
   for (auto& node : nodes) {
     p.min_peers = std::min(p.min_peers, node->manager().peer_table().size());
-    p.beacon_decode_skips += node->manager().stats().beacon_decode_skips;
     p.beacon_encodes += node->manager().stats().beacon_encodes;
     p.beacons_suppressed += node->manager().stats().beacons_suppressed;
     interval_sum_ms += static_cast<double>(
@@ -325,12 +322,10 @@ ScalePoint run_city(std::size_t n, std::size_t core, unsigned threads,
       p.wall_seconds > 0 ? static_cast<double>(p.events) / p.wall_seconds : 0;
   p.contexts_received = contexts.load(std::memory_order_relaxed);
   p.min_peers = nodes.empty() ? 0 : SIZE_MAX;
-  p.beacon_decode_skips = 0;
   p.beacon_encodes = 0;
   double interval_sum_ms = 0;
   for (auto& node : nodes) {
     p.min_peers = std::min(p.min_peers, node->manager().peer_table().size());
-    p.beacon_decode_skips += node->manager().stats().beacon_decode_skips;
     p.beacon_encodes += node->manager().stats().beacon_encodes;
     p.beacons_suppressed += node->manager().stats().beacons_suppressed;
     interval_sum_ms += static_cast<double>(
@@ -383,7 +378,7 @@ int main(int argc, char** argv) {
   bench::Table table({"nodes", "threads", "events", "wall s", "events/s",
                       "speedup", "peak heap", "min peers"});
   bench::BenchReport report("scale");
-  report.set_schema_version(4);
+  report.set_schema_version(5);
   report.set_meta("sim_seconds", bench::fmt(g_sim_seconds, 0));
   report.set_meta("spacing_m", bench::fmt(kSpacingM, 0));
   report.set_meta("seed", "42");
@@ -608,7 +603,6 @@ int main(int argc, char** argv) {
           .field("cross_region_mailbox_posts", p.cross_region_mailbox_posts)
           .field("contexts_received", p.contexts_received)
           .field("min_peers", static_cast<std::uint64_t>(p.min_peers))
-          .field("beacon_decode_skips", p.beacon_decode_skips)
           .field("beacon_encodes", p.beacon_encodes)
           .field("beacons_suppressed", p.beacons_suppressed)
           .field("mean_beacon_interval_ms", p.mean_beacon_interval_ms)

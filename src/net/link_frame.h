@@ -12,39 +12,13 @@
 // 8 bytes on WiFi-Mesh).
 #pragma once
 
-#include <cstring>
 #include <optional>
 #include <span>
 
 #include "common/byte_buffer.h"
-#include "common/hash.h"
 #include "common/types.h"
 
 namespace omni {
-
-/// 64-bit content digest of a wire frame (sealed or plaintext bytes as they
-/// arrived). FNV-1a over 8-byte words (zero-padded tail, length folded in,
-/// so a frame and a prefix of it never share a digest) — a frame digests in
-/// a handful of multiplies instead of one per byte, which matters because
-/// the beacon receive path computes this once per delivered frame. This is
-/// a *memoization* key, not an integrity check: the beacon receive fast
-/// path trusts a (length, digest) match from the same link-level sender
-/// (see DESIGN.md "Beacon fast path" for the collision stance).
-inline std::uint64_t wire_digest(std::span<const std::uint8_t> frame) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  std::size_t i = 0;
-  for (; i + 8 <= frame.size(); i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, frame.data() + i, 8);
-    h = (h ^ w) * 0x100000001b3ull;
-  }
-  if (i < frame.size()) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, frame.data() + i, frame.size() - i);
-    h = (h ^ w) * 0x100000001b3ull;
-  }
-  return splitmix64(h ^ static_cast<std::uint64_t>(frame.size()));
-}
 
 inline constexpr std::uint8_t kFrameBroadcast = 0x00;
 inline constexpr std::uint8_t kFrameUnicast = 0x01;

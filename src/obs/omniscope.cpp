@@ -38,7 +38,6 @@ void Omniscope::attach(sim::Simulator& sim, std::size_t ring_capacity) {
       metrics_.histogram("mgr.data_latency_ms", kLatencyBoundsMs);
   core_.beacon_encodes = metrics_.counter("mgr.beacon_encodes");
   core_.beacon_frames_cached = metrics_.counter("mgr.beacon_frames_cached");
-  core_.beacon_decode_skips = metrics_.counter("mgr.beacon_decode_skips");
   core_.peer_expire_sweeps = metrics_.counter("mgr.peer_expire_sweeps");
   static constexpr std::array<double, 7> kIntervalBoundsMs = {
       250, 500, 1000, 2000, 4000, 8000, 16000};

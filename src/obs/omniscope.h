@@ -56,10 +56,9 @@ struct CoreMetrics {
   MetricId data_rx = kInvalidMetric;
   MetricId engagements = kInvalidMetric;
   MetricId data_latency_ms = kInvalidMetric;  ///< histogram, ok ops only
-  // Beacon fast path (manager send/receive caches; see DESIGN.md).
+  // Beacon fast path (manager frame cache and expiry sweep; see DESIGN.md).
   MetricId beacon_encodes = kInvalidMetric;        ///< wire-frame (re)encodes
   MetricId beacon_frames_cached = kInvalidMetric;  ///< sends from the cache
-  MetricId beacon_decode_skips = kInvalidMetric;   ///< digest-memo rx hits
   MetricId peer_expire_sweeps = kInvalidMetric;    ///< periodic expiry sweeps
   // Adaptive discovery scheduler (DiscoveryPolicy; see DESIGN.md).
   MetricId beacons_suppressed = kInvalidMetric;    ///< beacons saved vs floor

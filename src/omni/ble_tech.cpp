@@ -176,17 +176,9 @@ void BleTech::on_radio_receive(const BleAddress& from, const Bytes& frame) {
   auto packed = unframe_ble_view(frame, radio_.address());
   if (!packed) return;  // malformed or addressed to another device
   // With beacons arriving at every scan interval this path runs more than
-  // anything else in a simulation. Radio deliveries run on the receiving
-  // node's shard — the manager's own execution context — so in the common
-  // case the frame goes straight to the receive path as a view, no copy and
-  // no queue round-trip (the sink declines when order would change).
-  if (queues_.sink != nullptr &&
-      queues_.sink->receive_inline(Technology::kBle, LowLevelAddress{from},
-                                   *packed)) {
-    return;
-  }
-  // Fallback: copy the view into a recycled queue slot (reusing drained
-  // packets' buffers keeps this allocation-free too).
+  // anything else in a simulation. The view is copied into a recycled queue
+  // slot, whose buffer a drained packet left behind, so it allocates nothing
+  // in steady state.
   queues_.receive->produce([&](ReceivedPacket& pkt) {
     pkt.tech = Technology::kBle;
     pkt.from = LowLevelAddress{from};

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <variant>
 
@@ -126,30 +125,10 @@ struct ReceivedPacket {
   Bytes packed;  ///< encoded omni_packed_struct
 };
 
-/// Zero-copy receive fast path. When a technology's delivery callback
-/// already executes in the receiving manager's owner context — the common
-/// case for node-local radios, whose queue wakeup would drain inline at the
-/// same instant anyway — it may hand the unframed link payload straight to
-/// the sink, skipping the copy into a queue slot. receive_inline returns
-/// false when the synchronous path is unavailable (wrong execution context,
-/// re-entrancy, an undrained backlog whose FIFO order must be preserved);
-/// the caller must then fall back to queues.receive->produce(). Taking the
-/// fast path never changes processing *order*: it is used exactly when the
-/// produce() path would have invoked the consumer synchronously.
-class InlinePacketSink {
- public:
-  virtual ~InlinePacketSink() = default;
-  virtual bool receive_inline(Technology tech, const LowLevelAddress& from,
-                              std::span<const std::uint8_t> packed) = 0;
-};
-
 struct TechQueues {
   SimQueue<SendRequest>* send = nullptr;          ///< this technology's own
   SimQueue<ReceivedPacket>* receive = nullptr;    ///< shared
   SimQueue<TechResponse>* response = nullptr;     ///< shared
-  /// Optional zero-copy receive sink (null for shared-medium technologies,
-  /// whose receptions must stay barrier-serialized through the queue).
-  InlinePacketSink* sink = nullptr;
 };
 
 struct EnableResult {

@@ -4,13 +4,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
-#include <type_traits>
 #include <variant>
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "net/link_frame.h"
 #include "sim/snapshot.h"
 #include "sim/world.h"
 
@@ -38,30 +35,6 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Memo-table key for a (technology, link-level sender) pair. Collisions
-/// across variant alternatives are harmless — slots are confirmed with an
-/// exact (tech, from) compare before use — so the hash only needs spread,
-/// not injectivity. Never returns 0 (the empty-slot sentinel).
-std::uint64_t memo_key(Technology tech, const LowLevelAddress& from) {
-  // Hot: called once per delivered beacon/context frame. Branch on the
-  // variant index directly (BLE overwhelmingly dominates) and load the six
-  // BLE octets with one memcpy instead of a byte-fold loop.
-  std::uint64_t raw;
-  if (const BleAddress* b = std::get_if<BleAddress>(&from)) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, b->octets.data(), b->octets.size());
-    raw = v;
-  } else if (const MeshAddress* m = std::get_if<MeshAddress>(&from)) {
-    raw = m->value;
-  } else if (const NanAddress* n = std::get_if<NanAddress>(&from)) {
-    raw = n->value;
-  } else {
-    raw = 0;
-  }
-  std::uint64_t key =
-      splitmix64(raw ^ (static_cast<std::uint64_t>(tech) + 1) * 0x100000001b3ull);
-  return key == 0 ? 1 : key;
-}
 }  // namespace
 
 OmniManager::OmniManager(sim::Simulator& sim, OmniAddress self,
@@ -302,8 +275,11 @@ void OmniManager::start() {
   OMNI_CHECK_MSG(!slots_.empty(), "no technologies registered");
   running_ = true;
 
-  receive_queue_.set_consumer([this] { drain_receive_queue(); });
-  shared_receive_queue_.set_consumer([this] { drain_shared_receive_queue(); });
+  receive_queue_.set_consumer(
+      [this] { drain_packets(receive_queue_, receive_scratch_); });
+  shared_receive_queue_.set_consumer([this] {
+    drain_packets(shared_receive_queue_, shared_receive_scratch_);
+  });
   response_queue_.set_consumer([this] { drain_response_queue(); });
 
   // Enable every technology and collect low-level addresses for the beacon.
@@ -311,14 +287,7 @@ void OmniManager::start() {
     TechQueues queues{s.send_queue.get(),
                       s.tech->uses_shared_medium() ? &shared_receive_queue_
                                                    : &receive_queue_,
-                      &response_queue_,
-                      // Shared-medium receptions must stay barrier-serialized
-                      // through the global queue; node-local radios may hand
-                      // frames straight to the receive path (zero-copy) when
-                      // the delivery already runs on this manager's shard.
-                      s.tech->uses_shared_medium()
-                          ? nullptr
-                          : static_cast<InlinePacketSink*>(this)};
+                      &response_queue_};
     EnableResult result = s.tech->enable(queues);
     s.address = result.address;
     s.up = true;
@@ -332,14 +301,6 @@ void OmniManager::start() {
   // the info generation here makes the first use after a (re)start re-encode
   // against the freshly collected addresses.
   ++beacon_gen_;
-
-  // Receive-side beacon memoization only runs with the relay pipeline off:
-  // relays must see every frame so an expired relay can re-trigger from a
-  // byte-identical rebroadcast.
-  memo_enabled_ = options_.beacon_rx_memo && options_.context_relay_hops == 0;
-  memo_.clear();
-  memo_spill_.clear();
-  beacon_memo_count_ = 0;
 
   // Engage the lowest-energy context technology; the rest probe-listen
   // unless engagement is disabled, in which case everything beacons
@@ -369,10 +330,6 @@ void OmniManager::stop() {
   running_ = false;
   maintenance_event_.cancel();
   peer_sweep_event_.cancel();
-  memo_enabled_ = false;
-  memo_.clear();
-  memo_spill_.clear();
-  beacon_memo_count_ = 0;
   // Drain the op tables (leak invariant: nothing survives a stop). In-flight
   // attempts are abandoned — their deadlines are cancelled and their pending
   // ops fail asynchronously, like every other failure path.
@@ -432,7 +389,7 @@ const Bytes& OmniManager::beacon_wire() {
   // matches the documented invalidation rule (beacon info, context set, or
   // seal key — the last is fixed at construction). Sealing consumes a fresh
   // nonce only on re-encode, so repeated hand-outs of the cached frame are
-  // byte-identical — exactly what lets receivers memoize on the raw bytes.
+  // byte-identical.
   if (beacon_wire_gen_ != beacon_gen_ ||
       beacon_wire_ctx_gen_ != contexts_.generation()) {
     beacon_packed_ =
@@ -818,262 +775,35 @@ void OmniManager::maintenance_tick() {
 
 // --- Receive path ------------------------------------------------------------
 
-void OmniManager::drain_receive_queue() {
+void OmniManager::drain_packets(SimQueue<ReceivedPacket>& queue,
+                                std::vector<ReceivedPacket>& scratch) {
   // Batch drain: one queue swap per tick instead of one pop per packet
   // (and, for the concurrent deployment queue, one lock per tick). The
   // outer loop catches packets enqueued while this batch was processed;
   // the scratch buffer ping-pongs with the queue's, so steady-state
-  // draining allocates nothing.
-  in_receive_ = true;
-  while (!receive_queue_.empty()) {
-    std::size_t n = receive_queue_.drain_into(receive_scratch_);
+  // draining allocates nothing. The shared queue drains in global context
+  // (see shared_receive_queue_); handle_packet's scratch members are safe
+  // in both because windows and the global phase never overlap in time.
+  while (!queue.empty()) {
+    std::size_t n = queue.drain_into(scratch);
     for (std::size_t i = 0; i < n; ++i) {
-      const ReceivedPacket& pkt = receive_scratch_[i];
+      const ReceivedPacket& pkt = scratch[i];
       handle_packet(pkt.tech, pkt.from, pkt.packed);
     }
   }
-  in_receive_ = false;
   // Deliberately no clear(): the processed packets swap back into the queue
   // as recycled slots, whose payload buffers the technologies refill in
   // place — the receive path allocates nothing in steady state.
 }
 
-void OmniManager::drain_shared_receive_queue() {
-  // Same batch-drain contract as drain_receive_queue, but running in global
-  // context (see shared_receive_queue_). handle_packet tolerates both
-  // contexts; its scratch members are safe because windows and the global
-  // phase are mutually exclusive in time.
-  in_receive_ = true;
-  while (!shared_receive_queue_.empty()) {
-    std::size_t n = shared_receive_queue_.drain_into(shared_receive_scratch_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const ReceivedPacket& pkt = shared_receive_scratch_[i];
-      handle_packet(pkt.tech, pkt.from, pkt.packed);
-    }
-  }
-  in_receive_ = false;
-}
-
-bool OmniManager::receive_inline(Technology tech, const LowLevelAddress& from,
-                                 std::span<const std::uint8_t> packed) {
-  // Mirror SimQueue::wake()'s inline-drain condition exactly (pinned,
-  // non-global owner, producing context == owner): the fast path fires only
-  // when the produce() path would have run the consumer synchronously right
-  // here, so taking it changes nothing about processing order. A non-empty
-  // queue means an earlier cross-context push is still waiting on its
-  // deferred wakeup — jumping ahead of it would break FIFO, so fall back.
-  if (!running_ || in_receive_ || !receive_queue_.empty() ||
-      options_.owner == sim::kGlobalOwner ||
-      sim_.current_owner() != options_.owner) {
-    return false;
-  }
-  in_receive_ = true;
-  handle_packet(tech, from, packed);
-  in_receive_ = false;
-  return true;
-}
-
-std::size_t OmniManager::memo_find(std::uint64_t key) const {
-  // Linear probe; memo_key is avalanche-mixed, so `key & mask` is a uniform
-  // home bucket and at load factor <= 3/4 the common probe reads exactly one
-  // 64-byte entry — one cold cache line for the whole hit. The table never
-  // deletes (ways are overwritten in place when a sender's frame changes),
-  // so no tombstone handling.
-  const std::size_t mask = memo_.size() - 1;
-  for (std::size_t i = key & mask;; i = (i + 1) & mask) {
-    const std::uint64_t k = memo_[i].key;
-    if (k == key) return i;
-    if (k == 0) return kMemoNone;
-  }
-}
-
-std::size_t OmniManager::memo_insert(std::uint64_t key) {
-  if (memo_.empty()) {
-    memo_.assign(32, BeaconMemoEntry{});
-    memo_spill_.assign(32, Bytes{});
-  } else if ((beacon_memo_count_ + 1) * 4 > memo_.size() * 3) {
-    memo_grow();
-  }
-  const std::size_t mask = memo_.size() - 1;
-  for (std::size_t i = key & mask;; i = (i + 1) & mask) {
-    if (memo_[i].key == key) return i;
-    if (memo_[i].key == 0) {
-      memo_[i] = BeaconMemoEntry{};
-      memo_[i].key = key;
-      ++beacon_memo_count_;
-      return i;
-    }
-  }
-}
-
-void OmniManager::memo_grow() {
-  std::vector<BeaconMemoEntry> old = std::move(memo_);
-  std::vector<Bytes> old_spill = std::move(memo_spill_);
-  memo_.assign(old.size() * 2, BeaconMemoEntry{});
-  memo_spill_.assign(old.size() * 2, Bytes{});
-  const std::size_t mask = memo_.size() - 1;
-  for (std::size_t j = 0; j < old.size(); ++j) {
-    if (old[j].key == 0) continue;
-    std::size_t i = old[j].key & mask;
-    while (memo_[i].key != 0) i = (i + 1) & mask;
-    memo_[i] = old[j];
-    memo_spill_[i] = std::move(old_spill[j]);
-  }
-}
-
-void OmniManager::beacon_refresh(Technology tech, const LowLevelAddress& from,
-                                 BeaconMemoEntry& e) {
-  // A byte-identical repeat of a beacon we already decoded from this
-  // (technology, link address): replay the recorded effects instead of
-  // unsealing and decoding. Effect order mirrors the slow path exactly —
-  // packet counter, engagement trigger (which reads the peer table *before*
-  // the direct sighting lands, same as the deferred observe below), beacon
-  // counters, then the batched observe_all over a sighting batch rebuilt
-  // from the memoized addresses by the same rules the decoder applies. The
-  // refresh draws no RNG and schedules nothing the slow path would not
-  // (engage() is the same code either way), so determinism is preserved by
-  // the slow path's own argument.
-  peers_.prefetch_pinned(e.peer_idx);  // overlap with the work below
-  ++stats_.packets_received;
-  TimePoint now = sim_.now();
-  if (options_.enable_engagement &&
-      (tech == Technology::kBle ||
-       !peers_.reachable_on_lower_energy(e.source, tech, now,
-                                         options_.peer_ttl))) {
-    TechSlot* s = slot(tech);
-    if (s != nullptr && s->up && s->supports_context && !s->tech->engaged()) {
-      engage(tech);
-    }
-  }
-  ++stats_.beacons_received;
-  ++stats_.beacon_decode_skips;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
-    sc->mark_frame_on(options_.owner, sc->core().beacon_rx,
-                      obs::Cat::kBeaconRx, e.source.value);
-    sc->count_on(options_.owner, sc->core().beacon_decode_skips);
-  }
-  // Same construction as the slow path's kAddressBeacon arm (keep in sync).
-  const bool refresh_needed = tech == Technology::kWifiMulticast;
-  std::array<Sighting, 4> sightings;
-  std::size_t n = 0;
-  sightings[n++] = Sighting{tech, from, refresh_needed};
-  if (!e.b_ble.is_zero() &&
-      !(tech == Technology::kBle &&
-        std::holds_alternative<BleAddress>(from) &&
-        std::get<BleAddress>(from) == e.b_ble)) {
-    sightings[n++] = Sighting{Technology::kBle, LowLevelAddress{e.b_ble},
-                              /*requires_refresh=*/false};
-  }
-  if (!e.b_mesh.is_zero()) {
-    sightings[n++] = Sighting{Technology::kWifiUnicast,
-                              LowLevelAddress{e.b_mesh}, refresh_needed};
-    sightings[n++] = Sighting{Technology::kWifiMulticast,
-                              LowLevelAddress{e.b_mesh}, refresh_needed};
-  }
-  // Refresh through the entry's peer-table pin when it is still valid —
-  // identical writes to observe_all, minus the bucket probe. Stale pin:
-  // full observe, then re-pin.
-  if (!peers_.refresh_pinned(e.peer_idx, e.peer_gen, e.source,
-                             std::span(sightings.data(), n), now)) {
-    peers_.observe_all(e.source, std::span(sightings.data(), n), now);
-    e.peer_idx = peers_.index_of(e.source);
-    e.peer_gen = peers_.generation();
-    // The stale-pin fallback can re-insert an expired peer.
-    discovery_note_inserts();
-  }
-}
-
-void OmniManager::context_refresh(Technology tech, const LowLevelAddress& from,
-                                  std::size_t idx) {
-  BeaconMemoEntry& e = memo_[idx];
-  // Byte-identical repeat of a context beacon: replay the slow path's
-  // effects in its exact order — packet counter, direct sighting (recorded
-  // *before* the engagement trigger for non-address-beacon kinds), the
-  // trigger itself, context counters, then the application callbacks with
-  // the cached decoded payload. Same determinism argument as
-  // beacon_refresh.
-  peers_.prefetch_pinned(e.peer_idx);  // overlap with the sighting setup
-  ++stats_.packets_received;
-  TimePoint now = sim_.now();
-  const bool refresh_needed = tech == Technology::kWifiMulticast;
-  const Sighting direct{tech, from, refresh_needed};
-  if (!peers_.refresh_pinned(e.peer_idx, e.peer_gen, e.source,
-                             std::span(&direct, 1), now)) {
-    peers_.observe(e.source, tech, from, now, refresh_needed);
-    e.peer_idx = peers_.index_of(e.source);
-    e.peer_gen = peers_.generation();
-    // The stale-pin fallback can re-insert an expired peer.
-    discovery_note_inserts();
-  }
-  if (options_.enable_engagement &&
-      (tech == Technology::kBle ||
-       !peers_.reachable_on_lower_energy(e.source, tech, now,
-                                         options_.peer_ttl))) {
-    TechSlot* s = slot(tech);
-    if (s != nullptr && s->up && s->supports_context && !s->tech->engaged()) {
-      engage(tech);
-    }
-  }
-  ++stats_.context_received;
-  ++stats_.beacon_decode_skips;
-  const Bytes* payload;
-  if (e.c_payload_len <= kMemoInlinePayload) {
-    memo_payload_scratch_.assign(e.c_inline.data(),
-                                 e.c_inline.data() + e.c_payload_len);
-    payload = &memo_payload_scratch_;
-  } else {
-    payload = &memo_spill_[idx];
-  }
-  if (obs::Omniscope* sc = scope_of(sim_)) {
-    sc->mark_frame_on(options_.owner, sc->core().context_rx,
-                      obs::Cat::kContextRx, e.source.value,
-                      payload->size());
-    sc->count_on(options_.owner, sc->core().beacon_decode_skips);
-  }
-  for (const auto& cb : on_context_) cb(e.source, *payload);
-}
-
 void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
                                 std::span<const std::uint8_t> packed) {
-  // Computed at most once per packet; the memo store below reuses it.
-  std::uint64_t incoming_digest = 0;
-  if (memo_enabled_) {
-    // Beacon fast path: a cached frame from this exact (tech, link sender)
-    // whose length and 64-bit digest match skips decryption, decode, and
-    // sighting construction — the decoded effects are replayed from the
-    // memo. The digest is trusted (no byte-verify); see DESIGN.md "Beacon
-    // fast path" for the collision stance.
-    std::size_t idx = kMemoNone;
-    if (!memo_.empty()) {
-      const std::uint64_t key = memo_key(tech, from);
-      // Start the entry's line — cold by the time this manager's next
-      // packet arrives — on its way, overlapped with the digest pass over
-      // the already-hot frame bytes.
-      __builtin_prefetch(&memo_[key & (memo_.size() - 1)]);
-      incoming_digest = wire_digest(packed);
-      idx = memo_find(key);
-    } else {
-      incoming_digest = wire_digest(packed);
-    }
-    if (idx != kMemoNone) {
-      BeaconMemoEntry& e = memo_[idx];
-      const std::size_t len = packed.size();
-      if (e.b_size == len && e.b_digest == incoming_digest) {
-        beacon_refresh(tech, from, e);
-        return;
-      }
-      if (e.c_size == len && e.c_digest == incoming_digest) {
-        context_refresh(tech, from, idx);
-        return;
-      }
-    }
-  }
   std::span<const std::uint8_t> wire = packed;
   if (BeaconCipher::looks_sealed(wire)) {
     // Encrypted beacon (paper §3.4): without the out-of-band key the packet
     // is opaque — the device effectively does not exist to us. Decrypt into
     // the reused unseal buffer (handle_packet never runs re-entrantly), so
-    // the sealed-beacon fast path allocates nothing in steady state.
+    // sealed receive allocates nothing in steady state.
     if (!cipher_ || !cipher_->open_into(wire, unseal_scratch_)) {
       ++stats_.sealed_drops;
       return;
@@ -1170,22 +900,6 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
                                   refresh_needed};
       }
       peers_.observe_all(p.source, std::span(sightings.data(), n), now);
-      if (memo_enabled_ && packed.size() <= 0xffff) {
-        // Memoize (length, digest) of the raw frame as it arrived (sealed
-        // or not) plus the advertised addresses, so a byte-identical repeat
-        // takes beacon_refresh without another decrypt/decode. The entry's
-        // source is shared with the context way: a link address announcing
-        // a *different* omni address drops the stale context way.
-        BeaconMemoEntry& e = memo_[memo_insert(memo_key(tech, from))];
-        if (e.c_size != 0 && e.source != p.source) e.c_size = 0;
-        e.b_digest = incoming_digest;
-        e.b_size = static_cast<std::uint16_t>(packed.size());
-        e.source = p.source;
-        e.b_ble = p.beacon.ble;
-        e.b_mesh = p.beacon.mesh;
-        e.peer_idx = peers_.index_of(p.source);
-        e.peer_gen = peers_.generation();
-      }
       break;
     }
     case PacketKind::kContext:
@@ -1196,27 +910,6 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
                           p.payload.size());
       }
       for (const auto& cb : on_context_) cb(p.source, p.payload);
-      if (memo_enabled_ && packed.size() <= 0xffff &&
-          p.payload.size() <= 0xffff) {
-        // Context beacons repeat byte-identically every interval just like
-        // address beacons; cache (length, digest) plus the decoded payload
-        // so the repeats replay the callbacks without another decode. Same
-        // shared-source rule as the beacon way, mirrored.
-        std::size_t idx = memo_insert(memo_key(tech, from));
-        BeaconMemoEntry& e = memo_[idx];
-        if (e.b_size != 0 && e.source != p.source) e.b_size = 0;
-        e.c_digest = incoming_digest;
-        e.c_size = static_cast<std::uint16_t>(packed.size());
-        e.c_payload_len = static_cast<std::uint16_t>(p.payload.size());
-        if (p.payload.size() <= kMemoInlinePayload) {
-          std::copy(p.payload.begin(), p.payload.end(), e.c_inline.begin());
-        } else {
-          memo_spill_[idx] = p.payload;
-        }
-        e.source = p.source;
-        e.peer_idx = peers_.index_of(p.source);
-        e.peer_gen = peers_.generation();
-      }
       break;
     case PacketKind::kData:
       ++stats_.data_received;
@@ -1328,7 +1021,7 @@ void OmniManager::maybe_relay(const PackedStruct& packet,
 // --- Response path -----------------------------------------------------------
 
 void OmniManager::drain_response_queue() {
-  // Batch drain; see drain_receive_queue for rationale.
+  // Batch drain; see drain_packets for rationale.
   while (!response_queue_.empty()) {
     std::size_t n = response_queue_.drain_into(response_scratch_);
     for (std::size_t i = 0; i < n; ++i) {
@@ -1953,9 +1646,9 @@ void OmniManager::snapshot_state(sim::ByteWriter& w, bool deep) const {
   w.var(static_cast<std::uint64_t>(options_.owner));
   w.u8(running_ ? 1 : 0);
 
-  // Cache-invalidating generations. The beacon wire frame and the receive
-  // memo are not captured; the generations prove two compared runs have
-  // (in)validated their caches the same number of times.
+  // Cache-invalidating generations. The beacon wire frame is not captured;
+  // the generations prove two compared runs have (in)validated it the same
+  // number of times.
   w.var(beacon_gen_);
   w.var(beacon_wire_gen_);
   w.u64(beacon_wire_ctx_gen_);

@@ -21,7 +21,6 @@
 //     the application's status callback with a failure.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -61,17 +60,6 @@ struct ManagerOptions {
   /// runs in an owner-local sweep at the probe_interval cadence, just
   /// before each maintenance tick.
   Duration peer_ttl = Duration::seconds(10);
-  /// Receiver-side beacon fast path: memoize the last beacon wire frame per
-  /// (technology, link-level sender). A repeat whose length and 64-bit
-  /// digest match — the steady state, since senders cache their sealed
-  /// frame — skips unseal + decode + sighting reconstruction and takes a
-  /// refresh-only path through the peer table. The digest is trusted
-  /// without a byte compare (collision odds ~2^-64, and a collision is
-  /// deterministic — see DESIGN.md "Beacon fast path"); this switch exists
-  /// for ablation/debug. Automatically disabled while context_relay_hops >
-  /// 0: the relay pipeline must see every frame so expired relays can
-  /// re-trigger.
-  bool beacon_rx_memo = true;
   /// Ablation switch: disable the multi-technology engagement algorithm
   /// (beacons then go to every context technology, ubiSOAP-style).
   bool enable_engagement = true;
@@ -171,7 +159,11 @@ struct ManagerStats {
   // read them without paying for a scope).
   std::uint64_t beacon_encodes = 0;        ///< beacon wire-frame (re)encodes
   std::uint64_t beacon_frames_cached = 0;  ///< beacon ops served from cache
-  std::uint64_t beacon_decode_skips = 0;   ///< receptions memo-short-circuited
+  /// Always 0: the receiver-side beacon memo it counted is gone. Kept
+  /// because benchmark/omni_bench.cpp still reads it (omni.memo_hit_ratio)
+  /// and the manager snapshot record still writes it, so the .osnap
+  /// managers record keeps its layout.
+  std::uint64_t beacon_decode_skips = 0;
   std::uint64_t peer_expire_sweeps = 0;    ///< periodic expiry sweeps run
   std::uint64_t relayed_out = 0;  ///< packets this device re-broadcast
   std::uint64_t relayed_in = 0;   ///< relayed packets received
@@ -185,7 +177,7 @@ struct ManagerStats {
   std::uint64_t scan_windows_skipped = 0;  ///< ticks with probe duty lowered
 };
 
-class OmniManager : private InlinePacketSink {
+class OmniManager {
  public:
   OmniManager(sim::Simulator& sim, OmniAddress self,
               ManagerOptions options = {});
@@ -253,11 +245,11 @@ class OmniManager : private InlinePacketSink {
   /// record inside a snapshot's kSecManagers section — see
   /// omni/manager_snapshot.h). Counters, generations, self-healing and
   /// discovery-controller state, pending-op tables, and the peer table are
-  /// written; rebuilt caches (beacon wire frames, receive memos) are
-  /// represented only by the generations that invalidate them. With `deep`
-  /// the peer table is embedded entry by entry; without it the same
-  /// canonical entry encoding is collapsed to a digest (city-scale size
-  /// budget — verification strength is identical).
+  /// written; the rebuilt beacon wire-frame cache is represented only by
+  /// the generations that invalidate it. With `deep` the peer table is
+  /// embedded entry by entry; without it the same canonical entry encoding
+  /// is collapsed to a digest (city-scale size budget — verification
+  /// strength is identical).
   void snapshot_state(sim::ByteWriter& w, bool deep) const;
 
  private:
@@ -304,22 +296,15 @@ class OmniManager : private InlinePacketSink {
 
   std::uint64_t next_request_id() { return next_request_id_++; }
 
-  // Queue consumers.
-  void drain_receive_queue();
-  void drain_shared_receive_queue();
+  // Queue consumers. Every received frame reaches handle_packet through
+  // drain_packets, from one of the two receive queues.
+  void drain_packets(SimQueue<ReceivedPacket>& queue,
+                     std::vector<ReceivedPacket>& scratch);
   void drain_response_queue();
-  /// The receive path proper. Takes a *view* of the wire frame: queue-drained
-  /// packets pass their recycled buffer, and the zero-copy inline path (see
-  /// receive_inline) passes the radio frame in place without ever copying it.
+  /// The receive path proper: decode one drained packet and update the
+  /// peer and context mappings (paper §3.3).
   void handle_packet(Technology tech, const LowLevelAddress& from,
                      std::span<const std::uint8_t> packed);
-  /// InlinePacketSink: node-local technologies hand frames straight here when
-  /// the delivery already runs in this manager's owner context — exactly the
-  /// case where SimQueue::wake() would drain inline synchronously, so the
-  /// packet is processed at the identical point in the event sequence, minus
-  /// one buffer copy and queue round-trip.
-  bool receive_inline(Technology tech, const LowLevelAddress& from,
-                      std::span<const std::uint8_t> packed) override;
   void handle_response(TechResponse response);
   void handle_data_response(const TechResponse& response);
   void handle_context_response(const TechResponse& response);
@@ -371,74 +356,6 @@ class OmniManager : private InlinePacketSink {
   /// generation, so address rotations and context changes invalidate it and
   /// every other caller reuses the cached bytes.
   const Bytes& beacon_wire();
-
-  // Receiver-side digest memo (see ManagerOptions::beacon_rx_memo). One
-  // entry per (technology, link-level sender); open-addressing, never
-  // shrunk — bounded by the distinct sender addresses ever heard. A sender
-  // interleaves its address beacon with its context beacons on the same
-  // link address, so each entry holds one way per kind — a single cached
-  // frame per sender would thrash on every alternation.
-  //
-  // Layout is deliberately one cache line per sender: the receive path is
-  // memory-bound (every manager's tables are cold by the time its next
-  // packet arrives), so a hit must not touch more cache lines than the
-  // decode it replaces. Key, both ways' (digest, length), the sender's omni
-  // address, its advertised addresses, and a small inline context payload
-  // all pack into exactly 64 bytes — the common hit costs ONE cold line.
-  // Context payloads past kMemoInlinePayload bytes live in a parallel spill
-  // array touched only on such hits.
-  //
-  // Both ways share one `source`: a link address interleaves its owner's
-  // address beacon with that same owner's context beacons, so the field is
-  // the same either way. If a link address ever re-announces under a
-  // different omni address, the store clears the other way — correctness is
-  // preserved (each way's effects replay only what was decoded alongside
-  // its digest), at worst costing the pathological sender its memo.
-  //
-  // A hit is keyed on (hashed link sender, frame length, 64-bit
-  // wire_digest): neither the raw frame bytes nor the link address are
-  // kept, because re-verifying them would double the hit path's cache
-  // footprint for failure modes with ~2^-64 probability. See DESIGN.md
-  // "Beacon fast path" for the collision stance and why a collision is
-  // deterministic, not a heisenbug.
-  //
-  // Each entry also pins the sender's peer-table position (dense index +
-  // structure generation, see PeerTable::refresh_pinned): a hit then
-  // refreshes the peer's timestamps directly, skipping the bucket probe —
-  // the second cold line the slow path pays. A stale pin (peer expired,
-  // table compacted) falls back to the full observe and re-pins.
-  static constexpr std::size_t kMemoInlinePayload = 4;
-  struct alignas(64) BeaconMemoEntry {
-    std::uint64_t key = 0;      ///< hashed (tech, link sender); 0 = empty slot
-    // Way 0: the sender's address beacon (b_size == 0 -> empty).
-    std::uint64_t b_digest = 0;
-    // Way 1: the sender's context beacon (c_size == 0 -> empty).
-    std::uint64_t c_digest = 0;
-    OmniAddress source;         ///< the sender behind this link address
-    MeshAddress b_mesh;         ///< advertised mesh mapping (may be zero)
-    BleAddress b_ble;           ///< advertised BLE mapping (may be zero)
-    std::uint16_t b_size = 0;   ///< address-beacon wire frame length
-    std::uint16_t c_size = 0;   ///< context wire frame length
-    std::uint16_t c_payload_len = 0;
-    std::array<std::uint8_t, kMemoInlinePayload> c_inline{};
-    /// Peer-table pin for `source` (shared by both ways, like `source`).
-    std::uint32_t peer_idx = 0xffffffffu;  // PeerTable::kNoIndex
-    std::uint32_t peer_gen = 0;
-  };
-  static_assert(sizeof(BeaconMemoEntry) == 64,
-                "memo entry must stay a single cache line");
-  static constexpr std::size_t kMemoNone = ~std::size_t{0};
-  /// Index of `key` in memo_, or kMemoNone.
-  std::size_t memo_find(std::uint64_t key) const;
-  /// Index for `key`, inserting (and growing the table) as needed.
-  std::size_t memo_insert(std::uint64_t key);
-  void memo_grow();
-  /// Refresh-only receive paths taken on a memo hit (index into memo_;
-  /// context_refresh may also read the parallel spill slot).
-  void beacon_refresh(Technology tech, const LowLevelAddress& from,
-                      BeaconMemoEntry& e);
-  void context_refresh(Technology tech, const LowLevelAddress& from,
-                       std::size_t idx);
 
   // Multi-hop relay.
   void maybe_relay(const PackedStruct& packet,
@@ -497,14 +414,14 @@ class OmniManager : private InlinePacketSink {
   /// intra-device software path).
   SimQueue<ReceivedPacket> shared_receive_queue_;
   SimQueue<TechResponse> response_queue_;
-  // Reused drain buffers (see drain_receive_queue).
+  // Reused drain buffers (see drain_packets).
   std::vector<ReceivedPacket> receive_scratch_;
   std::vector<ReceivedPacket> shared_receive_scratch_;
   std::vector<TechResponse> response_scratch_;
   // Reused decode target (see handle_packet).
   PackedStruct decode_scratch_;
   // Reused unseal buffer (handle_packet) and relayed-inner decode target
-  // (handle_relayed_packet) — the beacon fast path allocates nothing.
+  // (handle_relayed_packet) — steady-state receive allocates nothing.
   Bytes unseal_scratch_;
   PackedStruct relay_scratch_;
 
@@ -516,17 +433,6 @@ class OmniManager : private InlinePacketSink {
   std::uint64_t beacon_gen_ = 1;
   std::uint64_t beacon_wire_gen_ = 0;           ///< generation encoded
   std::uint64_t beacon_wire_ctx_gen_ = ~0ull;   ///< context gen encoded
-
-  /// Receive memo (power-of-two; see BeaconMemoEntry). memo_spill_ is the
-  /// parallel cold store for oversized context payloads. Resolved on/off at
-  /// start() into memo_enabled_.
-  std::vector<BeaconMemoEntry> memo_;
-  std::vector<Bytes> memo_spill_;
-  std::size_t beacon_memo_count_ = 0;
-  bool memo_enabled_ = false;
-  /// Reused payload buffer for context_refresh callbacks (inline bytes are
-  /// materialized here, so hits allocate nothing in steady state).
-  Bytes memo_payload_scratch_;
 
   /// One in-flight request against one technology. The deadline fires when
   /// the technology never produces a TechResponse within the budget and
@@ -559,11 +465,6 @@ class OmniManager : private InlinePacketSink {
   std::optional<BeaconCipher> cipher_;
   std::uint64_t next_nonce_ = 1;
   bool running_ = false;
-  /// Re-entrancy guard for the receive path: handle_packet's scratch members
-  /// (decode_scratch_, unseal_scratch_, ...) assume one packet at a time.
-  /// Queue drains and the inline sink both set it; receive_inline refuses
-  /// (falls back to the queue) while it is held.
-  bool in_receive_ = false;
   std::uint64_t next_request_id_ = 1;
   std::uint64_t next_data_op_id_ = 1;
   sim::EventHandle maintenance_event_;

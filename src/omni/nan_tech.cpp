@@ -139,15 +139,6 @@ void NanTech::process(SendRequest request) {
 void NanTech::on_receive(const NanAddress& from, const Bytes& frame) {
   if (!enabled_ || frame.empty()) return;
   if (frame[0] != kFrameBroadcast && frame[0] != kFrameBroadcastData) return;
-  // Same zero-copy fast path as BLE: deliveries already run on the
-  // receiving node's shard, so hand the payload view straight to the
-  // manager when the queue would have drained inline anyway.
-  std::span<const std::uint8_t> packed(frame.data() + 1, frame.size() - 1);
-  if (queues_.sink != nullptr &&
-      queues_.sink->receive_inline(Technology::kWifiAware,
-                                   LowLevelAddress{from}, packed)) {
-    return;
-  }
   queues_.receive->produce([&](ReceivedPacket& pkt) {
     pkt.tech = Technology::kWifiAware;
     pkt.from = LowLevelAddress{from};

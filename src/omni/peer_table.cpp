@@ -93,7 +93,6 @@ PeerEntry& PeerTable::get_or_insert(OmniAddress peer) {
 }
 
 void PeerTable::erase_entry(std::uint32_t idx) {
-  ++generation_;  // dense indices shift below; outstanding pins go stale
   const std::size_t mask = buckets_.size() - 1;
   // Find the victim's bucket.
   std::size_t i = home(entries_[idx].address.value);
@@ -148,40 +147,6 @@ void PeerTable::observe_all(OmniAddress peer,
     }
     record(*entry, s.tech, s.low, now, s.requires_refresh);
   }
-}
-
-std::uint32_t PeerTable::index_of(OmniAddress peer) const {
-  if (!peer.is_valid()) return kNoIndex;
-  const PeerEntry* e = lookup(peer.value);
-  if (e == nullptr) return kNoIndex;
-  return static_cast<std::uint32_t>(e - entries_.data());
-}
-
-bool PeerTable::refresh_pinned(std::uint32_t idx, std::uint32_t gen,
-                               OmniAddress peer,
-                               std::span<const Sighting> sightings,
-                               TimePoint now) {
-  if (gen != generation_ || idx >= entries_.size()) return false;
-  PeerEntry& entry = entries_[idx];
-  if (entry.address != peer) return false;
-  // Apply as we go; record() writes the same values, so if a missing
-  // mapping forces the observe_all fallback the partial writes are simply
-  // overwritten with themselves.
-  bool any = false;
-  for (const Sighting& s : sightings) {
-    if (is_unset(s.low)) continue;
-    auto it = entry.techs.find(s.tech);
-    if (it == entry.techs.end()) return false;  // re-insert needs full path
-    it->second.address = s.low;
-    it->second.last_seen = now;
-    if (!s.requires_refresh) it->second.requires_refresh = false;
-    any = true;
-  }
-  if (any) {
-    update_interval_hint(entry, now);
-    entry.last_seen = now;
-  }
-  return true;
 }
 
 void PeerTable::mark_fresh(OmniAddress peer, Technology tech) {

@@ -227,45 +227,6 @@ class PeerTable {
   /// genuinely-new neighbors without scanning the table.
   std::uint64_t inserts() const { return inserts_; }
 
-  // --- Pinned refresh (the beacon memo's probe-free path).
-  //
-  // A repeat sighting of a known peer re-records mappings that are already
-  // in the table; the only state that changes is timestamps, addresses and
-  // freshness bits inside one dense entry. A caller that sees the same peer
-  // over and over (the receive memo) can pin (dense index, generation) once
-  // and refresh through the pin, skipping the bucket probe — the dominant
-  // extra cache line — on every subsequent hit.
-
-  /// Structure generation: bumped whenever dense indices shift (entry
-  /// removal). Inserts append and bucket growth only rehashes the probe
-  /// array, so neither invalidates outstanding pins.
-  std::uint32_t generation() const { return generation_; }
-
-  static constexpr std::uint32_t kNoIndex = 0xffffffffu;
-  /// Dense index of `peer`, or kNoIndex if absent.
-  std::uint32_t index_of(OmniAddress peer) const;
-
-  /// Start the pinned entry's cache lines (refresh_pinned's write targets)
-  /// on their way so the load overlaps the caller's preceding work. Safe on
-  /// any index value; purely a hint.
-  void prefetch_pinned(std::uint32_t idx) const {
-    if (idx < entries_.size()) {
-      const char* p = reinterpret_cast<const char*>(&entries_[idx]);
-      __builtin_prefetch(p);
-      __builtin_prefetch(p + 64);
-      __builtin_prefetch(p + 128);
-    }
-  }
-
-  /// Probe-free equivalent of observe_all for a pinned entry. Returns false
-  /// without completing when the pin is stale (generation moved, the slot
-  /// was reused by another peer) or any sighting's mapping is absent (its
-  /// re-insert needs the full path); the caller must then fall back to
-  /// observe_all — the writes already applied are exactly what observe_all
-  /// re-applies, so a mid-way bail-out leaves no divergent state.
-  bool refresh_pinned(std::uint32_t idx, std::uint32_t gen, OmniAddress peer,
-                      std::span<const Sighting> sightings, TimePoint now);
-
  private:
   /// One probe slot. key == 0 means empty: the zero omni address is
   /// reserved-invalid (observe rejects it), so no sentinel bit is needed.
@@ -288,7 +249,6 @@ class PeerTable {
 
   std::vector<Bucket> buckets_;   // power-of-two capacity, linear probing
   std::vector<PeerEntry> entries_;  // dense, insertion-ordered
-  std::uint32_t generation_ = 0;  // see generation()
   std::uint64_t inserts_ = 0;     // see inserts()
 };
 

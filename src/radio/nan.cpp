@@ -11,10 +11,10 @@ namespace omni::radio {
 // --- NanSystem ---------------------------------------------------------------
 
 void NanSystem::attach(NanRadio* radio) {
-  if (std::find(radios_.begin(), radios_.end(), radio) == radios_.end()) {
-    radios_.push_back(radio);
-  }
-  ensure_ticking();
+  // Called once, from the radio's constructor. A new radio is disabled, so
+  // it cannot start the tick; set_enabled(true) does that. Appending keeps
+  // radios_ in construction order, which run_window iterates.
+  radios_.push_back(radio);
 }
 
 void NanSystem::detach(NanRadio* radio) {
@@ -266,7 +266,7 @@ void NanRadio::set_enabled(bool enabled) {
     }
     publishes_.clear();
   } else {
-    system_.attach(this);  // idempotent registration also restarts ticking
+    system_.ensure_ticking();
   }
 }
 

@@ -42,6 +42,9 @@ class NanSystem {
 
   void attach(NanRadio* radio);
   void detach(NanRadio* radio);
+  /// Schedule the next discovery window unless one is already pending or
+  /// no radio is enabled.
+  void ensure_ticking();
 
   /// Start of the next discovery window at or after `now`.
   TimePoint next_window_start(TimePoint now) const;
@@ -58,7 +61,6 @@ class NanSystem {
   std::uint64_t windows_run() const { return windows_run_; }
 
  private:
-  void ensure_ticking();
   void run_window();
 
   sim::World& world_;

@@ -1,6 +1,7 @@
 // Beacon fast path: deterministic perf oracles (counter-based, never
-// wall-clock) plus equivalence and invalidation checks for the receive-side
-// frame memo. See DESIGN.md "Beacon fast path".
+// wall-clock) for the sender-side frame cache and the amortized peer-expiry
+// sweep, plus cross-thread determinism and crash/rotation relearning over
+// the one receive path. See DESIGN.md "Beacon fast path".
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,8 +29,7 @@ struct Fleet {
 
 /// Constant-density grid (the bench_scale layout): 25 m spacing gives every
 /// node BLE neighbors without anyone hearing the whole field.
-Fleet make_grid(std::size_t n, unsigned threads, bool memo,
-                bool observability) {
+Fleet make_grid(std::size_t n, unsigned threads, bool observability) {
   Fleet f;
   f.bed = std::make_unique<net::Testbed>(42, radio::Calibration::defaults(),
                                          threads);
@@ -39,7 +39,6 @@ Fleet make_grid(std::size_t n, unsigned threads, bool memo,
   const auto side = static_cast<std::size_t>(
       std::ceil(std::sqrt(static_cast<double>(n))));
   OmniNodeOptions options;
-  options.manager.beacon_rx_memo = memo;
   f.nodes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     net::Device& dev = f.bed->add_device(
@@ -55,22 +54,15 @@ Fleet make_grid(std::size_t n, unsigned threads, bool memo,
 
 TEST(BeaconFastPathTest, PerfOracle250Nodes) {
   // Deterministic perf oracle: instead of timing anything, assert the
-  // counters that make the fast path fast. Steady-state beacons are
-  // byte-identical repeats, so almost every reception after the first from
-  // a given (tech, sender) must skip the decode, and the sender-side frame
-  // cache must hold encodes to a handful per node for 10 s of beaconing.
-  Fleet f = make_grid(250, /*threads=*/1, /*memo=*/true,
-                      /*observability=*/true);
+  // counters that make the fast path fast. The sender-side frame cache must
+  // hold encodes to a handful per node for 10 s of beaconing.
+  Fleet f = make_grid(250, /*threads=*/1, /*observability=*/true);
   f.bed->simulator().run_for(Duration::seconds(10));
 
   const std::uint64_t beacons = f.sum(&ManagerStats::beacons_received);
-  const std::uint64_t skips = f.sum(&ManagerStats::beacon_decode_skips);
   const std::uint64_t encodes = f.sum(&ManagerStats::beacon_encodes);
   const std::uint64_t sweeps = f.sum(&ManagerStats::peer_expire_sweeps);
   ASSERT_GT(beacons, 0u);
-  EXPECT_GT(skips, 0u) << "the receive memo never fired";
-  EXPECT_GT(skips * 2, beacons)
-      << "steady-state beacons should mostly be byte-identical repeats";
   EXPECT_LT(encodes * 8, beacons)
       << "the sender frame cache should re-encode rarely, not per beacon";
   EXPECT_GT(sweeps, 0u) << "the amortized peer-expiry sweep never ran";
@@ -78,61 +70,34 @@ TEST(BeaconFastPathTest, PerfOracle250Nodes) {
   // The Omniscope mirrors of the same counters must agree with the
   // ManagerStats sums (both stay live in this configuration).
   std::string dump = f.bed->observability()->metrics_dump();
-  EXPECT_NE(dump.find("mgr.beacon_decode_skips"), std::string::npos);
+  EXPECT_NE(dump.find("mgr.beacon_encodes"), std::string::npos);
   EXPECT_NE(dump.find("mgr.peer_expire_sweeps"), std::string::npos);
 }
 
 TEST(BeaconFastPathTest, MetricsDigestInvariantAcrossThreadCounts) {
-  // The fast path must not perturb PR 2 determinism: the full metrics dump
-  // (every counter on every owner, fast-path counters included) is
-  // byte-identical at any thread count.
+  // The fast path must not perturb cross-thread determinism: the full
+  // metrics dump (every counter on every owner, fast-path counters
+  // included) is byte-identical at any thread count.
   auto digest = [](unsigned threads) {
-    Fleet f = make_grid(100, threads, /*memo=*/true, /*observability=*/true);
+    Fleet f = make_grid(100, threads, /*observability=*/true);
     f.bed->simulator().run_for(Duration::seconds(6));
     return f.bed->observability()->metrics_dump();
   };
   std::string sequential = digest(1);
-  EXPECT_NE(sequential.find("mgr.beacon_decode_skips"), std::string::npos);
+  EXPECT_NE(sequential.find("mgr.beacon_encodes"), std::string::npos);
   EXPECT_EQ(sequential, digest(2));
   EXPECT_EQ(sequential, digest(8));
 }
 
-TEST(BeaconFastPathTest, MemoOffIsObservablyEquivalent) {
-  // The memo is an ablation switch, not a semantics switch: with it off the
-  // same scenario must land in the same protocol state — same peer tables,
-  // same packet/beacon counts — just without the skips.
-  Fleet on = make_grid(64, 1, /*memo=*/true, /*observability=*/false);
-  Fleet off = make_grid(64, 1, /*memo=*/false, /*observability=*/false);
-  on.bed->simulator().run_for(Duration::seconds(8));
-  off.bed->simulator().run_for(Duration::seconds(8));
-
-  EXPECT_GT(on.sum(&ManagerStats::beacon_decode_skips), 0u);
-  EXPECT_EQ(off.sum(&ManagerStats::beacon_decode_skips), 0u);
-  EXPECT_EQ(on.sum(&ManagerStats::packets_received),
-            off.sum(&ManagerStats::packets_received));
-  EXPECT_EQ(on.sum(&ManagerStats::beacons_received),
-            off.sum(&ManagerStats::beacons_received));
-  EXPECT_EQ(on.sum(&ManagerStats::engagements),
-            off.sum(&ManagerStats::engagements));
-  for (std::size_t i = 0; i < on.nodes.size(); ++i) {
-    EXPECT_EQ(on.nodes[i]->manager().peer_table().peers(),
-              off.nodes[i]->manager().peer_table().peers())
-        << "node " << i;
-  }
-}
-
-TEST(BeaconFastPathTest, RotatedAddressAfterCrashInvalidatesMemo) {
-  // PR 3 crash/restart with BLE private-address rotation: the rotated
-  // sender's beacons arrive from a new link address with new frame bytes,
-  // so the memo must miss and the fresh mapping must be learned — a stale
-  // memo hit would keep re-recording the dead address.
+TEST(BeaconFastPathTest, RotatedAddressAfterCrashIsRelearned) {
+  // Crash/restart with BLE private-address rotation: the rotated sender's
+  // beacons arrive from a new link address with new frame bytes, and the
+  // fresh mapping must replace the dead address.
   net::Testbed bed(71);
   auto& da = bed.add_device("a", {0, 0});
   auto& db = bed.add_device("b", {10, 0});
-  OmniNodeOptions options;
-  options.manager.beacon_rx_memo = true;
-  OmniNode a(da, bed.mesh(), options);
-  OmniNode b(db, bed.mesh(), options);
+  OmniNode a(da, bed.mesh());
+  OmniNode b(db, bed.mesh());
 
   auto& plan = bed.fault_plan();
   sim::FaultPlan::Crash crash;
@@ -151,8 +116,6 @@ TEST(BeaconFastPathTest, RotatedAddressAfterCrashInvalidatesMemo) {
   auto ble_it = entry->techs.find(Technology::kBle);
   ASSERT_NE(ble_it, entry->techs.end());
   const BleAddress before = std::get<BleAddress>(ble_it->second.address);
-  EXPECT_GT(a.manager().stats().beacon_decode_skips, 0u)
-      << "repeats before the crash should hit the memo";
 
   bed.simulator().run_for(Duration::seconds(12));
   const BleAddress after = db.ble().address();
@@ -163,7 +126,7 @@ TEST(BeaconFastPathTest, RotatedAddressAfterCrashInvalidatesMemo) {
   ble_it = entry->techs.find(Technology::kBle);
   ASSERT_NE(ble_it, entry->techs.end());
   EXPECT_EQ(std::get<BleAddress>(ble_it->second.address), after)
-      << "a stale memo hit would have pinned the old address";
+      << "the peer table still maps the pre-crash address";
 
   // The relearned mapping is usable end to end.
   StatusCode code = StatusCode::kSendDataFailure;

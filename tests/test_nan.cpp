@@ -145,6 +145,36 @@ TEST_F(NanRadioTest, DisableStopsEverything) {
   EXPECT_EQ(received, before);
 }
 
+TEST_F(NanRadioTest, DeviceAddedWhileTickingHearsNextWindow) {
+  // A radio registers at construction without touching the window tick (it
+  // starts disabled). A device added after two enabled radios already run
+  // the tick must join the very next window once it is enabled.
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {50, 0});
+  a.nan().set_enabled(true);
+  b.nan().set_enabled(true);
+  ASSERT_TRUE(a.nan().publish(Bytes{3}).is_ok());
+  bed.simulator().run_for(Duration::seconds(2));
+  ASSERT_GT(bed.nan_system().windows_run(), 0u);
+
+  auto& c = bed.add_device("c", {25, 0});
+  c.nan().set_enabled(true);
+  int received = 0;
+  TimePoint first;
+  c.nan().set_receive_handler(
+      [&](const NanAddress& from, const Bytes& payload) {
+        EXPECT_EQ(from, a.nan().address());
+        EXPECT_EQ(payload, (Bytes{3}));
+        if (received++ == 0) first = bed.simulator().now();
+      });
+  const auto& cal = bed.calibration();
+  const TimePoint next =
+      bed.nan_system().next_window_start(bed.simulator().now());
+  bed.simulator().run_until(next + cal.nan_dw_duration + Duration::millis(1));
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(first, next + cal.nan_dw_duration);
+}
+
 class NanOmniTest : public ::testing::Test {
  protected:
   OmniNodeOptions nan_options() {
