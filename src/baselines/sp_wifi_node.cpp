@@ -132,7 +132,7 @@ void SpWifiNode::do_unicast(PeerId dest, Bytes data, SendDoneFn done) {
       [shared_done](Status s) {
         if (*shared_done) (*shared_done)(std::move(s));
       },
-      nullptr, std::move(payload));
+      nullptr, std::make_shared<const Bytes>(std::move(payload)));
   if (!flow.is_ok() && *shared_done) {
     (*shared_done)(Status::error(flow.error_message()));
   }

@@ -64,6 +64,10 @@ class Testbed {
 
   ~Testbed() {
     if (crash_dumps_armed_) clear_crash_dump_hook();
+    // Newest-first: each radio then detaches from the back of its medium's
+    // and mesh's lists, so teardown is linear in devices. Construction
+    // order must stay as it is, because the media iterate it.
+    while (!devices_.empty()) devices_.pop_back();
   }
 
   /// Add a device at a position. Radios start in their default states

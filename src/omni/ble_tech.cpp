@@ -115,7 +115,7 @@ void BleTech::process(SendRequest request) {
         respond(request, false, "context id already active on BLE");
         return;
       }
-      auto adv = radio_.start_advertising(frame_broadcast(request.packed),
+      auto adv = radio_.start_advertising(frame_broadcast(*request.packed),
                                           request.interval);
       if (!adv) {
         respond(request, false, adv.error_message());
@@ -132,7 +132,7 @@ void BleTech::process(SendRequest request) {
         return;
       }
       Status s = radio_.update_advertising(
-          it->second, frame_broadcast(request.packed), request.interval);
+          it->second, frame_broadcast(*request.packed), request.interval);
       respond(request, s.is_ok(), s.message());
       return;
     }
@@ -152,14 +152,14 @@ void BleTech::process(SendRequest request) {
           sc != nullptr && sc->recording()) {
         sc->count_on(radio_.node(), sc->core().tech_send[0]);
         sc->instant_on(radio_.node(), obs::Cat::kTechSend,
-                       request.request_id, request.packed.size(), 0);
+                       request.request_id, request.packed->size(), 0);
       }
       if (!std::holds_alternative<BleAddress>(request.dest)) {
         respond(request, false, "destination is not a BLE address");
         return;
       }
-      Bytes frame =
-          frame_unicast_ble(std::get<BleAddress>(request.dest), request.packed);
+      Bytes frame = frame_unicast_ble(std::get<BleAddress>(request.dest),
+                                      *request.packed);
       // Capture by value: the request must outlive the async send.
       auto req = std::make_shared<SendRequest>(std::move(request));
       Status s = radio_.send_datagram(std::move(frame), [this, req](Status st) {

@@ -60,8 +60,10 @@ struct SendRequest {
   ContextId context_id = kInvalidContext;
   Duration interval;  ///< transmission frequency for add/update
 
-  /// Encoded omni_packed_struct (empty for remove_context).
-  Bytes packed;
+  /// Encoded omni_packed_struct, shared and immutable: the manager's pending
+  /// op, every attempt, the failure echo and the technology's in-flight
+  /// transfer hold references to one buffer. Null only for remove_context.
+  SharedBytes packed;
 
   // Data operations.
   LowLevelAddress dest;
@@ -102,7 +104,8 @@ struct TechResponse {
   StatusCallback callback;
   /// On failure the technology echoes back the whole request (parameters and
   /// payload) so the manager can re-issue it on an alternative technology —
-  /// paper §3.2, "The Response Queue".
+  /// paper §3.2, "The Response Queue". The echo's `packed` shares the
+  /// request's buffer; the payload is not copied.
   std::shared_ptr<SendRequest> original;
 
   // --- kTechStatus fields.

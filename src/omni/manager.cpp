@@ -74,9 +74,9 @@ OmniManager::OmniManager(sim::Simulator& sim, OmniAddress self,
       sim_.register_callback_slot(this, &OmniManager::peer_sweep_thunk);
 }
 
-Bytes OmniManager::maybe_seal(Bytes packed) {
-  if (!cipher_) return packed;
-  return cipher_->seal(packed, next_nonce_++);
+SharedBytes OmniManager::maybe_seal(Bytes packed) {
+  if (!cipher_) return std::make_shared<const Bytes>(std::move(packed));
+  return std::make_shared<const Bytes>(cipher_->seal(packed, next_nonce_++));
 }
 
 OmniManager::~OmniManager() {
@@ -380,7 +380,7 @@ Technology OmniManager::primary_context_tech() const {
 
 // --- Beaconing & engagement --------------------------------------------------
 
-const Bytes& OmniManager::beacon_wire() {
+const SharedBytes& OmniManager::beacon_wire() {
   // Sender-side frame cache: re-encode (and re-seal) only when the beacon
   // content could have changed — beacon_info_ mutated (start, address
   // rotation) or the context set moved. The context generation is a
@@ -388,8 +388,8 @@ const Bytes& OmniManager::beacon_wire() {
   // context change costs one spurious re-encode; keeping it in the key
   // matches the documented invalidation rule (beacon info, context set, or
   // seal key — the last is fixed at construction). Sealing consumes a fresh
-  // nonce only on re-encode, so repeated hand-outs of the cached frame are
-  // byte-identical.
+  // nonce only on re-encode, so every hand-out of the cached frame shares
+  // one buffer.
   if (beacon_wire_gen_ != beacon_gen_ ||
       beacon_wire_ctx_gen_ != contexts_.generation()) {
     beacon_packed_ =
@@ -983,12 +983,12 @@ void OmniManager::maybe_relay(const PackedStruct& packet,
   } else {
     hops = static_cast<std::uint8_t>(options_.context_relay_hops - 1);
   }
-  Bytes packed = maybe_seal(
+  SharedBytes packed = maybe_seal(
       PackedStruct::relayed(packet.source,
                             Bytes(inner_encoded.begin(), inner_encoded.end()),
                             hops)
           .encode());
-  auto tech = pick_context_tech(packed.size(), {});
+  auto tech = pick_context_tech(packed->size(), {});
   if (!tech) return;  // nothing can carry it (e.g. legacy BLE)
 
   ContextId rid = next_relay_id_++;
@@ -1238,7 +1238,7 @@ void OmniManager::handle_context_response(const TechResponse& response) {
 
 // --- Context operations -------------------------------------------------------
 
-Bytes OmniManager::packed_context(const ContextRecord& record) {
+SharedBytes OmniManager::packed_context(const ContextRecord& record) {
   return maybe_seal(PackedStruct::context(self_, record.content).encode());
 }
 
@@ -1258,8 +1258,8 @@ std::optional<Technology> OmniManager::pick_context_tech(
 }
 
 void OmniManager::dispatch_context_add(ContextRecord& record) {
-  Bytes packed = packed_context(record);
-  auto tech = pick_context_tech(packed.size(), record.tried);
+  SharedBytes packed = packed_context(record);
+  auto tech = pick_context_tech(packed->size(), record.tried);
   if (!tech) {
     ResponseInfo info;
     info.context_id = record.id;
@@ -1340,7 +1340,7 @@ void OmniManager::update_context(ContextId id, const ContextParams& params,
   // generation by hand (cached wire frames key on it; see beacon_wire()).
   contexts_.bump_generation();
 
-  Bytes packed = packed_context(*rec);
+  SharedBytes packed = packed_context(*rec);
   if (!rec->tech || !rec->active) {
     // Not currently placed: (re)dispatch as an add.
     rec->tried.clear();
@@ -1349,7 +1349,7 @@ void OmniManager::update_context(ContextId id, const ContextParams& params,
   }
   TechSlot* s = slot(*rec->tech);
   if (s == nullptr || !s->up ||
-      s->tech->max_context_payload() < packed.size()) {
+      s->tech->max_context_payload() < packed->size()) {
     // Needs re-homing (e.g., payload grew beyond the carrier's limit).
     if (s != nullptr && s->up) {
       SendRequest remove_req;
@@ -1447,12 +1447,12 @@ std::optional<Technology> OmniManager::pick_data_tech(
     auto info_it = peer->techs.find(t);
     if (info_it == peer->techs.end()) continue;
     std::size_t cap = s.tech->max_data_payload();
-    if (cap != 0 && op.packed.size() > cap) continue;
+    if (cap != 0 && op.packed->size() > cap) continue;
 
     switch (options_.data_policy) {
       case ManagerOptions::DataPolicy::kExpectedTime: {
         Duration est = s.tech->estimate_data_time(
-            op.packed.size(), info_it->second.requires_refresh);
+            op.packed->size(), info_it->second.requires_refresh);
         if (!best || est < best_time) {
           best = t;
           best_time = est;
@@ -1523,7 +1523,7 @@ void OmniManager::dispatch_data(std::uint64_t op_id) {
   // Budget scaled to the expected transfer time (connection setup plus
   // size/throughput), floored so tiny transfers get a sane minimum.
   const auto& sh = options_.self_healing;
-  Duration est = slot(*tech)->tech->estimate_data_time(op.packed.size(),
+  Duration est = slot(*tech)->tech->estimate_data_time(op.packed->size(),
                                                        info.requires_refresh);
   Duration budget =
       std::max(sh.min_op_deadline, est * sh.deadline_factor + sh.deadline_slack);
@@ -1560,7 +1560,9 @@ void OmniManager::send_data(const std::vector<OmniAddress>& destinations,
     }
     return;
   }
-  Bytes packed = PackedStruct::data(self_, std::move(data)).encode();
+  // One encode per call: every destination's op and every attempt share it.
+  SharedBytes packed = std::make_shared<const Bytes>(
+      PackedStruct::data(self_, std::move(data)).encode());
   for (OmniAddress dest : destinations) {
     if (pending_data_.size() >= options_.self_healing.max_pending_ops) {
       // Overload shed: bound the pending table rather than letting a dead
@@ -1585,7 +1587,7 @@ void OmniManager::send_data(const std::vector<OmniAddress>& destinations,
     if (obs::Omniscope* sc = scope_of(sim_)) {
       sc->count_on(options_.owner, sc->core().data_ops);
       sc->async_begin_on(options_.owner, obs::Cat::kOpData, op_id,
-                         packed.size());
+                         packed->size());
     }
     pending_data_.emplace(op_id, std::move(op));
 
@@ -1705,8 +1707,8 @@ void OmniManager::snapshot_state(sim::ByteWriter& w, bool deep) const {
   for (const auto& [id, op] : pending_data_) {
     w.var(id);
     w.u64(op.dest.value);
-    w.var(op.packed.size());
-    w.u64(fnv1a64(std::span<const std::uint8_t>(op.packed)));
+    w.var(op.packed->size());
+    w.u64(fnv1a64(std::span<const std::uint8_t>(*op.packed)));
     w.svar(op.started.as_micros());
     std::uint8_t tried = 0;
     for (Technology t : op.tried) {

@@ -354,8 +354,8 @@ class OmniManager {
   /// The beacon wire frame, re-encoded (and re-sealed) only when stale: the
   /// cache keys on the beacon-info generation and the context-set
   /// generation, so address rotations and context changes invalidate it and
-  /// every other caller reuses the cached bytes.
-  const Bytes& beacon_wire();
+  /// every other caller shares the cached buffer.
+  const SharedBytes& beacon_wire();
 
   // Multi-hop relay.
   void maybe_relay(const PackedStruct& packet,
@@ -366,10 +366,11 @@ class OmniManager {
   std::optional<Technology> pick_context_tech(
       std::size_t packed_size, const std::set<Technology>& exclude) const;
   void dispatch_context_add(ContextRecord& record);
-  Bytes packed_context(const ContextRecord& record);
+  SharedBytes packed_context(const ContextRecord& record);
 
-  /// Seal `packed` when a context key is provisioned (paper §3.4).
-  Bytes maybe_seal(Bytes packed);
+  /// Seal `packed` when a context key is provisioned (paper §3.4), as the
+  /// shared buffer a request carries.
+  SharedBytes maybe_seal(Bytes packed);
 
   // Self-healing.
   bool quarantined(const TechSlot& s) const {
@@ -390,7 +391,7 @@ class OmniManager {
   struct PendingData {
     std::uint64_t op_id = 0;
     OmniAddress dest;
-    Bytes packed;  ///< encoded data packet
+    SharedBytes packed;  ///< encoded data packet, shared with every attempt
     StatusCallback callback;
     std::set<Technology> tried;
     TimePoint started;  ///< enqueue instant (op-latency observability)
@@ -426,7 +427,7 @@ class OmniManager {
   PackedStruct relay_scratch_;
 
   AddressBeaconInfo beacon_info_;
-  Bytes beacon_packed_;
+  SharedBytes beacon_packed_;
   /// Generation of beacon_info_: bumped on every mutation (start(), address
   /// rotation). beacon_wire() re-encodes when beacon_packed_ lags it or the
   /// context-set generation moved.

@@ -82,7 +82,7 @@ void NanTech::process(SendRequest request) {
       // NAN publishes ride the DW schedule, not a per-context timer: the
       // requested interval is honoured at DW granularity (a 500 ms interval
       // maps to every window).
-      auto pub = radio_.publish(frame_broadcast(request.packed));
+      auto pub = radio_.publish(frame_broadcast(*request.packed));
       if (!pub) {
         respond(request, false, pub.error_message());
         return;
@@ -98,7 +98,7 @@ void NanTech::process(SendRequest request) {
         return;
       }
       Status s =
-          radio_.update_publish(it->second, frame_broadcast(request.packed));
+          radio_.update_publish(it->second, frame_broadcast(*request.packed));
       respond(request, s.is_ok(), s.message());
       return;
     }
@@ -118,7 +118,7 @@ void NanTech::process(SendRequest request) {
           sc != nullptr && sc->recording()) {
         sc->count_on(radio_.node(), sc->core().tech_send[1]);
         sc->instant_on(radio_.node(), obs::Cat::kTechSend,
-                       request.request_id, request.packed.size(), 1);
+                       request.request_id, request.packed->size(), 1);
       }
       if (!std::holds_alternative<NanAddress>(request.dest)) {
         respond(request, false, "destination is not a NAN address");
@@ -127,7 +127,7 @@ void NanTech::process(SendRequest request) {
       NanAddress dest = std::get<NanAddress>(request.dest);
       auto req = std::make_shared<SendRequest>(std::move(request));
       Status s = radio_.send_followup(
-          dest, frame_broadcast_data(req->packed), [this, req](Status st) {
+          dest, frame_broadcast_data(*req->packed), [this, req](Status st) {
             respond(*req, st.is_ok(), st.message());
           });
       if (!s.is_ok()) respond(*req, false, s.message());

@@ -257,7 +257,7 @@ void WifiMulticastTech::process(SendRequest request) {
           sc != nullptr && sc->recording()) {
         sc->count_on(radio_.node(), sc->core().tech_send[2]);
         sc->instant_on(radio_.node(), obs::Cat::kTechSend,
-                       request.request_id, request.packed.size(), 2);
+                       request.request_id, request.packed->size(), 2);
       }
       auto req = std::make_shared<SendRequest>(std::move(request));
       if (req->needs_refresh) {
@@ -308,7 +308,7 @@ void WifiMulticastTech::fire_tick() {
   std::vector<Bytes> due;
   for (auto& [id, e] : contexts_) {
     if (now - e.last_sent >= e.interval - Duration::micros(1)) {
-      due.push_back(e.packed);
+      due.push_back(*e.packed);
       e.last_sent = now;
     }
   }
@@ -322,11 +322,11 @@ void WifiMulticastTech::do_send_data(std::shared_ptr<SendRequest> request) {
   Bytes frame;
   if (std::holds_alternative<MeshAddress>(request->dest)) {
     frame = frame_unicast_mesh(std::get<MeshAddress>(request->dest),
-                               request->packed);
+                               *request->packed);
   } else {
-    frame = frame_broadcast(request->packed);
+    frame = frame_broadcast(*request->packed);
   }
-  std::uint64_t bytes = request->packed.size();
+  std::uint64_t bytes = request->packed->size();
   Status s = mesh_.multicast_bulk(
       radio_, bytes, std::move(frame),
       [this, request](std::vector<radio::WifiRadio*> receivers) {

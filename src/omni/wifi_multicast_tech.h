@@ -73,7 +73,7 @@ class WifiMulticastTech final : public CommTechnology {
   // address beacons and service contexts share a single 500 ms stream, as on
   // the paper's prototype).
   struct ContextEntry {
-    Bytes packed;
+    SharedBytes packed;  ///< the request's buffer, shared
     Duration interval;
     TimePoint last_sent;
   };

@@ -113,7 +113,7 @@ void WifiUnicastTech::process(SendRequest request) {
       sc != nullptr && sc->recording()) {
     sc->count_on(radio_.node(), sc->core().tech_send[3]);
     sc->instant_on(radio_.node(), obs::Cat::kTechSend,
-                   request.request_id, request.packed.size(), 3);
+                   request.request_id, request.packed->size(), 3);
   }
   if (!std::holds_alternative<MeshAddress>(request.dest)) {
     respond(request, false, "destination is not a mesh address");
@@ -158,7 +158,7 @@ void WifiUnicastTech::do_send(std::shared_ptr<SendRequest> request) {
   // callback needs it to deregister itself; route it through a shared slot.
   auto id_slot = std::make_shared<radio::FlowId>(0);
   auto flow = mesh_.open_flow(
-      radio_, dest, req->packed.size(),
+      radio_, dest, req->packed->size(),
       [this, req, id_slot](Status s) {
         open_flows_.erase(*id_slot);
         respond(*req, s.is_ok(), s.message());

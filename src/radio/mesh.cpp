@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.h"
 #include "radio/wifi_radio.h"
@@ -54,9 +55,11 @@ void MeshNetwork::add_member(WifiRadio& radio) {
 }
 
 void MeshNetwork::remove_member(WifiRadio& radio) {
-  auto it = std::find(members_.begin(), members_.end(), &radio);
-  if (it == members_.end()) return;
-  members_.erase(it);
+  // Search from the back: a Testbed tears devices down newest-first, so
+  // each member is found and erased at the end.
+  auto it = std::find(members_.rbegin(), members_.rend(), &radio);
+  if (it == members_.rend()) return;
+  members_.erase(std::next(it).base());
   auto by_node = members_by_node_.find(radio.node());
   if (by_node != members_by_node_.end()) {
     auto& on_node = by_node->second;
@@ -113,7 +116,8 @@ double MeshNetwork::current_flow_rate_Bps() const {
 
 Result<FlowId> MeshNetwork::open_flow(WifiRadio& src, const MeshAddress& dst,
                                       std::uint64_t bytes, FlowDoneFn done,
-                                      FlowProgressFn progress, Bytes payload) {
+                                      FlowProgressFn progress,
+                                      SharedBytes payload) {
   const auto& cal = system_.calibration();
   auto& sim = system_.simulator();
   if (!src.powered() || src.mesh() != this) {
@@ -241,13 +245,13 @@ void MeshNetwork::finish_flow(FlowId id, Status status) {
                      status.is_ok() ? 0 : 1);
   }
   FlowDoneFn done = std::move(it->second.done);
-  Bytes payload = std::move(it->second.payload);
+  SharedBytes payload = std::move(it->second.payload);
   WifiRadio* dst = it->second.dst;
   MeshAddress src_addr = it->second.src->address();
   flows_.erase(it);
   recompute_rates();
-  if (status.is_ok() && !payload.empty()) {
-    dst->deliver_datagram(src_addr, payload, /*multicast=*/false);
+  if (status.is_ok() && payload != nullptr && !payload->empty()) {
+    dst->deliver_datagram(src_addr, *payload, /*multicast=*/false);
   }
   if (done) done(std::move(status));
 }

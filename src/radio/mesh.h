@@ -69,12 +69,14 @@ class MeshNetwork {
   /// Completion (or failure: unknown peer, out of range, membership loss)
   /// is reported through `done`. The flow includes connection setup
   /// (3*RTT + tcp_setup_overhead) before bytes move. If `payload` is
-  /// non-empty it is handed to the destination radio's datagram handlers
-  /// when the flow completes (the in-band application message).
+  /// non-null and non-empty it is handed to the destination radio's
+  /// datagram handlers when the flow completes (the in-band application
+  /// message). The flow holds a reference to the caller's buffer, not a
+  /// copy, and drops it when the flow completes, fails or is cancelled.
   Result<FlowId> open_flow(WifiRadio& src, const MeshAddress& dst,
                            std::uint64_t bytes, FlowDoneFn done,
                            FlowProgressFn progress = nullptr,
-                           Bytes payload = {});
+                           SharedBytes payload = nullptr);
   void cancel_flow(FlowId id);
   std::size_t active_flow_count() const { return flows_.size(); }
   /// Current per-flow fluid rate in bytes/sec (0 when no flows).
@@ -121,7 +123,7 @@ class MeshNetwork {
     bool started = false;  // setup handshake finished
     FlowDoneFn done;
     FlowProgressFn progress;
-    Bytes payload;  // delivered to dst on successful completion
+    SharedBytes payload;  // delivered to dst on successful completion
     sim::EventHandle completion;
   };
 

@@ -3,6 +3,7 @@
 #include "obs/omniscope.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/fault_plan.h"
 
@@ -18,8 +19,10 @@ void NanSystem::attach(NanRadio* radio) {
 }
 
 void NanSystem::detach(NanRadio* radio) {
-  radios_.erase(std::remove(radios_.begin(), radios_.end(), radio),
-                radios_.end());
+  // Search from the back: a Testbed tears devices down newest-first, so
+  // each radio is found and erased at the end.
+  auto it = std::find(radios_.rbegin(), radios_.rend(), radio);
+  if (it != radios_.rend()) radios_.erase(std::next(it).base());
 }
 
 TimePoint NanSystem::next_window_start(TimePoint now) const {

@@ -1,6 +1,7 @@
 #include "radio/wifi_system.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "radio/mesh.h"
 #include "radio/wifi_radio.h"
@@ -25,8 +26,10 @@ MeshNetwork* WifiSystem::find_mesh(const std::string& name) const {
 }
 
 void WifiSystem::detach(WifiRadio* radio) {
-  radios_.erase(std::remove(radios_.begin(), radios_.end(), radio),
-                radios_.end());
+  // Search from the back: a Testbed tears devices down newest-first, so
+  // each radio is found and erased at the end.
+  auto it = std::find(radios_.rbegin(), radios_.rend(), radio);
+  if (it != radios_.rend()) radios_.erase(std::next(it).base());
 }
 
 std::vector<MeshNetwork*> WifiSystem::visible_meshes(

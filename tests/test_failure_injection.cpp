@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "net/testbed.h"
 #include "omni/omni_node.h"
@@ -18,14 +19,17 @@ class FailureInjectionTest : public ::testing::Test {
 };
 
 /// A data technology that accepts every request and never responds: the
-/// "silently stalled" plugin the manager's op deadlines exist for.
+/// "silently stalled" plugin the manager's op deadlines exist for. It keeps
+/// every request it swallows.
 class StallTech final : public CommTechnology {
  public:
   EnableResult enable(const TechQueues& queues) override {
     queues_ = queues;
     enabled_ = true;
     queues_.send->set_consumer([this] {
-      while (auto request = queues_.send->try_pop()) ++swallowed_;
+      while (auto request = queues_.send->try_pop()) {
+        swallowed_.push_back(std::move(*request));
+      }
     });
     return EnableResult{Technology::kWifiUnicast,
                         LowLevelAddress{MeshAddress{0xBEEF}}};
@@ -57,13 +61,14 @@ class StallTech final : public CommTechnology {
     });
   }
 
-  std::uint64_t swallowed() const { return swallowed_; }
+  std::uint64_t swallowed() const { return swallowed_.size(); }
+  const std::vector<SendRequest>& kept() const { return swallowed_; }
 
  private:
   TechQueues queues_;
   bool enabled_ = false;
   bool engaged_ = false;
-  std::uint64_t swallowed_ = 0;
+  std::vector<SendRequest> swallowed_;
 };
 
 /// A context technology whose first `fail_first` beacon adds fail (the
@@ -147,6 +152,35 @@ TEST(SelfHealingTest, SilentlyStalledTechFailsOverByDeadline) {
   EXPECT_EQ(manager.pending_data_count(), 0u);
   EXPECT_EQ(manager.data_attempt_count(), 0u);
   EXPECT_EQ(manager.context_attempt_count(), 0u);
+  manager.stop();
+  sim.run_for(Duration::seconds(1));
+}
+
+TEST(SelfHealingTest, DataSendToTwoPeersSharesOneEncodedBuffer) {
+  sim::Simulator sim(9);
+  StallTech stall;
+  const OmniAddress self{0xA11CE};
+  OmniManager manager(sim, self);
+  manager.add_technology(stall);
+  manager.start();
+
+  const OmniAddress p1{0xB0B};
+  const OmniAddress p2{0xC0C};
+  stall.inject_beacon(p1, MeshAddress{0xD00D});
+  stall.inject_beacon(p2, MeshAddress{0xE00E});
+  sim.run_for(Duration::millis(10));
+
+  const Bytes payload(4096, 0x5A);
+  manager.send_data({p1, p2}, payload, nullptr);
+  sim.run_for(Duration::millis(10));
+
+  ASSERT_EQ(stall.kept().size(), 2u);
+  const SharedBytes& buffer = stall.kept()[0].packed;
+  ASSERT_NE(buffer, nullptr);
+  EXPECT_EQ(stall.kept()[1].packed.get(), buffer.get());
+  EXPECT_EQ(*buffer, PackedStruct::data(self, payload).encode());
+  // Both pending ops and both attempts hold the one encode.
+  EXPECT_EQ(buffer.use_count(), 4);
   manager.stop();
   sim.run_for(Duration::seconds(1));
 }

@@ -118,9 +118,44 @@ TEST_F(MeshFlowTest, PayloadDeliveredToDestinationOnCompletion) {
         received = payload;
       });
   bed.mesh().open_flow(a.wifi(), b.wifi().address(), 1000, nullptr, nullptr,
-                       Bytes{42, 43});
+                       std::make_shared<const Bytes>(Bytes{42, 43}));
   bed.simulator().run_for(Duration::seconds(2));
   EXPECT_EQ(received, (Bytes{42, 43}));
+}
+
+TEST_F(MeshFlowTest, FlowSharesThePayloadAndReleasesIt) {
+  auto& a = joined_device("a", {0, 0});
+  auto& b = joined_device("b", {10, 0});
+  settle();
+
+  const Bytes* delivered = nullptr;
+  Bytes received;
+  b.wifi().add_datagram_handler(
+      [&](const MeshAddress&, const Bytes& payload, bool) {
+        delivered = &payload;
+        received = payload;
+      });
+  auto payload = std::make_shared<const Bytes>(Bytes(5000, 7));
+  auto flow = bed.mesh().open_flow(a.wifi(), b.wifi().address(),
+                                   payload->size(), nullptr, nullptr, payload);
+  ASSERT_TRUE(flow.is_ok());
+  EXPECT_EQ(payload.use_count(), 2);  // the flow holds a reference, no copy
+  bed.simulator().run_for(Duration::seconds(2));
+  EXPECT_EQ(received, *payload);
+  EXPECT_EQ(delivered, payload.get());  // the receiver read the same buffer
+  EXPECT_EQ(payload.use_count(), 1);  // completion dropped the reference
+
+  // A cancelled flow drops its reference too, and delivers nothing.
+  received.clear();
+  auto cancelled = bed.mesh().open_flow(a.wifi(), b.wifi().address(),
+                                        50'000'000, nullptr, nullptr, payload);
+  ASSERT_TRUE(cancelled.is_ok());
+  EXPECT_EQ(payload.use_count(), 2);
+  bed.simulator().run_for(Duration::millis(100));
+  bed.mesh().cancel_flow(cancelled.value());
+  EXPECT_EQ(payload.use_count(), 1);
+  bed.simulator().run_for(Duration::seconds(2));
+  EXPECT_TRUE(received.empty());
 }
 
 TEST_F(MeshFlowTest, UnknownDestinationFailsSynchronously) {

@@ -46,7 +46,7 @@ SendRequest add_context_request(ContextId id, Bytes packed,
   req.op = SendOp::kAddContext;
   req.context_id = id;
   req.interval = interval;
-  req.packed = std::move(packed);
+  req.packed = std::make_shared<const Bytes>(std::move(packed));
   return req;
 }
 
@@ -120,7 +120,7 @@ TEST_F(BleTechTest, OversizedContextFailsWithOriginalEchoed) {
   // Paper §3.2: on failure, the technology echoes the full request so the
   // manager can retry elsewhere.
   ASSERT_NE(responses[0].original, nullptr);
-  EXPECT_EQ(responses[0].original->packed, big);
+  EXPECT_EQ(*responses[0].original->packed, big);
   EXPECT_EQ(responses[0].original->op, SendOp::kAddContext);
 }
 
@@ -133,7 +133,8 @@ TEST_F(BleTechTest, DataToWrongAddressTypeFails) {
   req.request_id = 9;
   req.op = SendOp::kSendData;
   req.dest = LowLevelAddress{MeshAddress::from_node(1)};  // wrong tech
-  req.packed = PackedStruct::data(OmniAddress{1}, Bytes{1}).encode();
+  req.packed = std::make_shared<const Bytes>(
+      PackedStruct::data(OmniAddress{1}, Bytes{1}).encode());
   h.send.push(std::move(req));
   bed.simulator().run_for(Duration::millis(100));
   auto responses = h.drain_responses();
@@ -178,7 +179,7 @@ TEST_F(WifiUnicastTechTest, SendsDataOverFlow) {
   req.request_id = 1;
   req.op = SendOp::kSendData;
   req.dest = LowLevelAddress{b.wifi().address()};
-  req.packed = packed;
+  req.packed = std::make_shared<const Bytes>(packed);
   ha.send.push(std::move(req));
   bed.simulator().run_for(Duration::seconds(2));
 
@@ -189,6 +190,32 @@ TEST_F(WifiUnicastTechTest, SendsDataOverFlow) {
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].tech, Technology::kWifiUnicast);
   EXPECT_EQ(received[0].packed, packed);
+}
+
+TEST_F(WifiUnicastTechTest, FailureEchoSharesTheRequestBuffer) {
+  auto& a = bed.add_device("a", {0, 0});
+  WifiUnicastTech ta(a.wifi(), bed.mesh());
+  TechHarness ha(bed.simulator());
+  ta.enable(ha.queues());
+  bed.simulator().run_for(Duration::seconds(1));  // join completes
+
+  auto packed = std::make_shared<const Bytes>(
+      PackedStruct::data(OmniAddress{0x22}, Bytes(5000, 9)).encode());
+  SendRequest req;
+  req.request_id = 4;
+  req.op = SendOp::kSendData;
+  req.dest = LowLevelAddress{BleAddress::from_node(1)};  // not a mesh peer
+  req.packed = packed;
+  ha.send.push(std::move(req));
+  bed.simulator().run_for(Duration::millis(100));
+
+  auto responses = ha.drain_responses();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_FALSE(responses[0].success);
+  // Paper §3.2: the failure echoes the whole request. The echo references
+  // the request's payload instead of copying it.
+  ASSERT_NE(responses[0].original, nullptr);
+  EXPECT_EQ(responses[0].original->packed.get(), packed.get());
 }
 
 TEST_F(WifiUnicastTechTest, RequestsBeforeJoinAreHeld) {
@@ -207,7 +234,8 @@ TEST_F(WifiUnicastTechTest, RequestsBeforeJoinAreHeld) {
   req.request_id = 1;
   req.op = SendOp::kSendData;
   req.dest = LowLevelAddress{b.wifi().address()};
-  req.packed = PackedStruct::data(OmniAddress{1}, Bytes{1}).encode();
+  req.packed = std::make_shared<const Bytes>(
+      PackedStruct::data(OmniAddress{1}, Bytes{1}).encode());
   ha.send.push(std::move(req));
   bed.simulator().run_for(Duration::seconds(2));
   auto responses = ha.drain_responses();
@@ -309,7 +337,8 @@ TEST_F(WifiMulticastTechTest, BulkDataDeliveredWithUnicastFraming) {
   req.request_id = 1;
   req.op = SendOp::kSendData;
   req.dest = LowLevelAddress{b.wifi().address()};  // addressed to b only
-  req.packed = PackedStruct::data(OmniAddress{1}, Bytes(4000, 7)).encode();
+  req.packed = std::make_shared<const Bytes>(
+      PackedStruct::data(OmniAddress{1}, Bytes(4000, 7)).encode());
   ha.send.push(std::move(req));
   bed.simulator().run_for(Duration::seconds(2));
 
