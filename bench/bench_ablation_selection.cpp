@@ -28,7 +28,7 @@ Sample run(ManagerOptions::DataPolicy policy) {
   OmniNode b(db, bed.mesh(), options);
   int received = 0;
   TimePoint last_received;
-  b.manager().request_data([&](const OmniAddress&, const Bytes&) {
+  b.manager().request_data([&](const OmniAddress&, BytesView) {
     ++received;
     last_received = bed.simulator().now();
   });

@@ -39,12 +39,12 @@ Sample run(bool use_nan) {
   OmniNode b(db, bed.mesh(), options);
 
   std::optional<TimePoint> response_at;
-  b.manager().request_data([&](const OmniAddress& from, const Bytes& d) {
+  b.manager().request_data([&](const OmniAddress& from, BytesView d) {
     if (!d.empty() && d[0] == 0x01) {
       b.manager().send_data({from}, Bytes(30, 0x02), nullptr);
     }
   });
-  a.manager().request_data([&](const OmniAddress&, const Bytes& d) {
+  a.manager().request_data([&](const OmniAddress&, BytesView d) {
     if (!d.empty() && d[0] == 0x02 && !response_at) {
       response_at = bed.simulator().now();
     }

@@ -53,7 +53,7 @@ RunResult run_scenario(net::Testbed& bed, net::Device& init_dev,
   // Service: advertise availability; answer requests with the response blob.
   scenario.service->set_advert_handler(nullptr);
   scenario.service->set_data_handler(
-      [&](baselines::D2dStack::PeerId from, const Bytes& data) {
+      [&](baselines::D2dStack::PeerId from, BytesView data) {
         if (!data.empty() && data[0] == kRequestTag) {
           Bytes response(response_bytes, kResponseTag);
           scenario.service->send(from, std::move(response), nullptr);
@@ -63,7 +63,7 @@ RunResult run_scenario(net::Testbed& bed, net::Device& init_dev,
   // Initiator: record when the response lands.
   std::optional<TimePoint> response_at;
   scenario.initiator->set_data_handler(
-      [&](baselines::D2dStack::PeerId, const Bytes& data) {
+      [&](baselines::D2dStack::PeerId, BytesView data) {
         if (!data.empty() && data[0] == kResponseTag && !response_at) {
           response_at = sim.now();
         }

@@ -46,7 +46,7 @@ int main() {
       });
 
   alice.manager().request_data(
-      [&](const OmniAddress& source, const Bytes& data) {
+      [&](const OmniAddress& source, BytesView data) {
         std::printf("[%6.2fs] alice: data from %s: \"%.*s\"\n",
                     bed.simulator().now().as_seconds(),
                     source.to_string().c_str(), static_cast<int>(data.size()),

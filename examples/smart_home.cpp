@@ -55,7 +55,7 @@ int main() {
     // Sensors answer data requests with a fresh reading.
     OmniManager& m = sensors[i].node->manager();
     auto* sensor = &sensors[i];
-    m.request_data([&bed, sensor](const OmniAddress& from, const Bytes& req) {
+    m.request_data([&bed, sensor](const OmniAddress& from, BytesView req) {
       if (req.empty() || req[0] != 'R') return;
       Bytes reading{'V', static_cast<std::uint8_t>(sensor->reading)};
       sensor->node->manager().send_data({from}, std::move(reading), nullptr);
@@ -73,7 +73,7 @@ int main() {
     lamp_publisher.publish(d, Duration::millis(500));
   }
   lamp.manager().request_data(
-      [&](const OmniAddress&, const Bytes& scene) {
+      [&](const OmniAddress&, BytesView scene) {
         std::printf("[%5.1fs] lamp: applying %zu-byte scene\n",
                     sim.now().as_seconds(), scene.size());
       });
@@ -85,7 +85,7 @@ int main() {
   ServiceBrowser browser(hub.manager(), bed.simulator());
   std::map<std::string, int> readings;
   hub.manager().request_data(
-      [&](const OmniAddress&, const Bytes& data) {
+      [&](const OmniAddress&, BytesView data) {
         if (data.size() == 2 && data[0] == 'V') {
           std::printf("[%5.1fs] hub: reading = %d\n",
                       sim.now().as_seconds(), data[1]);

@@ -101,7 +101,7 @@ int main() {
   // --- Tourist logic: advertise interest; count media and audio arrivals.
   for (auto& t : tourists) {
     OmniManager& m = t.node->manager();
-    m.request_data([&t, &sim](const OmniAddress&, const Bytes& data) {
+    m.request_data([&t, &sim](const OmniAddress&, BytesView data) {
       if (!data.empty() && data[0] == 'V') {
         t.media_received += data.size();
         std::printf("[%6.2fs] %s: received %.1f MB of visualization\n",

@@ -42,7 +42,7 @@ void DisseminateApp::start() {
         on_peer_advert(peer, info);
       });
   stack_.set_data_handler(
-      [this](baselines::D2dStack::PeerId peer, const Bytes& data) {
+      [this](baselines::D2dStack::PeerId peer, BytesView data) {
         on_peer_data(peer, data);
       });
   stack_.start();
@@ -252,7 +252,7 @@ void DisseminateApp::pump_sends(baselines::D2dStack::PeerId peer) {
 }
 
 void DisseminateApp::on_peer_data(baselines::D2dStack::PeerId /*peer*/,
-                                  const Bytes& data) {
+                                  BytesView data) {
   if (data.size() < 4) return;
   std::uint64_t id = (static_cast<std::uint64_t>(data[0]) << 24) |
                      (static_cast<std::uint64_t>(data[1]) << 16) |

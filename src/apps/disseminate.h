@@ -84,7 +84,7 @@ class DisseminateApp {
   void on_chunk_obtained(std::uint64_t id, bool from_infra);
   void refresh_advert();
   void on_peer_advert(baselines::D2dStack::PeerId peer, const Bytes& info);
-  void on_peer_data(baselines::D2dStack::PeerId peer, const Bytes& data);
+  void on_peer_data(baselines::D2dStack::PeerId peer, BytesView data);
   void pump_sends(baselines::D2dStack::PeerId peer);
   Bytes chunk_payload(std::uint64_t id) const;
   /// How many known peers hold chunk `id` (rarest-first scoring).

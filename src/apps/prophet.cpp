@@ -42,7 +42,7 @@ void ProphetNode::start() {
     on_advert(peer, summary);
   });
   stack_.set_data_handler(
-      [this](PeerId peer, const Bytes& wire) { on_data(peer, wire); });
+      [this](PeerId peer, BytesView wire) { on_data(peer, wire); });
   stack_.start();
   refresh_advert();
 }
@@ -219,7 +219,7 @@ Bytes ProphetNode::encode_message(const Message& m) const {
   return wire;
 }
 
-void ProphetNode::on_data(PeerId /*peer*/, const Bytes& wire) {
+void ProphetNode::on_data(PeerId /*peer*/, BytesView wire) {
   ByteReader r(wire);
   auto id = r.u32();
   auto source = r.u64();

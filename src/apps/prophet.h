@@ -94,7 +94,7 @@ class ProphetNode {
   void refresh_advert();
   Bytes encode_summary() const;
   void on_advert(PeerId peer, const Bytes& summary);
-  void on_data(PeerId peer, const Bytes& wire);
+  void on_data(PeerId peer, BytesView wire);
   void try_forward(PeerId peer);
   Bytes encode_message(const Message& m) const;
   /// Count and record one lifecycle step of message `id` on the Omniscope.

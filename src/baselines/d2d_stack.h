@@ -25,7 +25,10 @@ class D2dStack {
   using PeerId = std::uint64_t;
 
   using AdvertFn = std::function<void(PeerId from, const Bytes& info)>;
-  using DataFn = std::function<void(PeerId from, const Bytes& data)>;
+  /// `data` views the received bytes without copying them, and is valid only
+  /// for the duration of the call; a handler that keeps the bytes copies
+  /// them.
+  using DataFn = std::function<void(PeerId from, BytesView data)>;
   using SendDoneFn = std::function<void(Status)>;
 
   virtual ~D2dStack() = default;

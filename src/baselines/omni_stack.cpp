@@ -13,7 +13,7 @@ void OmniStack::set_advert_handler(AdvertFn fn) {
 
 void OmniStack::set_data_handler(DataFn fn) {
   node_.manager().request_data(
-      [fn = std::move(fn)](const OmniAddress& source, const Bytes& data) {
+      [fn = std::move(fn)](const OmniAddress& source, BytesView data) {
         if (fn) fn(source.value, data);
       });
 }

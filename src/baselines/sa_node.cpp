@@ -19,8 +19,8 @@ void SaNode::start() {
   if (options_.enable_ble) {
     device_.ble().set_powered(true);
     device_.ble().set_receive_handler(
-        [this](const BleAddress& from, const Bytes& frame) {
-          if (started_) on_ble_receive(from, frame);
+        [this](const BleAddress& from, const SharedBytes& frame) {
+          if (started_) on_ble_receive(from, *frame);
         });
     // The overlay listens continuously on every technology.
     device_.ble().set_scanning(true, 1.0);
@@ -31,8 +31,9 @@ void SaNode::start() {
     device_.wifi().set_powered(true);
     directory_.register_node(self(), device_.wifi().address());
     device_.wifi().add_datagram_handler(
-        [this](const MeshAddress& from, const Bytes& frame, bool multicast) {
-          if (started_) on_wifi_datagram(from, frame, multicast);
+        [this](const MeshAddress& from, const SharedBytes& frame,
+               bool multicast) {
+          if (started_) on_wifi_datagram(from, *frame, multicast);
         });
     device_.wifi().join(mesh_, [this](Status s) { joined_ = s.is_ok(); });
     wifi_advert_load_ =
@@ -254,11 +255,11 @@ std::vector<D2dStack::PeerId> SaNode::known_peers() const {
 }
 
 void SaNode::on_ble_receive(const BleAddress& from, const Bytes& frame) {
-  auto unframed = unframe_ble(frame, device_.ble().address());
+  auto unframed = unframe_ble_view(frame, device_.ble().address());
   if (!unframed) return;
   auto parsed = split_id(*unframed);
   if (!parsed) return;
-  auto [peer_id, payload] = std::move(*parsed);
+  auto [peer_id, payload] = *parsed;
   if (peer_id == self()) return;
   Peer& peer = peers_[peer_id];
   peer.on_ble = true;
@@ -266,7 +267,7 @@ void SaNode::on_ble_receive(const BleAddress& from, const Bytes& frame) {
   peer.last_seen = device_.meter().simulator().now();
   bool is_advert = !frame.empty() && frame[0] == kFrameBroadcast;
   if (is_advert) {
-    if (on_advert_) on_advert_(peer_id, payload);
+    if (on_advert_) on_advert_(peer_id, Bytes(payload.begin(), payload.end()));
   } else {
     if (on_data_) on_data_(peer_id, payload);
   }
@@ -274,11 +275,11 @@ void SaNode::on_ble_receive(const BleAddress& from, const Bytes& frame) {
 
 void SaNode::on_wifi_datagram(const MeshAddress& from, const Bytes& frame,
                               bool multicast) {
-  auto unframed = unframe_mesh(frame, device_.wifi().address());
+  auto unframed = unframe_mesh_view(frame, device_.wifi().address());
   if (!unframed) return;
   auto parsed = split_id(*unframed);
   if (!parsed) return;
-  auto [peer_id, payload] = std::move(*parsed);
+  auto [peer_id, payload] = *parsed;
   if (peer_id == self()) return;
   Peer& peer = peers_[peer_id];
   peer.on_wifi = true;
@@ -287,7 +288,7 @@ void SaNode::on_wifi_datagram(const MeshAddress& from, const Bytes& frame,
   if (!multicast) peer.wifi_validated = true;
   bool is_advert = !frame.empty() && frame[0] == kFrameBroadcast;
   if (is_advert) {
-    if (on_advert_) on_advert_(peer_id, payload);
+    if (on_advert_) on_advert_(peer_id, Bytes(payload.begin(), payload.end()));
   } else {
     if (on_data_) on_data_(peer_id, payload);
   }

@@ -15,8 +15,8 @@ void SpBleNode::start() {
   device_.wifi().set_powered(false);
   device_.ble().set_powered(true);
   device_.ble().set_receive_handler(
-      [this](const BleAddress& from, const Bytes& frame) {
-        on_receive(from, frame);
+      [this](const BleAddress& from, const SharedBytes& frame) {
+        on_receive(from, *frame);
       });
   device_.ble().set_scanning(true, options_.idle_scan_duty);
 }
@@ -84,16 +84,16 @@ std::vector<D2dStack::PeerId> SpBleNode::known_peers() const {
 }
 
 void SpBleNode::on_receive(const BleAddress& from, const Bytes& frame) {
-  auto unframed = unframe_ble(frame, device_.ble().address());
+  auto unframed = unframe_ble_view(frame, device_.ble().address());
   if (!unframed) return;
   bool is_broadcast = !frame.empty() && frame[0] == kFrameBroadcast;
   auto parsed = split_id(*unframed);
   if (!parsed) return;
-  auto [peer_id, payload] = std::move(*parsed);
+  auto [peer_id, payload] = *parsed;
   if (peer_id == self()) return;
   peers_[peer_id] = Peer{from, device_.meter().simulator().now()};
   if (is_broadcast) {
-    if (on_advert_) on_advert_(peer_id, payload);
+    if (on_advert_) on_advert_(peer_id, Bytes(payload.begin(), payload.end()));
   } else {
     if (on_data_) on_data_(peer_id, payload);
   }

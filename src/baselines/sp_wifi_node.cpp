@@ -16,8 +16,9 @@ void SpWifiNode::start() {
   device_.ble().set_powered(false);  // single-technology app
   device_.wifi().set_powered(true);
   device_.wifi().add_datagram_handler(
-      [this](const MeshAddress& from, const Bytes& frame, bool multicast) {
-        if (started_) on_datagram(from, frame, multicast);
+      [this](const MeshAddress& from, const SharedBytes& frame,
+             bool multicast) {
+        if (started_) on_datagram(from, *frame, multicast);
       });
   device_.wifi().join(mesh_, [this](Status s) { joined_ = s.is_ok(); });
   // First rescan at half period, de-phasing it from other periodic work.
@@ -170,11 +171,11 @@ std::vector<D2dStack::PeerId> SpWifiNode::known_peers() const {
 
 void SpWifiNode::on_datagram(const MeshAddress& from, const Bytes& frame,
                              bool multicast) {
-  auto unframed = unframe_mesh(frame, device_.wifi().address());
+  auto unframed = unframe_mesh_view(frame, device_.wifi().address());
   if (!unframed) return;
   auto parsed = split_id(*unframed);
   if (!parsed) return;
-  auto [peer_id, payload] = std::move(*parsed);
+  auto [peer_id, payload] = *parsed;
   if (peer_id == self()) return;
   Peer& peer = peers_[peer_id];
   peer.address = from;
@@ -182,7 +183,7 @@ void SpWifiNode::on_datagram(const MeshAddress& from, const Bytes& frame,
   bool is_advert_frame = !frame.empty() && frame[0] == kFrameBroadcast;
   if (!multicast) peer.validated = true;  // unicast exchange proves the path
   if (is_advert_frame) {
-    if (on_advert_) on_advert_(peer_id, payload);
+    if (on_advert_) on_advert_(peer_id, Bytes(payload.begin(), payload.end()));
   } else {
     if (on_data_) on_data_(peer_id, payload);
   }

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <utility>
 
 #include "common/byte_buffer.h"
@@ -20,13 +19,14 @@ inline Bytes with_id(D2dStack::PeerId id, const Bytes& payload) {
   return std::move(w).take();
 }
 
-inline std::optional<std::pair<D2dStack::PeerId, Bytes>> split_id(
-    std::span<const std::uint8_t> wire) {
+/// The sender's id and a view of the payload after it, valid as long as
+/// `wire`.
+inline std::optional<std::pair<D2dStack::PeerId, BytesView>> split_id(
+    BytesView wire) {
   ByteReader r(wire);
   auto id = r.u64();
   if (!id || id.value() == 0) return std::nullopt;
-  auto rest = r.raw(r.remaining());
-  return std::make_pair(id.value(), std::move(rest).value());
+  return std::make_pair(id.value(), wire.subspan(8));
 }
 
 }  // namespace omni::baselines

@@ -34,11 +34,9 @@ void ByteWriter::str(const std::string& s) {
 }
 
 Result<Bytes> ByteReader::raw(std::size_t n) {
-  if (!need(n)) return Result<Bytes>::error("truncated raw bytes");
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
+  auto bytes = view(n);
+  if (!bytes) return Result<Bytes>::error(bytes.error_message());
+  return Bytes(bytes.value().begin(), bytes.value().end());
 }
 
 Result<Bytes> ByteReader::blob() {

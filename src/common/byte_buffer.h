@@ -80,6 +80,14 @@ class ByteReader {
     pos_ += out.size();
     return true;
   }
+  /// Read exactly n bytes as a view into the reader's input, valid as long
+  /// as that input (no copy, unlike raw()).
+  Result<BytesView> view(std::size_t n) {
+    if (!need(n)) return Result<BytesView>::error("truncated raw bytes");
+    BytesView out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
   /// Read exactly n raw bytes.
   Result<Bytes> raw(std::size_t n);
   /// Read a u32 length prefix then that many bytes.

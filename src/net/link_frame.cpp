@@ -2,8 +2,8 @@
 
 namespace omni {
 
-std::optional<std::span<const std::uint8_t>> unframe_ble_view(
-    std::span<const std::uint8_t> frame, const BleAddress& self) {
+std::optional<BytesView> unframe_ble_view(BytesView frame,
+                                          const BleAddress& self) {
   if (frame.empty()) return std::nullopt;
   if (frame[0] == kFrameBroadcast || frame[0] == kFrameBroadcastData) {
     return frame.subspan(1);
@@ -15,8 +15,8 @@ std::optional<std::span<const std::uint8_t>> unframe_ble_view(
   return frame.subspan(7);
 }
 
-std::optional<std::span<const std::uint8_t>> unframe_mesh_view(
-    std::span<const std::uint8_t> frame, const MeshAddress& self) {
+std::optional<BytesView> unframe_mesh_view(BytesView frame,
+                                           const MeshAddress& self) {
   if (frame.empty()) return std::nullopt;
   if (frame[0] == kFrameBroadcast || frame[0] == kFrameBroadcastData) {
     return frame.subspan(1);
@@ -28,20 +28,6 @@ std::optional<std::span<const std::uint8_t>> unframe_mesh_view(
   return frame.subspan(9);
 }
 
-std::optional<Bytes> unframe_ble(std::span<const std::uint8_t> frame,
-                                 const BleAddress& self) {
-  auto view = unframe_ble_view(frame, self);
-  if (!view) return std::nullopt;
-  return Bytes(view->begin(), view->end());
-}
-
-std::optional<Bytes> unframe_mesh(std::span<const std::uint8_t> frame,
-                                  const MeshAddress& self) {
-  auto view = unframe_mesh_view(frame, self);
-  if (!view) return std::nullopt;
-  return Bytes(view->begin(), view->end());
-}
-
 Bytes frame_aggregate(const std::vector<Bytes>& payloads) {
   std::size_t total = 1;
   for (const Bytes& p : payloads) total += 4 + p.size();
@@ -51,14 +37,16 @@ Bytes frame_aggregate(const std::vector<Bytes>& payloads) {
   return std::move(w).take();
 }
 
-std::vector<Bytes> unframe_aggregate(std::span<const std::uint8_t> frame) {
-  std::vector<Bytes> out;
+std::vector<BytesView> unframe_aggregate(BytesView frame) {
+  std::vector<BytesView> out;
   if (frame.empty() || frame[0] != kFrameAggregate) return out;
   ByteReader r(frame.subspan(1));
   while (!r.exhausted()) {
-    auto inner = r.blob();
+    auto len = r.u32();
+    if (!len) return {};
+    auto inner = r.view(len.value());
     if (!inner) return {};
-    out.push_back(std::move(inner).value());
+    out.push_back(inner.value());
   }
   return out;
 }

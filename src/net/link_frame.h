@@ -31,9 +31,10 @@ inline constexpr std::uint8_t kFrameBroadcastData = 0x02;
 inline constexpr std::uint8_t kFrameAggregate = 0x03;
 
 Bytes frame_aggregate(const std::vector<Bytes>& payloads);
-/// Split an aggregate frame into its inner payloads (empty if malformed or
-/// not an aggregate frame).
-std::vector<Bytes> unframe_aggregate(std::span<const std::uint8_t> frame);
+/// Split an aggregate frame into its inner payloads, as views into `frame`
+/// (empty if malformed or not an aggregate frame). The views are valid only
+/// as long as `frame`.
+std::vector<BytesView> unframe_aggregate(BytesView frame);
 
 inline Bytes frame_broadcast_data(const Bytes& packed) {
   Bytes out;
@@ -68,22 +69,14 @@ inline Bytes frame_unicast_mesh(const MeshAddress& dest, const Bytes& packed) {
   return std::move(w).take();
 }
 
-/// Unframe a BLE frame addressed to `self` (or broadcast). nullopt if the
-/// frame is malformed or addressed elsewhere.
-std::optional<Bytes> unframe_ble(std::span<const std::uint8_t> frame,
-                                 const BleAddress& self);
-
-/// Unframe a mesh multicast frame addressed to `self` (or broadcast).
-std::optional<Bytes> unframe_mesh(std::span<const std::uint8_t> frame,
-                                  const MeshAddress& self);
-
-/// Zero-copy unframe: the payload as a view into `frame`. The receive hot
-/// path copies it straight into a recycled packet buffer instead of through
-/// a temporary allocation. The view is valid only as long as `frame`.
-std::optional<std::span<const std::uint8_t>> unframe_ble_view(
-    std::span<const std::uint8_t> frame, const BleAddress& self);
-std::optional<std::span<const std::uint8_t>> unframe_mesh_view(
-    std::span<const std::uint8_t> frame, const MeshAddress& self);
+/// Unframe a BLE frame addressed to `self` (or broadcast): the payload as a
+/// view into `frame`, valid only as long as `frame`. nullopt if the frame is
+/// malformed or addressed elsewhere.
+std::optional<BytesView> unframe_ble_view(BytesView frame,
+                                          const BleAddress& self);
+/// Unframe a mesh frame addressed to `self` (or broadcast), as a view.
+std::optional<BytesView> unframe_mesh_view(BytesView frame,
+                                           const MeshAddress& self);
 
 /// Link-frame overhead for a unicast BLE frame.
 inline constexpr std::size_t kBleUnicastFrameOverhead = 7;

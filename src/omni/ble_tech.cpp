@@ -25,7 +25,7 @@ EnableResult BleTech::enable(const TechQueues& queues) {
   enabled_ = true;
   radio_.set_powered(true);
   radio_.set_receive_handler(
-      [this](const BleAddress& from, const Bytes& frame) {
+      [this](const BleAddress& from, const SharedBytes& frame) {
         on_radio_receive(from, frame);
       });
   radio_.set_power_handler([this](bool powered) {
@@ -171,19 +171,13 @@ void BleTech::process(SendRequest request) {
   }
 }
 
-void BleTech::on_radio_receive(const BleAddress& from, const Bytes& frame) {
+void BleTech::on_radio_receive(const BleAddress& from,
+                               const SharedBytes& frame) {
   if (!enabled_) return;
-  auto packed = unframe_ble_view(frame, radio_.address());
+  auto packed = unframe_ble_view(*frame, radio_.address());
   if (!packed) return;  // malformed or addressed to another device
-  // With beacons arriving at every scan interval this path runs more than
-  // anything else in a simulation. The view is copied into a recycled queue
-  // slot, whose buffer a drained packet left behind, so it allocates nothing
-  // in steady state.
-  queues_.receive->produce([&](ReceivedPacket& pkt) {
-    pkt.tech = Technology::kBle;
-    pkt.from = LowLevelAddress{from};
-    pkt.packed.assign(packed->begin(), packed->end());
-  });
+  queues_.receive->push(
+      ReceivedPacket{Technology::kBle, LowLevelAddress{from}, frame, *packed});
 }
 
 void BleTech::respond(const SendRequest& request, bool success,

@@ -54,7 +54,7 @@ class BleTech final : public CommTechnology {
  private:
   void drain_send_queue();
   void process(SendRequest request);
-  void on_radio_receive(const BleAddress& from, const Bytes& frame);
+  void on_radio_receive(const BleAddress& from, const SharedBytes& frame);
   void respond(const SendRequest& request, bool success,
                std::string failure = {});
 

@@ -121,11 +121,18 @@ struct TechResponse {
                                      LowLevelAddress new_address);
 };
 
-/// A received transmission placed on the shared receive_queue.
+/// A received transmission placed on the shared receive_queue. It copies
+/// nothing: `frame` is the buffer the medium delivered (the sender's own
+/// buffer, shared by every receiver of the transmission), and `packed`
+/// views the encoded omni_packed_struct inside it, after the link header.
+/// An aggregate frame yields one packet per inner struct, all sharing the
+/// frame. The manager releases the packet once it has handled it, so the
+/// queue never keeps a frame alive past its drain.
 struct ReceivedPacket {
   Technology tech = Technology::kBle;
   LowLevelAddress from;
-  Bytes packed;  ///< encoded omni_packed_struct
+  SharedBytes frame;  ///< keeps `packed` valid
+  BytesView packed;   ///< encoded omni_packed_struct, inside *frame
 };
 
 struct TechQueues {

@@ -777,28 +777,26 @@ void OmniManager::maintenance_tick() {
 
 void OmniManager::drain_packets(SimQueue<ReceivedPacket>& queue,
                                 std::vector<ReceivedPacket>& scratch) {
-  // Batch drain: one queue swap per tick instead of one pop per packet
-  // (and, for the concurrent deployment queue, one lock per tick). The
-  // outer loop catches packets enqueued while this batch was processed;
-  // the scratch buffer ping-pongs with the queue's, so steady-state
-  // draining allocates nothing. The shared queue drains in global context
-  // (see shared_receive_queue_); handle_packet's scratch members are safe
-  // in both because windows and the global phase never overlap in time.
+  // Batch drain: one queue swap per tick instead of one pop per packet. The
+  // outer loop catches packets enqueued while this batch was processed.
+  // Each handled batch is released at once: a packet holds a reference to
+  // the frame it arrived in, so a kept slot would keep the frame alive. The
+  // shared queue drains in global context (see shared_receive_queue_);
+  // handle_packet's scratch members are safe in both because windows and
+  // the global phase never overlap in time.
   while (!queue.empty()) {
     std::size_t n = queue.drain_into(scratch);
     for (std::size_t i = 0; i < n; ++i) {
       const ReceivedPacket& pkt = scratch[i];
       handle_packet(pkt.tech, pkt.from, pkt.packed);
     }
+    scratch.clear();
   }
-  // Deliberately no clear(): the processed packets swap back into the queue
-  // as recycled slots, whose payload buffers the technologies refill in
-  // place — the receive path allocates nothing in steady state.
 }
 
 void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
-                                std::span<const std::uint8_t> packed) {
-  std::span<const std::uint8_t> wire = packed;
+                                BytesView packed) {
+  BytesView wire = packed;
   if (BeaconCipher::looks_sealed(wire)) {
     // Encrypted beacon (paper §3.4): without the out-of-band key the packet
     // is opaque — the device effectively does not exist to us. Decrypt into
@@ -810,16 +808,13 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
     }
     wire = unseal_scratch_;
   }
-  // Decode into a reused scratch struct so the payload buffer survives
-  // across packets (handle_packet never runs re-entrantly: packets only
-  // arrive through the queue this drains).
-  Status decoded = PackedStruct::decode_into(wire, decode_scratch_);
+  auto decoded = PackedStruct::decode(wire);
   if (!decoded.is_ok()) {
     OMNI_WARN(sim_.now(), kTag, "dropping undecodable packet on %s: %s",
-              to_string(tech).c_str(), decoded.message().c_str());
+              to_string(tech).c_str(), decoded.error_message().c_str());
     return;
   }
-  const PackedStruct& p = decode_scratch_;
+  const PackedView& p = decoded.value();
   if (p.source == self_) return;  // our own broadcast echoed back
   ++stats_.packets_received;
 
@@ -863,7 +858,9 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
   if (options_.context_relay_hops > 0 &&
       (p.kind == PacketKind::kContext ||
        p.kind == PacketKind::kAddressBeacon)) {
-    maybe_relay(p, wire);
+    maybe_relay(p.source,
+                static_cast<std::uint8_t>(options_.context_relay_hops - 1),
+                wire);
   }
 
   switch (p.kind) {
@@ -903,13 +900,7 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
       break;
     }
     case PacketKind::kContext:
-      ++stats_.context_received;
-      if (obs::Omniscope* sc = scope_of(sim_)) {
-        sc->mark_frame_on(options_.owner, sc->core().context_rx,
-                          obs::Cat::kContextRx, p.source.value,
-                          p.payload.size());
-      }
-      for (const auto& cb : on_context_) cb(p.source, p.payload);
+      deliver_context(p);
       break;
     case PacketKind::kData:
       ++stats_.data_received;
@@ -917,6 +908,7 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
         sc->mark_on(options_.owner, sc->core().data_rx,
                     obs::Cat::kDataRx, p.source.value, p.payload.size());
       }
+      // The callbacks view the sender's encoded buffer itself.
       for (const auto& cb : on_data_) cb(p.source, p.payload);
       break;
     case PacketKind::kRelayed:
@@ -925,12 +917,21 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
   discovery_note_inserts();
 }
 
-void OmniManager::handle_relayed_packet(const PackedStruct& outer) {
+void OmniManager::deliver_context(const PackedView& p) {
+  ++stats_.context_received;
+  if (obs::Omniscope* sc = scope_of(sim_)) {
+    sc->mark_frame_on(options_.owner, sc->core().context_rx,
+                      obs::Cat::kContextRx, p.source.value, p.payload.size());
+  }
+  context_scratch_.assign(p.payload.begin(), p.payload.end());
+  for (const auto& cb : on_context_) cb(p.source, context_scratch_);
+}
+
+void OmniManager::handle_relayed_packet(const PackedView& outer) {
   ++stats_.relayed_in;
-  // Separate scratch from decode_scratch_: `outer` aliases that buffer.
-  Status decoded = PackedStruct::decode_into(outer.payload, relay_scratch_);
+  auto decoded = PackedStruct::decode(outer.payload);
   if (!decoded.is_ok()) return;
-  const PackedStruct& p = relay_scratch_;
+  const PackedView& p = decoded.value();
   if (p.source == self_ || p.source != outer.source) return;
 
   TimePoint now = sim_.now();
@@ -949,13 +950,7 @@ void OmniManager::handle_relayed_packet(const PackedStruct& outer) {
       }
       break;
     case PacketKind::kContext:
-      ++stats_.context_received;
-      if (obs::Omniscope* sc = scope_of(sim_)) {
-        sc->mark_frame_on(options_.owner, sc->core().context_rx,
-                          obs::Cat::kContextRx, p.source.value,
-                          p.payload.size());
-      }
-      for (const auto& cb : on_context_) cb(p.source, p.payload);
+      deliver_context(p);
       break;
     default:
       return;
@@ -964,27 +959,20 @@ void OmniManager::handle_relayed_packet(const PackedStruct& outer) {
   discovery_note_inserts();
   // Forward further if the hop budget allows.
   if (outer.hops_remaining > 0 && options_.context_relay_hops > 0) {
-    PackedStruct rewrapped = PackedStruct::relayed(
-        p.source, outer.payload,
-        static_cast<std::uint8_t>(outer.hops_remaining - 1));
-    maybe_relay(rewrapped, outer.payload);
+    maybe_relay(p.source,
+                static_cast<std::uint8_t>(outer.hops_remaining - 1),
+                outer.payload);
   }
 }
 
-void OmniManager::maybe_relay(const PackedStruct& packet,
-                              std::span<const std::uint8_t> inner_encoded) {
+void OmniManager::maybe_relay(OmniAddress source, std::uint8_t hops,
+                              BytesView inner_encoded) {
   // Content-addressed dedup: one active relay per distinct packet.
   std::uint64_t key = fnv1a64(inner_encoded);
   if (active_relays_.count(key) > 0) return;
 
-  std::uint8_t hops;
-  if (packet.kind == PacketKind::kRelayed) {
-    hops = packet.hops_remaining;  // already decremented by the caller
-  } else {
-    hops = static_cast<std::uint8_t>(options_.context_relay_hops - 1);
-  }
   SharedBytes packed = maybe_seal(
-      PackedStruct::relayed(packet.source,
+      PackedStruct::relayed(source,
                             Bytes(inner_encoded.begin(), inner_encoded.end()),
                             hops)
           .encode());

@@ -301,10 +301,10 @@ class OmniManager {
   void drain_packets(SimQueue<ReceivedPacket>& queue,
                      std::vector<ReceivedPacket>& scratch);
   void drain_response_queue();
-  /// The receive path proper: decode one drained packet and update the
-  /// peer and context mappings (paper §3.3).
+  /// The receive path proper: decode one drained packet in place and
+  /// update the peer and context mappings (paper §3.3).
   void handle_packet(Technology tech, const LowLevelAddress& from,
-                     std::span<const std::uint8_t> packed);
+                     BytesView packed);
   void handle_response(TechResponse response);
   void handle_data_response(const TechResponse& response);
   void handle_context_response(const TechResponse& response);
@@ -358,9 +358,11 @@ class OmniManager {
   const SharedBytes& beacon_wire();
 
   // Multi-hop relay.
-  void maybe_relay(const PackedStruct& packet,
-                   std::span<const std::uint8_t> inner_encoded);
-  void handle_relayed_packet(const PackedStruct& outer);
+  void maybe_relay(OmniAddress source, std::uint8_t hops,
+                   BytesView inner_encoded);
+  void handle_relayed_packet(const PackedView& outer);
+  /// Hand a received context (direct or relayed) to every context callback.
+  void deliver_context(const PackedView& p);
 
   // Context handling.
   std::optional<Technology> pick_context_tech(
@@ -419,12 +421,14 @@ class OmniManager {
   std::vector<ReceivedPacket> receive_scratch_;
   std::vector<ReceivedPacket> shared_receive_scratch_;
   std::vector<TechResponse> response_scratch_;
-  // Reused decode target (see handle_packet).
-  PackedStruct decode_scratch_;
-  // Reused unseal buffer (handle_packet) and relayed-inner decode target
-  // (handle_relayed_packet) — steady-state receive allocates nothing.
+  // A sealed packet's plaintext (handle_packet): decoding views it, so it
+  // must outlive the packet's handling. Bounded by the sealing technology's
+  // frame size.
   Bytes unseal_scratch_;
-  PackedStruct relay_scratch_;
+  // The context a context callback receives (deliver_context): callbacks
+  // take `const Bytes&`, and a context is bounded by the context
+  // technology's frame size.
+  Bytes context_scratch_;
 
   AddressBeaconInfo beacon_info_;
   SharedBytes beacon_packed_;

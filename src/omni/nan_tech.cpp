@@ -23,7 +23,7 @@ EnableResult NanTech::enable(const TechQueues& queues) {
   radio_.set_enabled(true);
   radio_.set_attendance(engaged_ ? 1 : options_.probe_attendance);
   radio_.set_receive_handler(
-      [this](const NanAddress& from, const Bytes& frame) {
+      [this](const NanAddress& from, const SharedBytes& frame) {
         on_receive(from, frame);
       });
   queues_.send->set_consumer([this] { drain_send_queue(); });
@@ -136,14 +136,13 @@ void NanTech::process(SendRequest request) {
   }
 }
 
-void NanTech::on_receive(const NanAddress& from, const Bytes& frame) {
-  if (!enabled_ || frame.empty()) return;
-  if (frame[0] != kFrameBroadcast && frame[0] != kFrameBroadcastData) return;
-  queues_.receive->produce([&](ReceivedPacket& pkt) {
-    pkt.tech = Technology::kWifiAware;
-    pkt.from = LowLevelAddress{from};
-    pkt.packed.assign(frame.begin() + 1, frame.end());
-  });
+void NanTech::on_receive(const NanAddress& from, const SharedBytes& frame) {
+  if (!enabled_ || frame->empty()) return;
+  const std::uint8_t type = frame->front();
+  if (type != kFrameBroadcast && type != kFrameBroadcastData) return;
+  queues_.receive->push(ReceivedPacket{Technology::kWifiAware,
+                                       LowLevelAddress{from}, frame,
+                                       BytesView(*frame).subspan(1)});
 }
 
 void NanTech::respond(const SendRequest& request, bool success,

@@ -46,7 +46,7 @@ class NanTech final : public CommTechnology {
  private:
   void drain_send_queue();
   void process(SendRequest request);
-  void on_receive(const NanAddress& from, const Bytes& frame);
+  void on_receive(const NanAddress& from, const SharedBytes& frame);
   void respond(const SendRequest& request, bool success,
                std::string failure = {});
 

@@ -77,52 +77,37 @@ Bytes PackedStruct::encode() const {
   return std::move(w).take();
 }
 
-Result<PackedStruct> PackedStruct::decode(
-    std::span<const std::uint8_t> wire) {
-  PackedStruct p;
-  Status s = decode_into(wire, p);
-  if (!s.is_ok()) return Result<PackedStruct>::error(s.message());
-  return p;
-}
-
-Status PackedStruct::decode_into(std::span<const std::uint8_t> wire,
-                                 PackedStruct& out) {
+Result<PackedView> PackedStruct::decode(BytesView wire) {
+  using R = Result<PackedView>;
   ByteReader r(wire);
   auto kind_byte = r.u8();
-  if (!kind_byte) return Status::error("empty packet");
+  if (!kind_byte) return R::error("empty packet");
   if (kind_byte.value() > static_cast<std::uint8_t>(PacketKind::kRelayed)) {
-    return Status::error("unknown packet kind");
+    return R::error("unknown packet kind");
   }
+  PackedView out;
   out.kind = static_cast<PacketKind>(kind_byte.value());
-  out.beacon = AddressBeaconInfo{};
-  out.hops_remaining = 0;
-  out.payload.clear();
   auto source = r.u64();
-  if (!source) return Status::error("truncated omni_address");
+  if (!source) return R::error("truncated omni_address");
   out.source = OmniAddress{source.value()};
-  if (!out.source.is_valid()) {
-    return Status::error("invalid (zero) omni_address");
-  }
+  if (!out.source.is_valid()) return R::error("invalid (zero) omni_address");
   if (out.kind == PacketKind::kAddressBeacon) {
     auto mesh = r.u64();
-    if (!mesh) return Status::error("truncated mesh address");
+    if (!mesh) return R::error("truncated mesh address");
     out.beacon.mesh = MeshAddress{mesh.value()};
     if (!r.raw_into(out.beacon.ble.octets)) {
-      return Status::error("truncated BLE address");
+      return R::error("truncated BLE address");
     }
-    if (!r.exhausted()) {
-      return Status::error("trailing bytes after beacon");
-    }
-    return Status::ok();
+    if (!r.exhausted()) return R::error("trailing bytes after beacon");
+    return out;
   }
   if (out.kind == PacketKind::kRelayed) {
     auto hops = r.u8();
-    if (!hops) return Status::error("truncated hop budget");
+    if (!hops) return R::error("truncated hop budget");
     out.hops_remaining = hops.value();
   }
-  std::span<const std::uint8_t> rest = wire.last(r.remaining());
-  out.payload.assign(rest.begin(), rest.end());
-  return Status::ok();
+  out.payload = wire.last(r.remaining());
+  return out;
 }
 
 }  // namespace omni

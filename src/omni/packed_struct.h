@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "common/byte_buffer.h"
 #include "common/result.h"
@@ -42,6 +41,17 @@ struct AddressBeaconInfo {
   bool operator==(const AddressBeaconInfo&) const = default;
 };
 
+/// A decoded omni_packed_struct that copies nothing: the fixed fields are
+/// read out, and `payload` views the bytes after them in the decoded wire.
+/// Valid only as long as that wire buffer.
+struct PackedView {
+  PacketKind kind = PacketKind::kContext;
+  OmniAddress source;
+  AddressBeaconInfo beacon;  ///< meaningful only for kAddressBeacon
+  BytesView payload;  ///< kContext/kData: app bytes; kRelayed: inner packet
+  std::uint8_t hops_remaining = 0;  ///< meaningful only for kRelayed
+};
+
 struct PackedStruct {
   PacketKind kind = PacketKind::kContext;
   OmniAddress source;
@@ -61,12 +71,10 @@ struct PackedStruct {
   std::size_t encoded_size() const;
 
   Bytes encode() const;
-  static Result<PackedStruct> decode(std::span<const std::uint8_t> wire);
-  /// decode() into a caller-owned struct: `out.payload` is assign()ed, so a
-  /// struct reused across packets keeps its buffer and decoding allocates
-  /// nothing in steady state. On error `out` is unspecified.
-  static Status decode_into(std::span<const std::uint8_t> wire,
-                            PackedStruct& out);
+  /// Decode `wire` in place: the result's payload points into `wire`.
+  static Result<PackedView> decode(BytesView wire);
+  /// A temporary buffer would leave the result's payload dangling.
+  static Result<PackedView> decode(Bytes&& wire) = delete;
 
   bool operator==(const PackedStruct&) const = default;
 };

@@ -42,18 +42,6 @@ class SimQueue {
     wake();
   }
 
-  /// Append a slot and let `fill` write it in place. A slot recycled from an
-  /// earlier drained batch keeps its heap buffers (a packet's payload vector,
-  /// say), so a producer that fills via assign() allocates nothing in steady
-  /// state.
-  template <typename Fill>
-  void produce(Fill&& fill) {
-    if (count_ == items_.size()) items_.emplace_back();
-    fill(items_[count_]);
-    ++count_;
-    wake();
-  }
-
   std::optional<T> try_pop() {
     if (count_ == 0) return std::nullopt;
     T out = std::move(items_.front());
@@ -72,11 +60,10 @@ class SimQueue {
   }
 
   /// drain() into a reused buffer: the backlog is exchanged with `out` and
-  /// the number of live items — a prefix of `out` — is returned. Elements
-  /// past that prefix are dead slots from earlier batches; a caller that
-  /// leaves them in place (no clear()) hands their buffers back to
-  /// produce()/push() at the next exchange, so steady-state draining
-  /// allocates nothing.
+  /// the number of live items — a prefix of `out` — is returned. The queue
+  /// takes `out`'s old storage in exchange; a caller that clear()s `out`
+  /// after handling the batch releases every item and keeps both vectors'
+  /// capacity, so steady-state draining allocates no vector storage.
   std::size_t drain_into(std::vector<T>& out) {
     std::swap(items_, out);
     std::size_t live = count_;
@@ -150,8 +137,8 @@ class SimQueue {
   std::uint32_t drain_slot_;  ///< callback-slot id for queue-drain descriptors
   // Vector, not deque: consumers batch-drain, so FIFO pop-front is rare
   // (short send queues only) while push/drain are hot. The live backlog is
-  // items_[0, count_); later elements are recycled slots whose buffers
-  // produce() reuses (see drain_into).
+  // items_[0, count_); later elements, if any, are what a drain_into()
+  // caller left in the vector it exchanged, and push() overwrites them.
   std::vector<T> items_;
   std::size_t count_ = 0;
   std::function<void()> consumer_;

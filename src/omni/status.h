@@ -42,12 +42,18 @@ struct ResponseInfo {
 using StatusCallback =
     std::function<void(StatusCode code, const ResponseInfo& info)>;
 
-/// receive_context_callback(source, context) — paper Table 1.
+/// receive_context_callback(source, context) — paper Table 1. `context` is
+/// the manager's copy of the received context (a context technology's frame
+/// bounds its size), valid for the duration of the call.
 using ReceiveContextCallback =
     std::function<void(const OmniAddress& source, const Bytes& context)>;
 
-/// receive_data_callback(source, data) — paper Table 1.
+/// receive_data_callback(source, data) — paper Table 1. `data` views the
+/// received frame itself (for WiFi unicast, the sender's encoded buffer):
+/// data is never copied on receive, since its size is unbounded. The view
+/// is valid only for the duration of the call; a callback that keeps the
+/// bytes copies them.
 using ReceiveDataCallback =
-    std::function<void(const OmniAddress& source, const Bytes& data)>;
+    std::function<void(const OmniAddress& source, BytesView data)>;
 
 }  // namespace omni

@@ -34,7 +34,8 @@ EnableResult WifiMulticastTech::enable(const TechQueues& queues) {
   enabled_ = true;
   radio_.set_powered(true);
   radio_.add_datagram_handler(
-      [this](const MeshAddress& from, const Bytes& payload, bool multicast) {
+      [this](const MeshAddress& from, const SharedBytes& payload,
+             bool multicast) {
         if (!multicast || !enabled_) return;
         on_multicast(from, payload);
       });
@@ -173,25 +174,21 @@ void WifiMulticastTech::schedule_maintenance_scan(Duration delay) {
 }
 
 void WifiMulticastTech::on_multicast(const MeshAddress& from,
-                                     const Bytes& frame) {
+                                     const SharedBytes& frame) {
   if (!engaged_ && radio_.simulator().now() > probe_window_until_) {
     return;  // disengaged and outside a probe window: not listening
   }
-  if (!frame.empty() && frame[0] == kFrameAggregate) {
-    for (Bytes& packed : unframe_aggregate(frame)) {
-      queues_.receive->push(ReceivedPacket{Technology::kWifiMulticast,
-                                           LowLevelAddress{from},
-                                           std::move(packed)});
+  if (!frame->empty() && frame->front() == kFrameAggregate) {
+    for (BytesView packed : unframe_aggregate(*frame)) {
+      queues_.receive->push(ReceivedPacket{
+          Technology::kWifiMulticast, LowLevelAddress{from}, frame, packed});
     }
     return;
   }
-  auto packed = unframe_mesh_view(frame, radio_.address());
+  auto packed = unframe_mesh_view(*frame, radio_.address());
   if (!packed) return;
-  queues_.receive->produce([&](ReceivedPacket& pkt) {
-    pkt.tech = Technology::kWifiMulticast;
-    pkt.from = LowLevelAddress{from};
-    pkt.packed.assign(packed->begin(), packed->end());
-  });
+  queues_.receive->push(ReceivedPacket{
+      Technology::kWifiMulticast, LowLevelAddress{from}, frame, *packed});
 }
 
 void WifiMulticastTech::drain_send_queue() {

@@ -94,7 +94,7 @@ class WifiMulticastTech final : public CommTechnology {
   void engage_sync_fired();
   static void probe_thunk(void* ctx);
   static void engage_sync_thunk(void* ctx);
-  void on_multicast(const MeshAddress& from, const Bytes& frame);
+  void on_multicast(const MeshAddress& from, const SharedBytes& frame);
   void respond(const SendRequest& request, bool success,
                std::string failure = {});
 

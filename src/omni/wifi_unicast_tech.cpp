@@ -16,15 +16,15 @@ EnableResult WifiUnicastTech::enable(const TechQueues& queues) {
   queues_ = queues;
   enabled_ = true;
   radio_.set_powered(true);
-  radio_.add_datagram_handler(
-      [this](const MeshAddress& from, const Bytes& payload, bool multicast) {
-        if (multicast || !enabled_) return;
-        queues_.receive->produce([&](ReceivedPacket& pkt) {
-          pkt.tech = Technology::kWifiUnicast;
-          pkt.from = LowLevelAddress{from};
-          pkt.packed.assign(payload.begin(), payload.end());
-        });
-      });
+  radio_.add_datagram_handler([this](const MeshAddress& from,
+                                     const SharedBytes& payload,
+                                     bool multicast) {
+    if (multicast || !enabled_) return;
+    // A unicast flow carries the sender's encoded packet with no link
+    // header: the packet is the whole delivered buffer.
+    queues_.receive->push(ReceivedPacket{
+        Technology::kWifiUnicast, LowLevelAddress{from}, payload, *payload});
+  });
   radio_.add_power_handler([this](bool powered) {
     if (!enabled_) return;
     if (!powered) {

@@ -246,12 +246,12 @@ Status BleRadio::send_datagram(Bytes payload, SendDoneFn done,
   return Status::ok();
 }
 
-void BleRadio::deliver(const BleAddress& from, const Bytes& payload) {
+void BleRadio::deliver(const BleAddress& from, const SharedBytes& payload) {
   if (!powered_ || !scanning_) return;
   if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc != nullptr &&
                                              sc->recording()) {
     sc->mark_frame(sc->core().ble_rx, obs::Cat::kBleRx,
-                   /*a0=*/payload.size());
+                   /*a0=*/payload->size());
   }
   if (on_receive_) on_receive_(from, payload);
 }
@@ -362,8 +362,7 @@ void BleMedium::update_scan_state(BleRadio* radio) {
                        sim::kEventBleScanApply, p, n);
 }
 
-void BleMedium::broadcast(const BleRadio& from,
-                          const std::shared_ptr<const Bytes>& payload,
+void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
                           bool reliable_burst) {
   // Candidate nodes come from the world's spatial grid (exact-range
   // filtered, ascending by node id, including the sender's own node so
@@ -448,7 +447,7 @@ void BleMedium::broadcast(const BleRadio& from,
         } else {
           sim.after_on(c.node, latency,
                        [this, node = c.node, rx_uid = c.uid, src_addr,
-                        pl = payload] { deliver(node, rx_uid, src_addr, *pl); });
+                        pl = payload] { deliver(node, rx_uid, src_addr, pl); });
         }
       }
       return;
@@ -468,7 +467,7 @@ void BleMedium::broadcast(const BleRadio& from,
   std::uint64_t salt = 0;
   Duration fault_delay = Duration::zero();
   sim::Vec2 src_pos{};
-  std::shared_ptr<const Bytes> mangled;
+  SharedBytes mangled;
   if (plan != nullptr) {
     salt = ++fault_salts_[from.node()];
     fault_delay = plan->extra_latency(from.node(), sim::FaultPlan::kAnyNode,
@@ -563,7 +562,7 @@ void BleMedium::broadcast(const BleRadio& from,
         sim.after_on(node, latency + fault_delay,
                      [this, node, rx_uid = st.uid, src_addr,
                       pl = corrupt_here ? mangled : payload] {
-                       deliver(node, rx_uid, src_addr, *pl);
+                       deliver(node, rx_uid, src_addr, pl);
                      });
       }
     }
@@ -696,7 +695,7 @@ void BleMedium::deliver_batch(const std::vector<PendingTx>& txs,
   for (std::size_t k = begin; k < end; ++k) {
     const PendingWinner& rec = batch[k];
     const PendingTx& tx = txs[rec.tx];
-    delivered += deliver_uncounted(rec.dst, rec.rx_uid, tx.from, *tx.payload);
+    delivered += deliver_uncounted(rec.dst, rec.rx_uid, tx.from, tx.payload);
   }
   if (delivered != 0) {
     lanes_[world_.simulator().current_shard_index()].delivered += delivered;
@@ -704,7 +703,7 @@ void BleMedium::deliver_batch(const std::vector<PendingTx>& txs,
 }
 
 void BleMedium::deliver(NodeId node, std::uint32_t rx_uid,
-                        const BleAddress& from, const Bytes& payload) {
+                        const BleAddress& from, const SharedBytes& payload) {
   if (deliver_uncounted(node, rx_uid, from, payload)) {
     ++lanes_[world_.simulator().current_shard_index()].delivered;
   }
@@ -712,7 +711,7 @@ void BleMedium::deliver(NodeId node, std::uint32_t rx_uid,
 
 bool BleMedium::deliver_uncounted(NodeId node, std::uint32_t rx_uid,
                                   const BleAddress& from,
-                                  const Bytes& payload) {
+                                  const SharedBytes& payload) {
   if (node >= radios_by_node_.size()) return false;
   for (const RadioState& st : radios_by_node_[node]) {
     if (st.uid != rx_uid) continue;  // radio detached since the broadcast

@@ -45,7 +45,10 @@ using AdvertisementId = std::uint32_t;
 
 class BleRadio {
  public:
-  using ReceiveFn = std::function<void(const BleAddress& from, const Bytes&)>;
+  /// Receives the transmitter's frame itself, shared by every receiver of
+  /// the transmission; a handler that keeps a reference keeps the frame.
+  using ReceiveFn =
+      std::function<void(const BleAddress& from, const SharedBytes& frame)>;
   using SendDoneFn = std::function<void(Status)>;
 
   BleRadio(BleMedium& medium, sim::Simulator& sim, EnergyMeter& meter,
@@ -117,13 +120,13 @@ class BleRadio {
                        bool deterministic_latency = true);
 
   /// Called by the medium when an in-range advertisement arrives.
-  void deliver(const BleAddress& from, const Bytes& payload);
+  void deliver(const BleAddress& from, const SharedBytes& payload);
 
  private:
   struct Advertisement {
     // Immutable once set (replaced wholesale on update): in-flight delivery
     // events share it, and every fire broadcasts it without copying.
-    std::shared_ptr<const Bytes> payload;
+    SharedBytes payload;
     Duration interval;
     sim::EventHandle next_event;
   };
@@ -178,8 +181,7 @@ class BleMedium {
   /// bypasses the capture trial: repeating the event across the window makes
   /// capture all but certain. Runs in the sender's execution context; trials
   /// draw from the sender's RNG stream against the scan-state snapshot.
-  void broadcast(const BleRadio& from,
-                 const std::shared_ptr<const Bytes>& payload,
+  void broadcast(const BleRadio& from, const SharedBytes& payload,
                  bool reliable_burst = false);
 
   /// Smallest cross-node latency this medium can produce: one advertising
@@ -220,7 +222,7 @@ class BleMedium {
     TimePoint at;  ///< delivery instant (transmission + min_latency)
     NodeId src;    ///< transmitting node (canonical-order key)
     BleAddress from;
-    std::shared_ptr<const Bytes> payload;
+    SharedBytes payload;
   };
   /// A capture-trial winner awaiting delivery. Produced on the sender's
   /// shard during a window (one lane per shard, so recording is contention-
@@ -283,14 +285,14 @@ class BleMedium {
   static void scan_apply_handler(void* ctx, sim::Simulator& sim,
                                  const sim::EventDesc& d);
   void deliver(NodeId node, std::uint32_t rx_uid, const BleAddress& from,
-               const Bytes& payload);
+               const SharedBytes& payload);
   /// Run one sweep event: slot(16) | begin(24) | end(24), see flush_pending.
   void run_sweep(std::uint64_t packed);
   /// deliver() minus the per-reception shard-lane counter bump; returns
   /// whether the radio was still attached. deliver_batch counts locally and
   /// settles its lane counter once per sweep event.
   bool deliver_uncounted(NodeId node, std::uint32_t rx_uid,
-                         const BleAddress& from, const Bytes& payload);
+                         const BleAddress& from, const SharedBytes& payload);
   /// Barrier hook: sort this window's recorded winners into canonical
   /// (receiver, time, sender) order and schedule one sweep event per
   /// (delivery instant, receiver) run of the sorted batch.

@@ -49,9 +49,12 @@ MeshNetwork::~MeshNetwork() {
 }
 
 void MeshNetwork::add_member(WifiRadio& radio) {
-  if (is_member(radio)) return;
+  auto& on_node = members_by_node_[radio.node()];
+  if (std::find(on_node.begin(), on_node.end(), &radio) != on_node.end()) {
+    return;
+  }
   members_.push_back(&radio);
-  members_by_node_[radio.node()].push_back(&radio);
+  on_node.push_back(&radio);
 }
 
 void MeshNetwork::remove_member(WifiRadio& radio) {
@@ -77,12 +80,21 @@ const std::vector<WifiRadio*>* MeshNetwork::members_on_node(
 }
 
 bool MeshNetwork::is_member(const WifiRadio& radio) const {
-  return std::find(members_.begin(), members_.end(), &radio) !=
-         members_.end();
+  const auto* on_node = members_on_node(radio.node());
+  return on_node != nullptr &&
+         std::find(on_node->begin(), on_node->end(), &radio) !=
+             on_node->end();
 }
 
 WifiRadio* MeshNetwork::find_member(const MeshAddress& addr) const {
-  for (WifiRadio* r : members_) {
+  // A radio's address is MeshAddress::from_node(its node), so the address
+  // names the only node whose members can carry it. Members on a node stay
+  // in join order: the first-joined radio with the address wins.
+  const auto node = static_cast<NodeId>(addr.value);
+  if (MeshAddress::from_node(node) != addr) return nullptr;
+  const auto* on_node = members_on_node(node);
+  if (on_node == nullptr) return nullptr;
+  for (WifiRadio* r : *on_node) {
     if (r->address() == addr) return r;
   }
   return nullptr;
@@ -251,7 +263,7 @@ void MeshNetwork::finish_flow(FlowId id, Status status) {
   flows_.erase(it);
   recompute_rates();
   if (status.is_ok() && payload != nullptr && !payload->empty()) {
-    dst->deliver_datagram(src_addr, *payload, /*multicast=*/false);
+    dst->deliver_datagram(src_addr, payload, /*multicast=*/false);
   }
   if (done) done(std::move(status));
 }
@@ -365,11 +377,12 @@ Status MeshNetwork::send_datagram(WifiRadio& src, const MeshAddress& dst,
   }
   MeshAddress from = src.address();
   sim.after(cal.wifi_rtt * 0.5 + extra,
-            [peer, from, payload = std::move(payload), &cal] {
+            [peer, from,
+             frame = std::make_shared<const Bytes>(std::move(payload)), &cal] {
               peer->meter().charge_for(Duration::millis(2),
                                        cal.wifi_receive_ma,
                                        obs::EnergyRail::kWifi);
-              peer->deliver_datagram(from, payload, /*multicast=*/false);
+              peer->deliver_datagram(from, frame, /*multicast=*/false);
             });
   return Status::ok();
 }
@@ -413,7 +426,9 @@ Status MeshNetwork::multicast_datagram(WifiRadio& src, Bytes payload) {
   Duration occ = cal.wifi_multicast_beacon_occupancy;
   mc_busy_until_ = start + occ;
   MeshAddress from = src.address();
-  sim.at(mc_busy_until_, [this, &src, from, payload = std::move(payload)] {
+  sim.at(mc_busy_until_, [this, &src, from,
+                          frame = std::make_shared<const Bytes>(
+                              std::move(payload))] {
     const auto& c = system_.calibration();
     const sim::FaultPlan* plan = fault_plan();
     const TimePoint now = system_.simulator().now();
@@ -448,13 +463,13 @@ Status MeshNetwork::multicast_datagram(WifiRadio& src, Bytes payload) {
             sc->count_on(src.node(), sc->core().fault_corruptions);
             sc->instant_on(src.node(), obs::Cat::kFaultCorrupt, rx->node());
           }
-          Bytes mangled = payload;
-          sim::FaultPlan::corrupt_in_place(mangled, salt);
-          rx->deliver_datagram(from, mangled, /*multicast=*/true);
+          auto mangled = std::make_shared<Bytes>(*frame);
+          sim::FaultPlan::corrupt_in_place(*mangled, salt);
+          rx->deliver_datagram(from, std::move(mangled), /*multicast=*/true);
           continue;
         }
       }
-      rx->deliver_datagram(from, payload, /*multicast=*/true);
+      rx->deliver_datagram(from, frame, /*multicast=*/true);
     }
   });
   return Status::ok();
@@ -470,7 +485,9 @@ Status MeshNetwork::multicast_bulk(WifiRadio& src, std::uint64_t bytes,
       std::max<std::uint64_t>(1, (bytes + cal.wifi_multicast_mtu - 1) /
                                      cal.wifi_multicast_mtu);
   bulk_queue_.push_back(
-      BulkItem{&src, fragments, bytes, std::move(payload), std::move(done)});
+      BulkItem{&src, fragments, bytes,
+               std::make_shared<const Bytes>(std::move(payload)),
+               std::move(done)});
   if (!bulk_busy_) {
     bulk_busy_ = true;
     recompute_rates();

@@ -131,7 +131,7 @@ class MeshNetwork {
     WifiRadio* src;
     std::uint64_t fragments_left;
     std::uint64_t bytes;
-    Bytes payload;
+    SharedBytes payload;  // one buffer for every receiver
     MulticastDoneFn done;
   };
 

@@ -106,7 +106,7 @@ void NanSystem::run_window() {
         for (NanRadio* rx : it->second) {
           if (rx == tx) continue;
           NanAddress from = tx->address();
-          Bytes copy = payload;
+          SharedBytes frame = payload;
           if (plan != nullptr) {
             obs::Omniscope* sc = OMNI_SCOPE(sim);
             if (sc != nullptr && !sc->recording()) sc = nullptr;
@@ -137,12 +137,14 @@ void NanSystem::run_window() {
                 sc->instant_on(tx->node(), obs::Cat::kFaultCorrupt,
                                rx->node());
               }
-              sim::FaultPlan::corrupt_in_place(copy, salt);
+              auto mangled = std::make_shared<Bytes>(*payload);
+              sim::FaultPlan::corrupt_in_place(*mangled, salt);
+              frame = std::move(mangled);
             }
           }
           sim.after(deliver_after + tx_extra,
-                    [rx, from, copy = std::move(copy)] {
-                      rx->deliver(from, copy);
+                    [rx, from, frame = std::move(frame)] {
+                      rx->deliver(from, frame);
                     });
         }
       }
@@ -205,7 +207,9 @@ void NanSystem::run_window() {
             sc->instant_on(tx->node(), obs::Cat::kFaultCorrupt,
                            dest->node());
           }
-          sim::FaultPlan::corrupt_in_place(fu.payload, salt);
+          auto mangled = std::make_shared<Bytes>(*fu.payload);
+          sim::FaultPlan::corrupt_in_place(*mangled, salt);
+          fu.payload = std::move(mangled);
         }
       }
       NanAddress from = tx->address();
@@ -303,7 +307,7 @@ Result<NanRadio::PublishId> NanRadio::publish(Bytes payload) {
                                     " bytes");
   }
   PublishId id = next_publish_++;
-  publishes_[id] = std::move(payload);
+  publishes_[id] = std::make_shared<const Bytes>(std::move(payload));
   return id;
 }
 
@@ -313,7 +317,7 @@ Status NanRadio::update_publish(PublishId id, Bytes payload) {
   if (payload.size() > cal_.nan_max_payload) {
     return Status::error("NAN service info too large");
   }
-  it->second = std::move(payload);
+  it->second = std::make_shared<const Bytes>(std::move(payload));
   return Status::ok();
 }
 
@@ -329,11 +333,13 @@ Status NanRadio::send_followup(const NanAddress& dest, Bytes payload,
     return Status::error("NAN follow-up exceeds " +
                          std::to_string(cal_.nan_max_followup) + " bytes");
   }
-  followups_.push_back(Followup{dest, std::move(payload), std::move(done)});
+  followups_.push_back(Followup{
+      dest, std::make_shared<const Bytes>(std::move(payload)),
+      std::move(done)});
   return Status::ok();
 }
 
-void NanRadio::deliver(const NanAddress& from, const Bytes& payload) {
+void NanRadio::deliver(const NanAddress& from, const SharedBytes& payload) {
   if (!enabled_) return;
   if (on_receive_) on_receive_(from, payload);
 }

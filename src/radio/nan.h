@@ -79,8 +79,11 @@ class NanSystem {
 
 class NanRadio {
  public:
+  /// Receives the transmitter's frame itself: a publish reaches every
+  /// receiver as one shared buffer, and only a corrupted delivery gets its
+  /// own mangled copy.
   using ReceiveFn =
-      std::function<void(const NanAddress& from, const Bytes& payload)>;
+      std::function<void(const NanAddress& from, const SharedBytes& frame)>;
   using SendDoneFn = std::function<void(Status)>;
   using PublishId = std::uint32_t;
 
@@ -118,11 +121,13 @@ class NanRadio {
   // Called by the NanSystem during windows.
   bool attends(std::uint64_t window_index) const;
   void window_wake(TimePoint window_start);
-  void deliver(const NanAddress& from, const Bytes& payload);
-  const std::map<PublishId, Bytes>& publishes() const { return publishes_; }
+  void deliver(const NanAddress& from, const SharedBytes& payload);
+  const std::map<PublishId, SharedBytes>& publishes() const {
+    return publishes_;
+  }
   struct Followup {
     NanAddress dest;
-    Bytes payload;
+    SharedBytes payload;
     SendDoneFn done;
     /// Windows left before the follow-up gives up (destination asleep or
     /// out of range throughout).
@@ -142,7 +147,7 @@ class NanRadio {
 
   bool enabled_ = false;
   std::uint32_t attendance_ = 1;
-  std::map<PublishId, Bytes> publishes_;
+  std::map<PublishId, SharedBytes> publishes_;
   PublishId next_publish_ = 1;
   std::deque<Followup> followups_;
   ReceiveFn on_receive_;

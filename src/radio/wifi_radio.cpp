@@ -137,7 +137,7 @@ void WifiRadio::leave() {
 }
 
 void WifiRadio::deliver_datagram(const MeshAddress& from,
-                                 const Bytes& payload, bool multicast) {
+                                 const SharedBytes& payload, bool multicast) {
   if (!powered_) return;
   for (const auto& handler : handlers_) handler(from, payload, multicast);
 }

@@ -29,9 +29,13 @@ class WifiRadio {
   using ScanFn = std::function<void(std::vector<MeshNetwork*>)>;
   using JoinFn = std::function<void(Status)>;
   /// Datagram delivery: `multicast` distinguishes multicast receptions from
-  /// unicast ones so protocol layers sharing the radio can demux.
-  using DatagramFn = std::function<void(const MeshAddress& from,
-                                        const Bytes& payload, bool multicast)>;
+  /// unicast ones so protocol layers sharing the radio can demux. `payload`
+  /// is the sender's buffer itself (a flow's in-band message, or one
+  /// multicast transmission shared by all its receivers); a handler that
+  /// keeps a reference keeps the buffer.
+  using DatagramFn =
+      std::function<void(const MeshAddress& from, const SharedBytes& payload,
+                         bool multicast)>;
 
   WifiRadio(WifiSystem& system, EnergyMeter& meter, NodeId node);
   ~WifiRadio();
@@ -74,7 +78,7 @@ class WifiRadio {
     power_handlers_.push_back(std::move(fn));
   }
   void clear_datagram_handlers() { handlers_.clear(); }
-  void deliver_datagram(const MeshAddress& from, const Bytes& payload,
+  void deliver_datagram(const MeshAddress& from, const SharedBytes& payload,
                         bool multicast);
 
   BusyCharger& rx_charger() { return rx_charger_; }

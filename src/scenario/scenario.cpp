@@ -777,7 +777,7 @@ Status Scenario::run(std::ostream& out, unsigned threads, bool observe) {
                                               options);
     auto* ld = &live[i];
     live[i].node->manager().request_data(
-        [ld](const OmniAddress&, const Bytes&) { ++ld->data_received; });
+        [ld](const OmniAddress&, BytesView) { ++ld->data_received; });
     live[i].node->start();
   }
 

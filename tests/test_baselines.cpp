@@ -33,7 +33,9 @@ TEST_F(BaselineTest, SpBleDiscoveryAndSmallData) {
   });
   Bytes data_seen;
   b.set_data_handler(
-      [&](D2dStack::PeerId, const Bytes& data) { data_seen = data; });
+      [&](D2dStack::PeerId, BytesView data) {
+        data_seen.assign(data.begin(), data.end());
+      });
 
   a.start();
   b.start();
@@ -79,7 +81,9 @@ TEST_F(BaselineTest, SpWifiFirstSendPaysFullRitual) {
   auto& db = bed.add_device("b", {10, 0});
   SpWifiNode a(da, bed.mesh()), b(db, bed.mesh());
   Bytes got;
-  b.set_data_handler([&](D2dStack::PeerId, const Bytes& d) { got = d; });
+  b.set_data_handler([&](D2dStack::PeerId, BytesView d) {
+    got.assign(d.begin(), d.end());
+  });
   a.start();
   b.start();
   a.advertise(Bytes{'a'}, Duration::millis(500));
@@ -111,8 +115,8 @@ TEST_F(BaselineTest, SpWifiBroadcastDataReachesAll) {
   auto& dc = bed.add_device("c", {20, 0});
   SpWifiNode a(da, bed.mesh()), b(db, bed.mesh()), c(dc, bed.mesh());
   int b_got = 0, c_got = 0;
-  b.set_data_handler([&](D2dStack::PeerId, const Bytes&) { ++b_got; });
-  c.set_data_handler([&](D2dStack::PeerId, const Bytes&) { ++c_got; });
+  b.set_data_handler([&](D2dStack::PeerId, BytesView) { ++b_got; });
+  c.set_data_handler([&](D2dStack::PeerId, BytesView) { ++c_got; });
   a.start();
   b.start();
   c.start();
@@ -149,7 +153,9 @@ TEST_F(BaselineTest, SaBleDiscoveredPeerSkipsAdvertWait) {
   Directory dir;
   SaNode a(da, bed.mesh(), dir), b(db, bed.mesh(), dir);
   Bytes got;
-  b.set_data_handler([&](D2dStack::PeerId, const Bytes& d) { got = d; });
+  b.set_data_handler([&](D2dStack::PeerId, BytesView d) {
+    got.assign(d.begin(), d.end());
+  });
   a.start();
   b.start();
   bed.simulator().run_for(Duration::seconds(3));
@@ -175,7 +181,9 @@ TEST_F(BaselineTest, SaWithoutWifiSendsOverBle) {
   options.data_over_wifi = false;
   SaNode a(da, bed.mesh(), dir, options), b(db, bed.mesh(), dir, options);
   Bytes got;
-  b.set_data_handler([&](D2dStack::PeerId, const Bytes& d) { got = d; });
+  b.set_data_handler([&](D2dStack::PeerId, BytesView d) {
+    got.assign(d.begin(), d.end());
+  });
   a.start();
   b.start();
   bed.simulator().run_for(Duration::seconds(2));
@@ -198,7 +206,9 @@ TEST_F(BaselineTest, OmniStackImplementsSameContract) {
   a.set_advert_handler(
       [&](D2dStack::PeerId, const Bytes& info) { advert_seen = info; });
   b.set_data_handler(
-      [&](D2dStack::PeerId, const Bytes& d) { data_seen = d; });
+      [&](D2dStack::PeerId, BytesView d) {
+        data_seen.assign(d.begin(), d.end());
+      });
   a.start();
   b.start();
   b.advertise(Bytes{'B'}, Duration::millis(500));

@@ -17,9 +17,9 @@ TEST_F(BleRadioTest, PeriodicAdvertisementsReachScanners) {
   b.ble().set_scanning(true, 1.0);
   int received = 0;
   b.ble().set_receive_handler(
-      [&](const BleAddress& from, const Bytes& payload) {
+      [&](const BleAddress& from, const SharedBytes& payload) {
         EXPECT_EQ(from, a.ble().address());
-        EXPECT_EQ(payload, (Bytes{1, 2, 3}));
+        EXPECT_EQ(*payload, (Bytes{1, 2, 3}));
         ++received;
       });
   auto adv = a.ble().start_advertising(Bytes{1, 2, 3}, Duration::millis(500));
@@ -30,13 +30,35 @@ TEST_F(BleRadioTest, PeriodicAdvertisementsReachScanners) {
   EXPECT_LE(received, 20);
 }
 
+TEST_F(BleRadioTest, ReceiversShareTheAdvertisersFrame) {
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {10, 0});
+  auto& c = bed.add_device("c", {0, 10});
+  std::vector<const Bytes*> frames;
+  for (net::Device* rx : {&b, &c}) {
+    rx->ble().set_scanning(true, 1.0);
+    rx->ble().set_receive_handler(
+        [&](const BleAddress&, const SharedBytes& frame) {
+          EXPECT_EQ(*frame, (Bytes{4, 5, 6}));
+          frames.push_back(frame.get());
+        });
+  }
+  ASSERT_TRUE(
+      a.ble().start_advertising(Bytes{4, 5, 6}, Duration::millis(100)).is_ok());
+  bed.simulator().run_for(Duration::seconds(1));
+  // Every fire reached both receivers as the one buffer the advertisement
+  // was started with: no copy per receiver and none per fire.
+  ASSERT_GE(frames.size(), 4u);
+  for (const Bytes* f : frames) EXPECT_EQ(f, frames.front());
+}
+
 TEST_F(BleRadioTest, OutOfRangeScannersHearNothing) {
   auto& a = bed.add_device("a", {0, 0});
   auto& b = bed.add_device("b", {500, 0});  // beyond ble_range_m
   b.ble().set_scanning(true, 1.0);
   int received = 0;
   b.ble().set_receive_handler(
-      [&](const BleAddress&, const Bytes&) { ++received; });
+      [&](const BleAddress&, const SharedBytes&) { ++received; });
   ASSERT_TRUE(
       a.ble().start_advertising(Bytes{1}, Duration::millis(100)).is_ok());
   bed.simulator().run_for(Duration::seconds(5));
@@ -71,8 +93,9 @@ TEST_F(BleRadioTest, UpdateChangesPayloadAndStopEndsTransmission) {
   b.ble().set_scanning(true, 1.0);
   Bytes last;
   int count = 0;
-  b.ble().set_receive_handler([&](const BleAddress&, const Bytes& payload) {
-    last = payload;
+  b.ble().set_receive_handler([&](const BleAddress&,
+                                  const SharedBytes& payload) {
+    last = *payload;
     ++count;
   });
   auto adv = a.ble().start_advertising(Bytes{1}, Duration::millis(100));
@@ -109,7 +132,7 @@ TEST_F(BleRadioTest, DatagramLatencyIsFastAdvMean) {
   auto& b = bed.add_device("b", {10, 0});
   b.ble().set_scanning(true, 1.0);
   TimePoint delivered;
-  b.ble().set_receive_handler([&](const BleAddress&, const Bytes&) {
+  b.ble().set_receive_handler([&](const BleAddress&, const SharedBytes&) {
     delivered = bed.simulator().now();
   });
   TimePoint t0 = bed.simulator().now();
@@ -134,7 +157,7 @@ TEST_F(BleRadioTest, PowerOffCancelsEverything) {
   b.ble().set_scanning(true, 1.0);
   int received = 0;
   b.ble().set_receive_handler(
-      [&](const BleAddress&, const Bytes&) { ++received; });
+      [&](const BleAddress&, const SharedBytes&) { ++received; });
   ASSERT_TRUE(
       a.ble().start_advertising(Bytes{1}, Duration::millis(100)).is_ok());
   bed.simulator().run_for(Duration::seconds(1));
@@ -166,7 +189,7 @@ TEST_F(BleRadioTest, LowDutyScannerMissesSomeBeacons) {
   b.ble().set_scanning(true, 0.1);
   int received = 0;
   b.ble().set_receive_handler(
-      [&](const BleAddress&, const Bytes&) { ++received; });
+      [&](const BleAddress&, const SharedBytes&) { ++received; });
   ASSERT_TRUE(
       a.ble().start_advertising(Bytes{1}, Duration::millis(100)).is_ok());
   bed.simulator().run_for(Duration::seconds(20));  // 200 events

@@ -74,7 +74,9 @@ TEST(RelayTest, RelayedAddressBeaconEnablesDirectWifiData) {
 
   Bytes data_at_a;
   a.manager().request_data(
-      [&](const OmniAddress&, const Bytes& d) { data_at_a = d; });
+      [&](const OmniAddress&, BytesView d) {
+        data_at_a.assign(d.begin(), d.end());
+      });
 
   a.start();
   b.start();
@@ -253,7 +255,7 @@ TEST(AddressRotationTest, CommunicationSurvivesBleAddressRotation) {
   OmniNode b(db, bed.mesh());
   Bytes got;
   a.manager().request_data(
-      [&](const OmniAddress&, const Bytes& d) { got = d; });
+      [&](const OmniAddress&, BytesView d) { got.assign(d.begin(), d.end()); });
   a.start();
   b.start();
   bed.simulator().run_for(Duration::seconds(3));

@@ -52,13 +52,12 @@ class StallTech final : public CommTechnology {
 
   /// Fabricate an address-beacon sighting so the manager learns `peer`.
   void inject_beacon(OmniAddress peer, MeshAddress from) {
-    queues_.receive->produce([&](ReceivedPacket& pkt) {
-      pkt.tech = Technology::kWifiUnicast;
-      pkt.from = LowLevelAddress{from};
-      AddressBeaconInfo info;
-      info.mesh = from;
-      pkt.packed = PackedStruct::address_beacon(peer, info).encode();
-    });
+    AddressBeaconInfo info;
+    info.mesh = from;
+    auto frame = std::make_shared<const Bytes>(
+        PackedStruct::address_beacon(peer, info).encode());
+    queues_.receive->push(ReceivedPacket{
+        Technology::kWifiUnicast, LowLevelAddress{from}, frame, *frame});
   }
 
   std::uint64_t swallowed() const { return swallowed_.size(); }
@@ -242,7 +241,7 @@ TEST_F(FailureInjectionTest, MidTransferRangeLossFailsOverToBle) {
   OmniNode b(db, bed.mesh());
   Bytes got;
   b.manager().request_data(
-      [&](const OmniAddress&, const Bytes& d) { got = d; });
+      [&](const OmniAddress&, BytesView d) { got.assign(d.begin(), d.end()); });
   a.start();
   b.start();
   bed.simulator().run_for(Duration::seconds(3));

@@ -4,9 +4,56 @@
 
 #include "net/testbed.h"
 #include "omni/omni_node.h"
+#include "omni/packed_struct.h"
 
 namespace omni {
 namespace {
+
+/// Forwards every request to a real WiFi-unicast technology and keeps a
+/// reference to each data send's buffer: the sending manager's encoded
+/// packet.
+class TapUnicastTech final : public CommTechnology {
+ public:
+  TapUnicastTech(net::Device& device, radio::MeshNetwork& mesh)
+      : inner_(device.wifi(), mesh), forward_(device.meter().simulator()) {}
+
+  EnableResult enable(const TechQueues& queues) override {
+    send_ = queues.send;
+    send_->set_consumer([this] {
+      while (auto request = send_->try_pop()) {
+        if (request->op == SendOp::kSendData) sent_.push_back(request->packed);
+        forward_.push(std::move(*request));
+      }
+    });
+    return inner_.enable(
+        TechQueues{&forward_, queues.receive, queues.response});
+  }
+  void disable() override {
+    send_->clear_consumer();
+    inner_.disable();
+  }
+  Technology type() const override { return inner_.type(); }
+  bool enabled() const override { return inner_.enabled(); }
+  bool supports_context() const override { return false; }
+  bool supports_data() const override { return true; }
+  std::size_t max_context_payload() const override { return 0; }
+  std::size_t max_data_payload() const override { return 0; }
+  Duration estimate_data_time(std::size_t bytes,
+                              bool needs_refresh) const override {
+    return inner_.estimate_data_time(bytes, needs_refresh);
+  }
+  void set_engaged(bool engaged) override { inner_.set_engaged(engaged); }
+  bool engaged() const override { return inner_.engaged(); }
+  bool uses_shared_medium() const override { return true; }
+
+  const std::vector<SharedBytes>& sent() const { return sent_; }
+
+ private:
+  WifiUnicastTech inner_;
+  SimQueue<SendRequest> forward_;
+  SimQueue<SendRequest>* send_ = nullptr;
+  std::vector<SharedBytes> sent_;
+};
 
 class ManagerDataTest : public ::testing::Test {
  protected:
@@ -44,7 +91,7 @@ TEST_F(ManagerDataTest, ExpectedTimePolicyPicksWifiForSmallData) {
 
   TimePoint t0 = bed.simulator().now();
   TimePoint done;
-  b.manager().request_data([&](const OmniAddress&, const Bytes&) {
+  b.manager().request_data([&](const OmniAddress&, BytesView) {
     done = bed.simulator().now();
   });
   a.manager().send_data({b.address()}, Bytes(30, 1), nullptr);
@@ -63,7 +110,7 @@ TEST_F(ManagerDataTest, PreferLowEnergyPolicyPicksBle) {
 
   TimePoint t0 = bed.simulator().now();
   TimePoint done;
-  b.manager().request_data([&](const OmniAddress&, const Bytes&) {
+  b.manager().request_data([&](const OmniAddress&, BytesView) {
     done = bed.simulator().now();
   });
   a.manager().send_data({b.address()}, Bytes(30, 1), nullptr);
@@ -82,7 +129,7 @@ TEST_F(ManagerDataTest, LargePayloadSkipsBleEvenWhenPreferred) {
   discover(a, b);
 
   std::size_t got = 0;
-  b.manager().request_data([&](const OmniAddress&, const Bytes& data) {
+  b.manager().request_data([&](const OmniAddress&, BytesView data) {
     got = data.size();
   });
   bool ok = false;
@@ -196,6 +243,48 @@ TEST_F(ManagerDataTest, ReceiverLearnsSenderMappingFromData) {
   EXPECT_TRUE(entry->reachable_on(Technology::kWifiUnicast));
   EXPECT_FALSE(
       entry->techs.at(Technology::kWifiUnicast).requires_refresh);
+}
+
+TEST_F(ManagerDataTest, ReceivedDataViewsTheSendersBuffer) {
+  auto& da = bed.add_device("a", {0, 0});
+  auto& db = bed.add_device("b", {10, 0});
+  ManagerOptions options;
+  options.owner = da.node();
+  options.world = &da.world();
+  BleTech a_ble(da.ble());
+  TapUnicastTech a_wifi(da, bed.mesh());
+  OmniManager a(bed.simulator(), da.omni_address(), options);
+  a.add_technology(a_ble);
+  a.add_technology(a_wifi);
+  OmniNode b(db, bed.mesh());
+  a.start();
+  b.start();
+  bed.simulator().run_for(Duration::seconds(3));
+  ASSERT_NE(a.peer_table().find(b.address()), nullptr);
+
+  const std::uint8_t* viewed = nullptr;
+  std::size_t viewed_size = 0;
+  b.manager().request_data([&](const OmniAddress&, BytesView data) {
+    viewed = data.data();
+    viewed_size = data.size();
+  });
+  bool delivered = false;
+  a.send_data({b.address()}, Bytes(20'000, 7),
+              [&](StatusCode code, const ResponseInfo&) {
+                delivered = code == StatusCode::kSendDataSuccess;
+              });
+  bed.simulator().run_for(Duration::seconds(1));
+  ASSERT_TRUE(delivered);
+  ASSERT_EQ(a_wifi.sent().size(), 1u);
+
+  // The receiving app read the sender's encoded buffer in place, right
+  // after the packed-struct header: nothing copied the 20 KB on receive.
+  const SharedBytes& buffer = a_wifi.sent()[0];
+  EXPECT_EQ(viewed, buffer->data() + kPackedHeaderSize);
+  EXPECT_EQ(viewed_size, 20'000u);
+  // Flow, attempt, pending op and receive queue have all let go: only the
+  // tap's reference is left, so no receive slot keeps the buffer alive.
+  EXPECT_EQ(buffer.use_count(), 1);
 }
 
 }  // namespace

@@ -112,10 +112,11 @@ TEST_F(MeshFlowTest, PayloadDeliveredToDestinationOnCompletion) {
 
   Bytes received;
   b.wifi().add_datagram_handler(
-      [&](const MeshAddress& from, const Bytes& payload, bool multicast) {
+      [&](const MeshAddress& from, const SharedBytes& payload,
+          bool multicast) {
         EXPECT_FALSE(multicast);
         EXPECT_EQ(from, a.wifi().address());
-        received = payload;
+        received = *payload;
       });
   bed.mesh().open_flow(a.wifi(), b.wifi().address(), 1000, nullptr, nullptr,
                        std::make_shared<const Bytes>(Bytes{42, 43}));
@@ -131,9 +132,9 @@ TEST_F(MeshFlowTest, FlowSharesThePayloadAndReleasesIt) {
   const Bytes* delivered = nullptr;
   Bytes received;
   b.wifi().add_datagram_handler(
-      [&](const MeshAddress&, const Bytes& payload, bool) {
-        delivered = &payload;
-        received = payload;
+      [&](const MeshAddress&, const SharedBytes& payload, bool) {
+        delivered = payload.get();
+        received = *payload;
       });
   auto payload = std::make_shared<const Bytes>(Bytes(5000, 7));
   auto flow = bed.mesh().open_flow(a.wifi(), b.wifi().address(),
@@ -251,8 +252,8 @@ TEST_F(MeshFlowTest, SmallUnicastDatagramDelivery) {
   settle();
   Bytes got;
   b.wifi().add_datagram_handler(
-      [&](const MeshAddress&, const Bytes& payload, bool multicast) {
-        if (!multicast) got = payload;
+      [&](const MeshAddress&, const SharedBytes& payload, bool multicast) {
+        if (!multicast) got = *payload;
       });
   ASSERT_TRUE(
       bed.mesh().send_datagram(a.wifi(), b.wifi().address(), Bytes{5, 5})

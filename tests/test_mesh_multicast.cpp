@@ -32,7 +32,7 @@ TEST_F(MeshMulticastTest, DatagramReachesAllMembersInRange) {
 
   int b_got = 0, c_got = 0, far_got = 0, a_got = 0;
   auto counter = [](int* n) {
-    return [n](const MeshAddress&, const Bytes&, bool multicast) {
+    return [n](const MeshAddress&, const SharedBytes&, bool multicast) {
       if (multicast) ++*n;
     };
   };

@@ -24,10 +24,13 @@ TEST_F(NanRadioTest, PublishesDeliverEveryWindow) {
   a.nan().set_enabled(true);
   b.nan().set_enabled(true);
   int received = 0;
+  const Bytes* first = nullptr;
   b.nan().set_receive_handler(
-      [&](const NanAddress& from, const Bytes& payload) {
+      [&](const NanAddress& from, const SharedBytes& payload) {
         EXPECT_EQ(from, a.nan().address());
-        EXPECT_EQ(payload, (Bytes{1, 2}));
+        EXPECT_EQ(*payload, (Bytes{1, 2}));
+        if (first == nullptr) first = payload.get();
+        EXPECT_EQ(payload.get(), first);  // every window shares the publish
         ++received;
       });
   ASSERT_TRUE(a.nan().publish(Bytes{1, 2}).is_ok());
@@ -44,9 +47,9 @@ TEST_F(NanRadioTest, WifiRangeNotBleRange) {
   for (auto* d : {&a, &b, &c}) d->nan().set_enabled(true);
   int b_got = 0, c_got = 0;
   b.nan().set_receive_handler(
-      [&](const NanAddress&, const Bytes&) { ++b_got; });
+      [&](const NanAddress&, const SharedBytes&) { ++b_got; });
   c.nan().set_receive_handler(
-      [&](const NanAddress&, const Bytes&) { ++c_got; });
+      [&](const NanAddress&, const SharedBytes&) { ++c_got; });
   a.nan().publish(Bytes{7});
   bed.simulator().run_for(Duration::seconds(5));
   EXPECT_GT(b_got, 0);
@@ -67,7 +70,7 @@ TEST_F(NanRadioTest, FollowupDeliversNextWindow) {
   a.nan().set_enabled(true);
   b.nan().set_enabled(true);
   TimePoint delivered;
-  b.nan().set_receive_handler([&](const NanAddress&, const Bytes&) {
+  b.nan().set_receive_handler([&](const NanAddress&, const SharedBytes&) {
     delivered = bed.simulator().now();
   });
   bool ok = false;
@@ -116,7 +119,7 @@ TEST_F(NanRadioTest, PowerSaveAttendanceReducesEnergyAndReception) {
   b.nan().set_attendance(10);  // wake 1 window in 10
   int received = 0;
   b.nan().set_receive_handler(
-      [&](const NanAddress&, const Bytes&) { ++received; });
+      [&](const NanAddress&, const SharedBytes&) { ++received; });
   a.nan().publish(Bytes{5});
   bed.simulator().run_for(Duration::seconds(30));
   // ~57 windows; b attends ~5-6 of them.
@@ -134,7 +137,7 @@ TEST_F(NanRadioTest, DisableStopsEverything) {
   b.nan().set_enabled(true);
   int received = 0;
   b.nan().set_receive_handler(
-      [&](const NanAddress&, const Bytes&) { ++received; });
+      [&](const NanAddress&, const SharedBytes&) { ++received; });
   a.nan().publish(Bytes{1});
   bed.simulator().run_for(Duration::seconds(3));
   int before = received;
@@ -162,9 +165,9 @@ TEST_F(NanRadioTest, DeviceAddedWhileTickingHearsNextWindow) {
   int received = 0;
   TimePoint first;
   c.nan().set_receive_handler(
-      [&](const NanAddress& from, const Bytes& payload) {
+      [&](const NanAddress& from, const SharedBytes& payload) {
         EXPECT_EQ(from, a.nan().address());
-        EXPECT_EQ(payload, (Bytes{3}));
+        EXPECT_EQ(*payload, (Bytes{3}));
         if (received++ == 0) first = bed.simulator().now();
       });
   const auto& cal = bed.calibration();
@@ -204,7 +207,7 @@ TEST_F(NanOmniTest, DiscoveryAndRitualFreeData) {
   OmniNode b(db, bed.mesh(), nan_options());
   Bytes got;
   b.manager().request_data(
-      [&](const OmniAddress&, const Bytes& d) { got = d; });
+      [&](const OmniAddress&, BytesView d) { got.assign(d.begin(), d.end()); });
   a.start();
   b.start();
   bed.simulator().run_for(Duration::seconds(3));
@@ -238,7 +241,7 @@ TEST_F(NanOmniTest, SmallDataCanRideFollowups) {
   OmniNode b(db, bed.mesh(), options);
   Bytes got;
   b.manager().request_data(
-      [&](const OmniAddress&, const Bytes& d) { got = d; });
+      [&](const OmniAddress&, BytesView d) { got.assign(d.begin(), d.end()); });
   a.start();
   b.start();
   bed.simulator().run_for(Duration::seconds(3));

@@ -99,9 +99,9 @@ TEST_F(OmniE2eTest, SendsSmallDataOverDiscoveredPeer) {
   std::vector<Bytes> data_received;
   OmniAddress data_source;
   nb.manager().request_data(
-      [&](const OmniAddress& source, const Bytes& data) {
+      [&](const OmniAddress& source, BytesView data) {
         data_source = source;
-        data_received.push_back(data);
+        data_received.emplace_back(data.begin(), data.end());
       });
 
   na.start();
@@ -130,7 +130,7 @@ TEST_F(OmniE2eTest, SendsLargeDataOverWifiUnicast) {
 
   std::size_t received_size = 0;
   nb.manager().request_data(
-      [&](const OmniAddress&, const Bytes& data) {
+      [&](const OmniAddress&, BytesView data) {
         received_size = data.size();
       });
 
@@ -184,7 +184,9 @@ TEST_F(OmniE2eTest, DataFailsOverToBleWhenWifiDies) {
 
   Bytes got;
   nb.manager().request_data(
-      [&](const OmniAddress&, const Bytes& data) { got = data; });
+      [&](const OmniAddress&, BytesView data) {
+        got.assign(data.begin(), data.end());
+      });
 
   na.start();
   nb.start();

@@ -158,7 +158,9 @@ TEST_P(DataSizeSweep, PayloadDeliveredBitExact) {
   OmniNode b(db, bed.mesh());
   Bytes received;
   b.manager().request_data(
-      [&](const OmniAddress&, const Bytes& data) { received = data; });
+      [&](const OmniAddress&, BytesView data) {
+        received.assign(data.begin(), data.end());
+      });
   a.start();
   b.start();
   bed.simulator().run_for(Duration::seconds(3));

@@ -27,14 +27,14 @@ Interaction interact(net::Testbed& bed, baselines::D2dStack& initiator,
                      baselines::D2dStack& service, std::size_t resp_bytes,
                      Duration warmup) {
   service.set_data_handler(
-      [&](baselines::D2dStack::PeerId from, const Bytes& d) {
+      [&](baselines::D2dStack::PeerId from, BytesView d) {
         if (!d.empty() && d[0] == kReq) {
           service.send(from, Bytes(resp_bytes, kResp), nullptr);
         }
       });
   std::optional<TimePoint> done;
   initiator.set_data_handler(
-      [&](baselines::D2dStack::PeerId, const Bytes& d) {
+      [&](baselines::D2dStack::PeerId, BytesView d) {
         if (!d.empty() && d[0] == kResp && !done) {
           done = bed.simulator().now();
         }

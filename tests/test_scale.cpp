@@ -35,7 +35,7 @@ ScaleRun run_neighborhood(std::uint64_t seed) {
     OmniManager& m = nodes.back()->manager();
     m.request_context(
         [&contexts](const OmniAddress&, const Bytes&) { ++contexts; });
-    m.request_data([&data](const OmniAddress&, const Bytes&) { ++data; });
+    m.request_data([&data](const OmniAddress&, BytesView) { ++data; });
   }
   for (auto& n : nodes) n->start();
 

@@ -115,7 +115,9 @@ TEST_F(SecureOmniTest, SharedKeyDevicesInteroperate) {
   // Data still flows (the TCP path rides the discovered mapping).
   Bytes data_seen;
   b.manager().request_data(
-      [&](const OmniAddress&, const Bytes& d) { data_seen = d; });
+      [&](const OmniAddress&, BytesView d) {
+        data_seen.assign(d.begin(), d.end());
+      });
   a.manager().send_data({b.address()}, Bytes{0x99}, nullptr);
   bed->simulator().run_for(Duration::seconds(1));
   EXPECT_EQ(data_seen, (Bytes{0x99}));

@@ -112,30 +112,12 @@ TEST(SimQueueTest, DrainIntoReportsLivePrefixAndRecyclesSlots) {
   // A new batch overwrites the recycled slots in place; the third element
   // of the swapped-out vector is still a dead slot from the first batch.
   q.push({5});
-  q.produce([](std::vector<int>& slot) { slot.assign(1, 6); });
+  q.push({6});
   ASSERT_EQ(q.drain_into(scratch), 2u);
   ASSERT_EQ(scratch.size(), 3u);
   EXPECT_EQ(scratch[0], (std::vector<int>{5}));
   EXPECT_EQ(scratch[1], (std::vector<int>{6}));
   EXPECT_EQ(scratch[2], (std::vector<int>{3}));  // dead slot, buffer kept
-}
-
-TEST(SimQueueTest, ProduceWakesConsumerLikePush) {
-  sim::Simulator sim;
-  SimQueue<std::vector<int>> q(sim);
-  std::vector<int> sizes;
-  std::vector<std::vector<int>> scratch;
-  q.set_consumer([&] {
-    std::size_t n = q.drain_into(scratch);
-    for (std::size_t i = 0; i < n; ++i) {
-      sizes.push_back(static_cast<int>(scratch[i].size()));
-    }
-  });
-  q.produce([](std::vector<int>& slot) { slot.assign(2, 7); });
-  q.produce([](std::vector<int>& slot) { slot.assign(5, 7); });
-  EXPECT_EQ(q.size(), 2u);
-  sim.run();
-  EXPECT_EQ(sizes, (std::vector<int>{2, 5}));
 }
 
 TEST(SimQueueTest, TryPopInterleavesWithRecycledSlots) {

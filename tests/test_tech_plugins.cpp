@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "net/link_frame.h"
 #include "net/testbed.h"
 #include "omni/ble_tech.h"
 #include "omni/packed_struct.h"
@@ -38,6 +39,8 @@ class TechHarness {
   SimQueue<ReceivedPacket> receive;
   SimQueue<TechResponse> response;
 };
+
+Bytes copy_of(BytesView view) { return Bytes(view.begin(), view.end()); }
 
 SendRequest add_context_request(ContextId id, Bytes packed,
                                 Duration interval = Duration::millis(500)) {
@@ -90,7 +93,10 @@ TEST_F(BleTechTest, ContextLifecycleThroughQueues) {
   ASSERT_GE(received.size(), 1u);
   EXPECT_EQ(received[0].tech, Technology::kBle);
   EXPECT_EQ(std::get<BleAddress>(received[0].from), dev.ble().address());
-  EXPECT_EQ(received[0].packed, packed);
+  EXPECT_EQ(copy_of(received[0].packed), packed);
+  // The packet views the delivered frame, after the broadcast link header.
+  EXPECT_EQ(received[0].packed.data(),
+            received[0].frame->data() + kBleBroadcastFrameOverhead);
 
   // Remove stops transmissions.
   SendRequest remove;
@@ -102,6 +108,31 @@ TEST_F(BleTechTest, ContextLifecycleThroughQueues) {
   hp.drain_received();
   bed.simulator().run_for(Duration::seconds(2));
   EXPECT_TRUE(hp.drain_received().empty());
+}
+
+TEST_F(BleTechTest, ReceiversShareTheAdvertisersFrame) {
+  auto& dev = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {10, 0});
+  auto& c = bed.add_device("c", {0, 10});
+  BleTech tech(dev.ble()), tb(b.ble()), tc(c.ble());
+  TechHarness h(bed.simulator()), hb(bed.simulator()), hc(bed.simulator());
+  tb.set_engaged(true);
+  tc.set_engaged(true);
+  tech.enable(h.queues());
+  tb.enable(hb.queues());
+  tc.enable(hc.queues());
+
+  Bytes packed = PackedStruct::context(OmniAddress{0x11}, Bytes{7}).encode();
+  h.send.push(add_context_request(1, packed));
+  bed.simulator().run_for(Duration::seconds(2));
+
+  auto at_b = hb.drain_received();
+  auto at_c = hc.drain_received();
+  ASSERT_FALSE(at_b.empty());
+  ASSERT_FALSE(at_c.empty());
+  // Both receivers queued the one frame the advertisement broadcasts.
+  EXPECT_EQ(at_b[0].frame, at_c[0].frame);
+  EXPECT_EQ(copy_of(at_c[0].packed), packed);
 }
 
 TEST_F(BleTechTest, OversizedContextFailsWithOriginalEchoed) {
@@ -180,6 +211,7 @@ TEST_F(WifiUnicastTechTest, SendsDataOverFlow) {
   req.op = SendOp::kSendData;
   req.dest = LowLevelAddress{b.wifi().address()};
   req.packed = std::make_shared<const Bytes>(packed);
+  const Bytes* sent = req.packed.get();
   ha.send.push(std::move(req));
   bed.simulator().run_for(Duration::seconds(2));
 
@@ -189,7 +221,10 @@ TEST_F(WifiUnicastTechTest, SendsDataOverFlow) {
   auto received = hb.drain_received();
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].tech, Technology::kWifiUnicast);
-  EXPECT_EQ(received[0].packed, packed);
+  EXPECT_EQ(copy_of(received[0].packed), packed);
+  // The receiver's packet is the sender's buffer itself, not a copy.
+  EXPECT_EQ(received[0].frame.get(), sent);
+  EXPECT_EQ(received[0].packed.data(), sent->data());
 }
 
 TEST_F(WifiUnicastTechTest, FailureEchoSharesTheRequestBuffer) {
@@ -286,6 +321,12 @@ TEST_F(WifiMulticastTechTest, AggregatesSameTickContexts) {
 
   auto received = hb.drain_received();
   ASSERT_EQ(received.size(), 2u);  // both context packs delivered
+  // Both packets view their own part of the one aggregate frame.
+  EXPECT_EQ(received[0].frame, received[1].frame);
+  EXPECT_EQ(copy_of(received[0].packed),
+            PackedStruct::context(OmniAddress{1}, Bytes{1}).encode());
+  EXPECT_EQ(copy_of(received[1].packed),
+            PackedStruct::context(OmniAddress{1}, Bytes{2}).encode());
 
   // Energy check: exactly one multicast send burst was paid in the window.
   const auto& cal = bed.calibration();

@@ -62,7 +62,7 @@ TEST_F(TouristScenarioTest, Figure3EndToEnd) {
                                                   bed.mesh());
     auto* t = &tourists[i];
     t->node->manager().request_data(
-        [t, &sim](const OmniAddress&, const Bytes& data) {
+        [t, &sim](const OmniAddress&, BytesView data) {
           t->media += data.size();
           if (t->media_at == TimePoint::max()) t->media_at = sim.now();
         });

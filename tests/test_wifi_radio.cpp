@@ -108,6 +108,43 @@ TEST_F(WifiRadioTest, LeaveRemovesMembership) {
   EXPECT_EQ(a.wifi().mesh(), nullptr);
 }
 
+TEST_F(WifiRadioTest, DoubleAddMemberIsIdempotent) {
+  auto& a = bed.add_device("a", {0, 0});
+  bed.mesh().add_member(a.wifi());
+  bed.mesh().add_member(a.wifi());
+  EXPECT_EQ(bed.mesh().members().size(), 1u);
+  ASSERT_NE(bed.mesh().members_on_node(a.node()), nullptr);
+  EXPECT_EQ(bed.mesh().members_on_node(a.node())->size(), 1u);
+  EXPECT_EQ(bed.mesh().find_member(a.wifi().address()), &a.wifi());
+  bed.mesh().remove_member(a.wifi());
+  EXPECT_FALSE(bed.mesh().is_member(a.wifi()));
+  EXPECT_TRUE(bed.mesh().members().empty());
+}
+
+TEST_F(WifiRadioTest, TwoRadiosOnOneNodeJoinAndFirstJoinedWins) {
+  auto& a = bed.add_device("a", {0, 0});
+  WifiRadio second(a.wifi().system(), a.meter(), a.node());
+  ASSERT_EQ(second.address(), a.wifi().address());
+  for (WifiRadio* r : {&a.wifi(), &second}) {
+    r->set_powered(true);
+    r->join(bed.mesh(), [](Status s) { EXPECT_TRUE(s.is_ok()); });
+  }
+  bed.simulator().run_for(Duration::seconds(1));
+  EXPECT_TRUE(bed.mesh().is_member(a.wifi()));
+  EXPECT_TRUE(bed.mesh().is_member(second));
+  EXPECT_EQ(bed.mesh().members().size(), 2u);
+
+  // Both carry the node's address; the first to join answers for it.
+  const MeshAddress addr = a.wifi().address();
+  EXPECT_EQ(bed.mesh().find_member(addr), &a.wifi());
+  a.wifi().leave();
+  EXPECT_EQ(bed.mesh().find_member(addr), &second);
+  second.leave();
+  EXPECT_EQ(bed.mesh().find_member(addr), nullptr);
+  // An address no radio can have names no member.
+  EXPECT_EQ(bed.mesh().find_member(MeshAddress{0xBEEF}), nullptr);
+}
+
 TEST_F(WifiRadioTest, PowerOffAbortsQueuedOps) {
   auto& a = bed.add_device("a", {0, 0});
   a.wifi().set_powered(true);
