@@ -2,15 +2,15 @@
 //
 // The radio models meter energy as (current draw, time span) charges against
 // a device-wide EnergyMeter (the paper's inline USB power meter). The ledger
-// mirrors every charge into rail-tagged registry counters so per-node,
-// per-technology charge totals become first-class queryable metrics — the
-// quantity the paper's Tables 3-5 are built from — instead of a bench-local
-// computation.
+// mirrors each meter's per-rail totals into rail-tagged registry counters so
+// per-node, per-technology charge totals become first-class queryable
+// metrics — the quantity the paper's Tables 3-5 are built from — instead of
+// a bench-local computation.
 //
 // Values are stored fixed-point (micro-amp-seconds) so aggregation stays
-// integer and therefore bit-deterministic across thread counts; the ~1e-3
-// mA*s resolution is ~6 orders of magnitude below the 1% tolerance the
-// Table-3 reproduction bench checks against the meter's own float integrals.
+// integer and therefore bit-deterministic across thread counts. At every
+// flush a meter adds the change in its rounded per-rail total, so each rail
+// equals the meter's own float integral rounded to the micro-amp-second.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +40,9 @@ class EnergyLedger {
   void bind(MetricsRegistry& registry);
   bool bound() const { return registry_ != nullptr; }
 
-  /// Hot path: account `mAs` milliamp-seconds of charge on `rail` to `node`.
-  /// `lane` is the caller's execution lane.
-  void add(std::size_t lane, NodeId node, EnergyRail rail, double mAs) {
-    auto uAs = static_cast<std::int64_t>(mAs * 1000.0 + (mAs >= 0 ? 0.5
-                                                                  : -0.5));
+  /// Account `uAs` micro-amp-seconds of charge on `rail` to `node`. `lane`
+  /// is the caller's execution lane.
+  void add(std::size_t lane, NodeId node, EnergyRail rail, std::int64_t uAs) {
     registry_->add(lane, rails_[static_cast<std::size_t>(rail)], node,
                    static_cast<std::uint64_t>(uAs));
   }

@@ -1,6 +1,7 @@
 #include "radio/energy_meter.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/result.h"
 #include "obs/omniscope.h"
@@ -10,7 +11,30 @@ namespace omni::radio {
 void EnergyMeter::charge(TimePoint t0, TimePoint t1, double ma,
                          obs::EnergyRail rail) {
   if (t1 <= t0 || ma == 0.0) return;
-  segments_.push_back(Segment{t0, t1, ma, rail});
+  const std::int64_t start = t0.as_micros();
+  const std::int64_t d = (t1 - t0).as_micros();
+  // Extend one of the newest runs when this charge continues it. A miss
+  // only costs a record: integration is exact either way.
+  const std::size_t lo =
+      runs_.size() > kRecentRuns ? runs_.size() - kRecentRuns : 0;
+  for (std::size_t i = runs_.size(); i-- > lo;) {
+    Run& r = runs_[i];
+    if (r.ma != ma || r.rail != rail) continue;
+    if (r.count >= 2) {
+      if (r.dur == d && start == r.t0 + r.count * r.period) {
+        ++r.count;
+        return;
+      }
+    } else if (start == r.t0 + r.dur) {
+      r.dur += d;  // back to back: one longer pulse
+      return;
+    } else if (r.dur == d && start - r.t0 >= d) {
+      r.period = start - r.t0;
+      r.count = 2;
+      return;
+    }
+  }
+  runs_.push_back(Run{start, d, 0, 1, rail, ma});
 }
 
 bool EnergyMeter::ledger_active() const {
@@ -19,49 +43,12 @@ bool EnergyMeter::ledger_active() const {
   return sc != nullptr && sc->recording();
 }
 
-void EnergyMeter::ledger_add(obs::Omniscope& sc, std::size_t lane,
-                             TimePoint t0, TimePoint t1, double ma,
-                             obs::EnergyRail rail) {
-  sc.energy().add(lane, node_, rail, (t1 - t0).as_seconds() * ma);
-}
-
-void EnergyMeter::flush_ledger(TimePoint now) {
-  if (!ledger_active()) return;
-  obs::Omniscope& sc = *OMNI_SCOPE(sim_);
-  const std::size_t lane = sc.lane();
-  // Finish previously seen segments whose spans were still open at the last
-  // flush (a charge may be future-dated: a BLE advertising event books its
-  // whole span the instant it starts).
-  std::size_t keep = 0;
-  for (Pending& p : pending_) {
-    TimePoint hi = std::min(p.t1, now);
-    if (hi > p.t0) {
-      ledger_add(sc, lane, p.t0, hi, p.ma, p.rail);
-      p.t0 = hi;
-    }
-    if (p.t1 > now) pending_[keep++] = p;
-  }
-  pending_.resize(keep);
-  // Mirror every segment recorded since the last flush, clipped to `now`, so
-  // ledger totals equal total_mAs(origin, now) at every flush point. Doing
-  // this here — never on the charge() hot path — keeps instrumented runs
-  // within the flight-recorder overhead budget.
-  for (; mirrored_idx_ < segments_.size(); ++mirrored_idx_) {
-    const Segment& s = segments_[mirrored_idx_];
-    TimePoint hi = std::min(s.t1, now);
-    if (hi > s.t0) ledger_add(sc, lane, s.t0, hi, s.ma, s.rail);
-    if (s.t1 > now) {
-      pending_.push_back(Pending{std::max(s.t0, now), s.t1, s.ma, s.rail});
-    }
-  }
-}
-
 void EnergyMeter::set_level(const std::string& tag, double ma,
                             obs::EnergyRail rail) {
   TimePoint now = sim_.now();
   auto it = levels_.find(tag);
   if (it != levels_.end()) {
-    // Close the previous level as a concrete segment.
+    // Close the previous level as an interval charge.
     charge(it->second.since, now, it->second.ma, it->second.rail);
     if (ma == 0.0) {
       levels_.erase(it);
@@ -92,24 +79,57 @@ void EnergyMeter::flush_levels() {
     charge(lvl.since, now, lvl.ma, lvl.rail);
     lvl.since = now;
   }
-  // Closed level spans are segments now, so one ledger pass covers both
-  // interval charges and levels.
-  flush_ledger(now);
+  if (!ledger_active()) return;
+  // Runs grow in place, so mirror totals rather than records: each rail
+  // gets the change in its rounded total since the last flush, and the
+  // ledger equals the meter to the micro-amp-second at every flush.
+  obs::Omniscope& sc = *OMNI_SCOPE(sim_);
+  const std::size_t lane = sc.lane();
+  for (std::size_t r = 0; r < obs::kEnergyRailCount; ++r) {
+    const auto rail = static_cast<obs::EnergyRail>(r);
+    const std::int64_t uAs =
+        std::llround(1000.0 * total_mAs(TimePoint::origin(), now, rail));
+    sc.energy().add(lane, node_, rail, uAs - mirrored_uAs_[r]);
+    mirrored_uAs_[r] = uAs;
+  }
+}
+
+std::int64_t EnergyMeter::Run::covered_before(std::int64_t x) const {
+  const std::int64_t rel = x - t0;
+  if (rel <= 0) return 0;
+  if (count == 1) return std::min(rel, dur);
+  // Pulses never overlap (period >= dur), so k whole periods hold k pulses.
+  const std::int64_t k = rel / period;
+  if (k >= count) return count * dur;
+  return k * dur + std::min(rel - k * period, dur);
+}
+
+template <typename Keep>
+double EnergyMeter::integrate(TimePoint t0, TimePoint t1, Keep keep) const {
+  OMNI_CHECK_MSG(t1 >= t0, "total_mAs window reversed");
+  const std::int64_t a = t0.as_micros();
+  const std::int64_t b = t1.as_micros();
+  double total = 0;
+  for (const Run& r : runs_) {
+    if (!keep(r.rail)) continue;
+    const std::int64_t us = r.covered_before(b) - r.covered_before(a);
+    total += static_cast<double>(us) / 1e6 * r.ma;
+  }
+  for (const auto& [tag, lvl] : levels_) {
+    if (!keep(lvl.rail)) continue;
+    const TimePoint lo = std::max(lvl.since, t0);
+    if (t1 > lo) total += (t1 - lo).as_seconds() * lvl.ma;
+  }
+  return total;
 }
 
 double EnergyMeter::total_mAs(TimePoint t0, TimePoint t1) const {
-  OMNI_CHECK_MSG(t1 >= t0, "total_mAs window reversed");
-  double total = 0;
-  auto overlap = [&](TimePoint a, TimePoint b) {
-    TimePoint lo = std::max(a, t0);
-    TimePoint hi = std::min(b, t1);
-    return hi > lo ? (hi - lo).as_seconds() : 0.0;
-  };
-  for (const auto& s : segments_) total += overlap(s.t0, s.t1) * s.ma;
-  for (const auto& [tag, lvl] : levels_) {
-    total += overlap(lvl.since, t1) * lvl.ma;
-  }
-  return total;
+  return integrate(t0, t1, [](obs::EnergyRail) { return true; });
+}
+
+double EnergyMeter::total_mAs(TimePoint t0, TimePoint t1,
+                              obs::EnergyRail rail) const {
+  return integrate(t0, t1, [rail](obs::EnergyRail r) { return r == rail; });
 }
 
 double EnergyMeter::average_ma(TimePoint t0, TimePoint t1) const {

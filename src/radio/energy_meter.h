@@ -12,16 +12,21 @@
 // optionally minus the WiFi-standby floor (which is how the paper's Table 4
 // produces a *negative* value for the WiFi-off State-of-the-Practice row).
 //
+// Interval charges are stored as runs: `count` equal pulses of one current
+// on one rail, one `period` apart. A periodic draw (a beacon every 500 ms)
+// stays one record however long it runs, back-to-back spans merge into one
+// pulse, and a lone charge is a run of one. Any window is integrated
+// exactly, in O(1) per run.
+//
 // Every charge carries an obs::EnergyRail (which radio the draw belongs to).
 // When an Omniscope is attached to the simulator and the meter knows its
-// node, charges are mirrored into the scope's energy ledger, making per-node
-// per-technology totals queryable as metrics. Mirroring is batched: the
-// charge() hot path only appends a segment; flush_levels() (Testbed calls it
-// at every report or export) walks the segments recorded since the last
-// flush, clips them to the current instant, and feeds them to the ledger, so
-// ledger totals always equal total_mAs(origin, now) at a flush point.
+// node, flush_levels() (Testbed calls it at every report or export) mirrors
+// each rail's total over [origin, now], rounded to micro-amp-seconds, into
+// the scope's energy ledger as a delta against what it mirrored before. The
+// charge() hot path never touches the ledger.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -70,54 +75,63 @@ class EnergyMeter {
   double current_level_total() const;
 
   /// Close every open level at the current instant and immediately reopen
-  /// it. The meter's integrals are unchanged; the closed spans flow into the
-  /// attached energy ledger so its totals match total_mAs up to now.
+  /// it. The meter's integrals are unchanged. Then bring the attached energy
+  /// ledger up to now: each rail's ledger total becomes
+  /// llround(1000 * total_mAs(origin, now, rail)) micro-amp-seconds.
   void flush_levels();
 
   /// Total charge (mA*s) accrued in [t0, t1]; open levels are integrated up
   /// to t1 (t1 should not exceed the simulator's current time).
   double total_mAs(TimePoint t0, TimePoint t1) const;
 
+  /// Total charge (mA*s) on one rail in [t0, t1].
+  double total_mAs(TimePoint t0, TimePoint t1, obs::EnergyRail rail) const;
+
   /// Average current over [t0, t1] in mA.
   double average_ma(TimePoint t0, TimePoint t1) const;
+
+  /// Interval-charge records held (for tests).
+  std::size_t run_count() const { return runs_.size(); }
 
   sim::Simulator& simulator() { return sim_; }
   NodeId node() const { return node_; }
 
  private:
-  struct Segment {
-    TimePoint t0;
-    TimePoint t1;
+  /// `count` pulses [t0 + k*period, t0 + k*period + dur), k < count, drawing
+  /// `ma` on `rail`. Times in microseconds; period >= dur when count >= 2,
+  /// so pulses never overlap (period is unused when count == 1).
+  struct Run {
+    std::int64_t t0;
+    std::int64_t dur;
+    std::int64_t period;
+    std::uint32_t count;
+    obs::EnergyRail rail;
     double ma;
-    obs::EnergyRail rail = obs::EnergyRail::kOther;
+
+    /// Microseconds of this run's pulses that lie before `x`.
+    std::int64_t covered_before(std::int64_t x) const;
   };
+  static_assert(sizeof(Run) <= 40, "one run must stay within 40 bytes");
+  /// How many of the newest runs charge() tries to extend before appending.
+  static constexpr std::size_t kRecentRuns = 8;
+
   struct Level {
     double ma = 0;
     TimePoint since;
     obs::EnergyRail rail = obs::EnergyRail::kOther;
   };
-  /// The not-yet-elapsed tail of a future-dated charge, awaiting mirroring
-  /// into the ledger once virtual time catches up (see flush_ledger()).
-  struct Pending {
-    TimePoint t0;
-    TimePoint t1;
-    double ma;
-    obs::EnergyRail rail;
-  };
 
   bool ledger_active() const;
-  void ledger_add(obs::Omniscope& sc, std::size_t lane, TimePoint t0,
-                  TimePoint t1, double ma, obs::EnergyRail rail);
-  /// Mirror segments recorded since the last flush into the attached energy
-  /// ledger, clipped to `now` (called by flush_levels()).
-  void flush_ledger(TimePoint now);
+  /// Sum over the runs and open levels `keep(rail)` accepts, in record order.
+  template <typename Keep>
+  double integrate(TimePoint t0, TimePoint t1, Keep keep) const;
 
   sim::Simulator& sim_;
   NodeId node_;
-  std::vector<Segment> segments_;
+  std::vector<Run> runs_;
   std::map<std::string, Level> levels_;
-  std::vector<Pending> pending_;
-  std::size_t mirrored_idx_ = 0;  ///< segments mirrored into the ledger
+  /// Per-rail micro-amp-seconds already added to the ledger.
+  std::int64_t mirrored_uAs_[obs::kEnergyRailCount] = {};
 };
 
 /// Converts bulk traffic into capped radio-active time.
@@ -136,7 +150,8 @@ class BusyCharger {
   /// Returns the seconds actually charged.
   double charge_active(TimePoint t0, TimePoint t1, double active_seconds);
 
-  /// Fraction of [t0, t1] this direction was busy (for tests/telemetry).
+  /// End of the last charged busy span, in seconds since the origin (the
+  /// watermark; for tests/telemetry).
   double busy_until_seconds() const { return busy_until_.as_seconds(); }
 
  private:

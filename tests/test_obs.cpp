@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -259,7 +261,7 @@ TEST(OmniscopeTest, BleBeaconingProducesRecordsAndCounters) {
   EXPECT_TRUE(saw_adv);
 }
 
-TEST(OmniscopeTest, EnergyLedgerMatchesMeterWithinOnePercent) {
+TEST(OmniscopeTest, EnergyLedgerEqualsMeterPerRailAtEveryFlush) {
   net::Testbed bed(1);
   Omniscope& sc = bed.enable_observability();
   net::Device& a = bed.add_device("a", {0, 0});
@@ -267,19 +269,62 @@ TEST(OmniscopeTest, EnergyLedgerMatchesMeterWithinOnePercent) {
   auto adv = a.ble().start_advertising(Bytes{0x42}, Duration::millis(100));
   ASSERT_TRUE(adv.is_ok());
   b.wifi().set_powered(true);
-  bed.simulator().run_for(Duration::seconds(30));
-  sc.flush();  // closes open standby levels into the ledger
+  sim::Simulator& sim = bed.simulator();
 
-  const TimePoint t0 = TimePoint::origin();
-  const TimePoint now = bed.simulator().now();
-  for (std::size_t i = 0; i < bed.device_count(); ++i) {
-    net::Device& dev = bed.device(i);
-    const double meter = dev.meter().total_mAs(t0, now);
-    const double ledger = sc.energy().total_mAs(dev.node());
-    ASSERT_GT(meter, 0.0);
-    EXPECT_NEAR(ledger, meter, meter * 0.01)
-        << "node " << dev.node() << " ledger diverged from meter";
+  // After each flush every rail's ledger cell holds the meter's total over
+  // [origin, now] on that rail, rounded to the micro-amp-second.
+  auto expect_ledger_equals_meter = [&](const char* when) {
+    sc.flush();
+    const TimePoint now = sim.now();
+    for (std::size_t i = 0; i < bed.device_count(); ++i) {
+      net::Device& dev = bed.device(i);
+      for (std::size_t r = 0; r < kEnergyRailCount; ++r) {
+        const auto rail = static_cast<EnergyRail>(r);
+        const std::int64_t meter = std::llround(
+            1000.0 * dev.meter().total_mAs(TimePoint::origin(), now, rail));
+        const auto ledger = static_cast<std::int64_t>(
+            sc.metrics().counter_value(sc.energy().rail_metric(rail),
+                                       dev.node()));
+        EXPECT_EQ(ledger, meter) << when << ": node " << dev.node()
+                                 << " rail " << rail_name(rail);
+      }
+    }
+  };
+
+  // A BLE pulse straddling the flush: only its elapsed part is mirrored.
+  sim.run_for(Duration::seconds(10));
+  TimePoint now = sim.now();
+  a.meter().charge(now - Duration::millis(2), now + Duration::millis(3), 8.2,
+                   EnergyRail::kBle);
+  expect_ledger_equals_meter("straddling pulse");
+
+  // A busy span back-dated to before the previous flush.
+  sim.run_for(Duration::seconds(5));
+  ASSERT_GT(b.wifi().tx_charger().charge_active(
+                sim.now() - Duration::seconds(8), sim.now(), 1.5),
+            0.0);
+  expect_ledger_equals_meter("back-dated busy span");
+
+  // Levels that change between flushes.
+  sim.run_for(Duration::seconds(5));
+  b.wifi().set_powered(false);
+  b.ble().set_scanning(true, 0.5);
+  sim.run_for(Duration::seconds(5));
+  expect_ledger_equals_meter("level change");
+
+  // 20,000 pulses of 1e-4 uAs each: none is worth a micro-amp-second on its
+  // own, together they are 2.
+  now = sim.now();
+  for (std::int64_t i = 0; i < 20'000; ++i) {
+    b.meter().charge(now + Duration::micros(10 * i),
+                     now + Duration::micros(10 * i + 1), 0.1,
+                     EnergyRail::kNan);
   }
+  sim.run_for(Duration::seconds(1));
+  expect_ledger_equals_meter("sub-uAs pulses");
+  EXPECT_EQ(sc.metrics().counter_value(
+                sc.energy().rail_metric(EnergyRail::kNan), b.node()),
+            2u);
   // BLE charge lands on the BLE rail, not the catch-all.
   EXPECT_GT(sc.energy().rail_mAs(a.node(), EnergyRail::kBle), 0.0);
 }
