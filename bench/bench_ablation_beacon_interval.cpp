@@ -1,10 +1,8 @@
 // Ablation: the address-beacon interval (fixed at 500 ms in the paper,
 // §3.3 "For simplicity we have fixed the interval for this beacon to be
 // every 500 ms"). Sweeps the interval and reports the discovery-latency /
-// idle-energy tradeoff that fixed value sits on, plus the adaptive-interval
-// extension (paper §5) as a final row.
-#include <cstdio>
-
+// idle-energy tradeoff that fixed value sits on. The adaptive interval (paper
+// §5) is DiscoveryPolicy's; bench_discovery measures it.
 #include "bench_util.h"
 #include "net/testbed.h"
 #include "omni/omni_node.h"
@@ -17,7 +15,7 @@ struct Sample {
   double idle_ma = 0;       // BLE-side draw, WiFi-standby excluded
 };
 
-Sample measure(Duration interval, bool adaptive, std::uint64_t seed) {
+Sample measure(Duration interval, std::uint64_t seed) {
   // Discovery latency: mean first-sighting time across trials.
   double total_ms = 0;
   const int kTrials = 10;
@@ -27,8 +25,6 @@ Sample measure(Duration interval, bool adaptive, std::uint64_t seed) {
     auto& db = bed.add_device("b", {10, 0});
     OmniNodeOptions options;
     options.manager.beacon_interval = interval;
-    options.manager.adaptive_beacon.enabled = adaptive;
-    options.manager.adaptive_beacon.min_interval = interval;
     OmniNode a(da, bed.mesh(), options);
     OmniNode b(db, bed.mesh(), options);
     a.start();
@@ -50,8 +46,6 @@ Sample measure(Duration interval, bool adaptive, std::uint64_t seed) {
   auto& db = bed.add_device("b", {10, 0});
   OmniNodeOptions options;
   options.manager.beacon_interval = interval;
-  options.manager.adaptive_beacon.enabled = adaptive;
-  options.manager.adaptive_beacon.min_interval = interval;
   OmniNode a(da, bed.mesh(), options);
   OmniNode b(db, bed.mesh(), options);
   a.start();
@@ -76,18 +70,10 @@ int main() {
   bench::Table table({"Interval", "Mean discovery (ms)",
                       "Idle energy (mA, rel.)"});
   for (int ms : {100, 250, 500, 1000, 2000}) {
-    Sample s = measure(Duration::millis(ms), false, 1000 + ms);
+    Sample s = measure(Duration::millis(ms), 1000 + ms);
     table.add_row({std::to_string(ms) + " ms",
                    bench::fmt(s.discovery_ms, 0), bench::fmt(s.idle_ma)});
   }
-  Sample adaptive = measure(Duration::millis(250), true, 9000);
-  table.add_row({"adaptive (250ms..4s)", bench::fmt(adaptive.discovery_ms, 0),
-                 bench::fmt(adaptive.idle_ma)});
   table.print();
-
-  std::printf(
-      "\nThe paper's fixed 500 ms sits mid-curve; the adaptive extension\n"
-      "(paper SS5) keeps the fast-discovery latency of a tight interval\n"
-      "while idling near the energy of a long one.\n");
   return 0;
 }

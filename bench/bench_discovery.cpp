@@ -250,12 +250,13 @@ int main(int argc, char** argv) {
     // resident's backed-off cadence. Budget that bound, not a tuned magic
     // number: latency above fixed + ceiling + floor is a regression class.
     const DiscoveryPolicy budget_policy = make_policy(true);
+    const Duration floor = ManagerOptions().beacon_interval;
     const double latency_budget_ms =
         fixed_r.latency_ms < 0
             ? -1
             : fixed_r.latency_ms +
                   static_cast<double>(budget_policy.ceiling.as_micros() +
-                                      budget_policy.floor.as_micros()) /
+                                      floor.as_micros()) /
                       1000.0;
     bool ok = adaptive_r.events < fixed_r.events &&
               adaptive_r.ble_scan_mAs <= fixed_r.ble_scan_mAs + 1e-9 &&

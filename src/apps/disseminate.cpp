@@ -27,7 +27,7 @@ DisseminateApp::DisseminateApp(baselines::D2dStack& stack,
 }
 
 void DisseminateApp::note(const obs::AppEvent& ev, std::uint64_t a0) {
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc && sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->mark_app(ev, a0);
   }
 }

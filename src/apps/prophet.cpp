@@ -30,7 +30,7 @@ ProphetNode::ProphetNode(baselines::D2dStack& stack, sim::Simulator& sim,
 }
 
 void ProphetNode::note(const obs::AppEvent& ev, std::uint32_t id) {
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc && sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->mark_app(ev, id);
   }
 }

@@ -31,8 +31,7 @@ void run_discovery_ritual(radio::WifiRadio& radio, radio::MeshNetwork& mesh,
       const auto& cal = radio.calibration();
       Duration wait = cal.wifi_resolve_query;
       if (options.wait_for_advertisement) wait += cal.wifi_advert_wait;
-      if (obs::Omniscope* sc = OMNI_SCOPE(radio.simulator());
-          sc != nullptr && sc->recording()) {
+      if (obs::Omniscope* sc = OMNI_SCOPE(radio.simulator())) {
         // The resolution wait is the span the paper's ritual spends parked
         // on the mesh before contexts can flow.
         sc->complete_on(radio.node(), obs::Cat::kRitual, wait);

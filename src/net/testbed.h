@@ -197,8 +197,7 @@ class Testbed {
       const bool nan = b.radio == sim::FaultRadio::kAll ||
                        b.radio == sim::FaultRadio::kNan;
       auto set_power = [this, dev, ble, wifi, nan](bool on) {
-        if (obs::Omniscope* sc = OMNI_SCOPE(sim_);
-            sc != nullptr && sc->recording()) {
+        if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
           sc->instant_on(dev->node(), obs::Cat::kFaultPower, on ? 1 : 0);
         }
         if (ble) dev->ble().set_powered(on);
@@ -230,8 +229,7 @@ class Testbed {
       // time so the restart only re-enables what the crash took down.
       auto nan_was_enabled = std::make_shared<bool>(false);
       sim_.at_on(sim::kGlobalOwner, c.at, [this, dev, nan_was_enabled] {
-        if (obs::Omniscope* sc = OMNI_SCOPE(sim_);
-            sc != nullptr && sc->recording()) {
+        if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
           sc->instant_on(dev->node(), obs::Cat::kCrash, 0);
         }
         *nan_was_enabled = dev->nan().enabled();
@@ -243,8 +241,7 @@ class Testbed {
         const bool rotate = c.rotate_addresses;
         sim_.at_on(sim::kGlobalOwner, c.restart, [this, dev,
                                                   nan_was_enabled, rotate] {
-          if (obs::Omniscope* sc = OMNI_SCOPE(sim_);
-              sc != nullptr && sc->recording()) {
+          if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
             sc->instant_on(dev->node(), obs::Cat::kCrash, 1);
           }
           // Rotate before powering on: the node comes back with its fresh

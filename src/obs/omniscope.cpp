@@ -66,13 +66,11 @@ void Omniscope::attach(sim::Simulator& sim, std::size_t ring_capacity) {
 
   metrics_.shape(std::max<std::size_t>(metrics_.owner_capacity(), 1), lanes);
   sim.set_scope(this);
-  recording_ = true;
 }
 
 void Omniscope::detach() {
   if (sim_ != nullptr && sim_->scope() == this) sim_->set_scope(nullptr);
   sim_ = nullptr;
-  recording_ = false;
 }
 
 void Omniscope::ensure_owner_capacity(std::size_t owner_count) {

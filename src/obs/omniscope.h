@@ -12,7 +12,7 @@
 //
 // Instrumented components reach the scope through their Simulator reference:
 //
-//     if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc && sc->recording()) {
+//     if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
 //       sc->count(sc->core().beacon_rx);
 //       sc->instant(obs::Cat::kBeaconRx, sender.value);
 //     }
@@ -102,8 +102,8 @@ class Omniscope {
   Omniscope& operator=(const Omniscope&) = delete;
 
   /// Bind to `sim`: size metric lanes and trace rings to its shard count,
-  /// register the core metrics, publish this scope via sim.set_scope(), and
-  /// start recording. Call from setup (never inside a run).
+  /// register the core metrics, and publish this scope via sim.set_scope().
+  /// Call from setup (never inside a run).
   void attach(sim::Simulator& sim, std::size_t ring_capacity = 1 << 16);
   void detach();
   sim::Simulator* simulator() const { return sim_; }
@@ -111,9 +111,6 @@ class Omniscope {
   /// Grow per-owner metric storage to cover nodes [0, owner_count). Callable
   /// between runs / from global context as devices are added.
   void ensure_owner_capacity(std::size_t owner_count);
-
-  bool recording() const { return recording_; }
-  void set_recording(bool on) { recording_ = on; }
 
   /// Per-frame verbosity. At detail (the default — right for testbeds up to
   /// a few dozen nodes), every mark_frame site writes a trace record. With
@@ -273,7 +270,6 @@ class Omniscope {
   }
 
   sim::Simulator* sim_ = nullptr;
-  bool recording_ = false;
   bool detail_ = true;
   MetricsRegistry metrics_;
   FlightRecorder recorder_;

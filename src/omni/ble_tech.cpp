@@ -148,8 +148,7 @@ void BleTech::process(SendRequest request) {
       return;
     }
     case SendOp::kSendData: {
-      if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator());
-          sc != nullptr && sc->recording()) {
+      if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator())) {
         sc->count_on(radio_.node(), sc->core().tech_send[0]);
         sc->instant_on(radio_.node(), obs::Cat::kTechSend,
                        request.request_id, request.packed->size(), 0);
@@ -182,8 +181,7 @@ void BleTech::on_radio_receive(const BleAddress& from,
 
 void BleTech::respond(const SendRequest& request, bool success,
                       std::string failure) {
-  if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator());
-      sc != nullptr && sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator())) {
     sc->instant_on(radio_.node(), obs::Cat::kTechResponse,
                    request.request_id, success ? 0 : 1, 0);
   }

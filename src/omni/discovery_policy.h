@@ -5,11 +5,11 @@
 // scale the dense tiles then spend most of their event budget rediscovering
 // peers they already know. DiscoveryPolicy describes the alternative: a
 // per-node density-aware controller that backs the beacon interval off
-// between a floor (the paper-faithful 500 ms default) and a ceiling when the
-// neighborhood is saturated and stable, and shortens passive scan windows in
-// the same regime (Karowski-Miller optimized passive listening: when N
-// stable neighbors all beacon at you, a 1/N listen duty still hears the
-// aggregate at the same expected rate).
+// between a floor (ManagerOptions::beacon_interval, the paper's 500 ms) and a
+// ceiling when the neighborhood is saturated and stable, and shortens passive
+// scan windows in the same regime (Karowski-Miller optimized passive
+// listening: when N stable neighbors all beacon at you, a 1/N listen duty
+// still hears the aggregate at the same expected rate).
 //
 // Determinism contract: every input to the controller is a deterministic
 // local signal (PeerTable occupancy, new-peer inserts since the last
@@ -38,11 +38,9 @@ struct DiscoveryPolicy {
 
   Mode mode = Mode::kFixed;
 
-  /// Lower bound for the adaptive beacon interval. Also the interval a node
-  /// snaps back to whenever a previously-unknown peer appears, so entrant
-  /// discovery latency stays bounded by the floor. Must remain >= the
-  /// engine's conservative lookahead (BleMedium::min_latency(), 10 ms).
-  Duration floor = Duration::millis(500);
+  // The floor — the lower bound, and the interval a node snaps back to
+  // whenever a previously-unknown peer appears — is
+  // ManagerOptions::beacon_interval.
 
   /// Upper bound once the neighborhood is dense (>= dense_peers) and stable.
   Duration ceiling = Duration::seconds(8);

@@ -14,16 +14,6 @@
 namespace omni {
 
 namespace {
-// Fetch the attached scope if it is recording. Manager metrics and records
-// are attributed to the manager's execution owner (its hosting node).
-inline obs::Omniscope* scope_of(sim::Simulator& sim) {
-  obs::Omniscope* sc = OMNI_SCOPE(sim);
-  return (sc != nullptr && sc->recording()) ? sc : nullptr;
-}
-}  // namespace
-
-
-namespace {
 constexpr const char* kTag = "omni.manager";
 
 /// splitmix64 finalizer: stateless deterministic jitter for backoff delays
@@ -44,7 +34,8 @@ OmniManager::OmniManager(sim::Simulator& sim, OmniAddress self,
       options_(options),
       receive_queue_(sim),
       shared_receive_queue_(sim),
-      response_queue_(sim) {
+      response_queue_(sim),
+      current_beacon_interval_(options.beacon_interval) {
   OMNI_CHECK_MSG(self_.is_valid(), "manager needs a valid omni_address");
   // The manager's protocol state is single-context: drain its queues on the
   // owning node's shard (or the global phase for standalone managers).
@@ -54,14 +45,6 @@ OmniManager::OmniManager(sim::Simulator& sim, OmniAddress self,
   receive_queue_.set_owner(options_.owner);
   shared_receive_queue_.set_owner(sim::kGlobalOwner);
   response_queue_.set_owner(options_.owner);
-  current_beacon_interval_ = options_.adaptive_beacon.enabled
-                                 ? options_.adaptive_beacon.min_interval
-                                 : options_.beacon_interval;
-  if (options_.discovery.mode == DiscoveryPolicy::Mode::kAdaptive) {
-    // The discovery scheduler starts at its floor (paper-faithful cadence)
-    // and only backs off once the neighborhood proves dense and stable.
-    current_beacon_interval_ = options_.discovery.floor;
-  }
   if (!options_.context_key.empty()) {
     cipher_.emplace(std::span<const std::uint8_t>(options_.context_key));
     // Derive a device-unique nonce space so two devices sharing a key never
@@ -170,7 +153,7 @@ void OmniManager::on_attempt_deadline(std::uint64_t request_id) {
   // §3.3). A late real response finds the request id gone and is ignored.
   if (auto it = data_attempts_.find(request_id); it != data_attempts_.end()) {
     ++stats_.deadline_failovers;
-    if (obs::Omniscope* sc = scope_of(sim_)) {
+    if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
       sc->count_on(options_.owner, sc->core().deadline_failovers);
       sc->instant_on(options_.owner, obs::Cat::kDeadline, request_id, 0,
                      static_cast<std::uint8_t>(it->second.tech));
@@ -187,7 +170,7 @@ void OmniManager::on_attempt_deadline(std::uint64_t request_id) {
   auto it = context_attempts_.find(request_id);
   if (it == context_attempts_.end()) return;
   ++stats_.deadline_failovers;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->count_on(options_.owner, sc->core().deadline_failovers);
     sc->instant_on(options_.owner, obs::Cat::kDeadline, request_id, 0,
                    static_cast<std::uint8_t>(it->second.tech));
@@ -219,7 +202,7 @@ void OmniManager::note_status_flap(TechSlot& s) {
   s.flaps = 0;
   Duration hold = backoff_delay(s.quarantine_count);
   s.quarantined_until = now + hold;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->count_on(options_.owner, sc->core().quarantines);
     sc->instant_on(options_.owner, obs::Cat::kQuarantine,
                    static_cast<std::uint64_t>(hold.as_micros()), 0,
@@ -255,7 +238,7 @@ void OmniManager::note_status_flap(TechSlot& s) {
 void OmniManager::schedule_beacon_rearm(TechSlot& s) {
   if (!running_ || s.beacon_rearm.pending()) return;
   ++stats_.beacon_rearms;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->instant_on(options_.owner, obs::Cat::kRetry, s.beacon_failures, 0,
                    static_cast<std::uint8_t>(s.type));
   }
@@ -319,8 +302,7 @@ void OmniManager::start() {
 
   // Sweep before maintenance: both land on the same instants (k x interval),
   // and scheduling the sweep first gives it the smaller sequence number, so
-  // peer expiry still precedes adapt_beacon_interval exactly as it did when
-  // it lived inside maintenance_tick.
+  // peer expiry precedes the discovery controller's tick.
   schedule_peer_sweep();
   schedule_maintenance();
 }
@@ -397,12 +379,12 @@ const SharedBytes& OmniManager::beacon_wire() {
     beacon_wire_gen_ = beacon_gen_;
     beacon_wire_ctx_gen_ = contexts_.generation();
     ++stats_.beacon_encodes;
-    if (obs::Omniscope* sc = scope_of(sim_)) {
+    if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
       sc->count_on(options_.owner, sc->core().beacon_encodes);
     }
   } else {
     ++stats_.beacon_frames_cached;
-    if (obs::Omniscope* sc = scope_of(sim_)) {
+    if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
       sc->count_on(options_.owner, sc->core().beacon_frames_cached);
     }
   }
@@ -420,7 +402,7 @@ void OmniManager::start_beaconing_on(Technology tech) {
   req.packed = beacon_wire();
   s->send_queue->push(std::move(req));
   s->beaconing = true;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->instant_on(options_.owner, obs::Cat::kBeaconOn, 0, 0,
                    static_cast<std::uint8_t>(tech));
   }
@@ -435,7 +417,7 @@ void OmniManager::stop_beaconing_on(Technology tech) {
   req.context_id = beacon_context_id(tech);
   s->send_queue->push(std::move(req));
   s->beaconing = false;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->instant_on(options_.owner, obs::Cat::kBeaconOff, 0, 0,
                    static_cast<std::uint8_t>(tech));
   }
@@ -447,7 +429,7 @@ void OmniManager::engage(Technology tech) {
   if (s->tech->engaged()) return;
   OMNI_DEBUG(sim_.now(), kTag, "engaging %s", to_string(tech).c_str());
   ++stats_.engagements;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->count_on(options_.owner, sc->core().engagements);
     sc->instant_on(options_.owner, obs::Cat::kEngage, 0, 0,
                    static_cast<std::uint8_t>(tech));
@@ -464,7 +446,7 @@ void OmniManager::disengage(Technology tech) {
   if (s == nullptr || !s->tech->engaged()) return;
   OMNI_DEBUG(sim_.now(), kTag, "disengaging %s", to_string(tech).c_str());
   ++stats_.disengagements;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->instant_on(options_.owner, obs::Cat::kDisengage, 0, 0,
                    static_cast<std::uint8_t>(tech));
   }
@@ -488,37 +470,14 @@ void OmniManager::maintenance_thunk(void* ctx) {
   if (mgr->running_) mgr->schedule_maintenance();
 }
 
-void OmniManager::adapt_beacon_interval() {
-  if (!options_.adaptive_beacon.enabled) return;
-  // The DiscoveryPolicy controller subsumes this legacy ablation knob; if
-  // both are armed the newer controller owns the interval.
-  if (options_.discovery.mode == DiscoveryPolicy::Mode::kAdaptive) return;
-  // Hash the neighborhood: the set of known peers and the technologies they
-  // were heard on. A change means churn -> beacon aggressively; stability
-  // means the interval can back off (halving the idle beacon energy per
-  // quiet tick, the eDiscovery idea).
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (OmniAddress peer : peers_.peers()) {
-    h ^= peer.value;
-    h *= 0x00000100000001B3ull;
-  }
-  Duration target;
-  if (h != last_neighborhood_hash_) {
-    target = options_.adaptive_beacon.min_interval;
-  } else {
-    target = std::min(options_.adaptive_beacon.max_interval,
-                      current_beacon_interval_ * 2.0);
-  }
-  last_neighborhood_hash_ = h;
-  if (target == current_beacon_interval_) return;
-  current_beacon_interval_ = target;
+void OmniManager::readvertise_beacon(Duration interval) {
   for (auto& s : slots_) {
     if (!s.up || !s.beaconing) continue;
     SendRequest req;
     req.request_id = next_request_id();
     req.op = SendOp::kUpdateContext;
-    req.context_id = beacon_context_id(s.tech->type());
-    req.interval = current_beacon_interval_;
+    req.context_id = beacon_context_id(s.type);
+    req.interval = interval;
     req.packed = beacon_wire();
     s.send_queue->push(std::move(req));
   }
@@ -551,7 +510,7 @@ Duration OmniManager::scaled_context_interval(Duration app_interval) const {
   if (options_.discovery.mode != DiscoveryPolicy::Mode::kAdaptive) {
     return app_interval;
   }
-  const std::int64_t floor_us = options_.discovery.floor.as_micros();
+  const std::int64_t floor_us = options_.beacon_interval.as_micros();
   const std::int64_t cur_us = current_beacon_interval_.as_micros();
   if (floor_us <= 0 || cur_us <= floor_us) return app_interval;
   return app_interval * (static_cast<double>(cur_us) /
@@ -567,11 +526,11 @@ void OmniManager::push_beacon_interval(Duration interval) {
   // against exact tier values.
   //
   // The jittered value is then quantized back onto the floor lattice
-  // (nearest multiple of the floor, never below it). Neighbors that started
-  // together and back off by doubling keep beaconing at shared instants, so
-  // the medium's per-window delivery batching survives the backoff — an
-  // un-quantized interval would spread receptions over distinct windows and
-  // *raise* the event count while lowering the beacon count.
+  // (nearest multiple of beacon_interval, never below it). Neighbors that
+  // started together and back off by doubling keep beaconing at shared
+  // instants, so the medium's per-window delivery batching survives the
+  // backoff — an un-quantized interval would spread receptions over distinct
+  // windows and *raise* the event count while lowering the beacon count.
   const double jitter = options_.discovery.jitter;
   Duration adv = interval;
   if (jitter > 0.0) {
@@ -579,23 +538,14 @@ void OmniManager::push_beacon_interval(Duration interval) {
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
     adv = interval * (1.0 + jitter * (2.0 * u - 1.0));
   }
-  const std::int64_t lattice_us = options_.discovery.floor.as_micros();
+  const std::int64_t lattice_us = options_.beacon_interval.as_micros();
   if (lattice_us > 0) {
     std::int64_t q_us =
         (adv.as_micros() + lattice_us / 2) / lattice_us * lattice_us;
     if (q_us < lattice_us) q_us = lattice_us;
     adv = Duration::micros(q_us);
   }
-  for (auto& s : slots_) {
-    if (!s.up || !s.beaconing) continue;
-    SendRequest req;
-    req.request_id = next_request_id();
-    req.op = SendOp::kUpdateContext;
-    req.context_id = beacon_context_id(s.type);
-    req.interval = adv;
-    req.packed = beacon_wire();
-    s.send_queue->push(std::move(req));
-  }
+  readvertise_beacon(adv);
   // Re-pace the application contexts by the same backoff factor: their
   // receivers are the very peers whose saturation drove the interval up, and
   // a new-peer snap restores the app-chosen cadence instantly. The paper
@@ -619,16 +569,15 @@ void OmniManager::push_beacon_interval(Duration interval) {
       s.send_queue->push(std::move(req));
     }
   }
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->observe_on(options_.owner, sc->core().beacon_interval_ms,
                    static_cast<double>(interval.as_millis()));
   }
 }
 
 void OmniManager::discovery_snap_to_floor() {
-  const DiscoveryPolicy& p = options_.discovery;
-  if (current_beacon_interval_ > p.floor) {
-    push_beacon_interval(p.floor);
+  if (current_beacon_interval_ > options_.beacon_interval) {
+    push_beacon_interval(options_.beacon_interval);
   }
   if (discovery_scan_duty_ != 0.0) {
     discovery_scan_duty_ = 0.0;
@@ -652,6 +601,7 @@ void OmniManager::discovery_note_inserts() {
 void OmniManager::discovery_tick() {
   const DiscoveryPolicy& p = options_.discovery;
   if (p.mode != DiscoveryPolicy::Mode::kAdaptive) return;
+  const Duration floor = options_.beacon_interval;
   // New-peer rate since the last look. The receive path normally consumes
   // inserts as they happen (discovery_note_inserts), so a nonzero delta here
   // only catches churn on paths that bypassed it.
@@ -664,26 +614,26 @@ void OmniManager::discovery_tick() {
   // backs off conservatively; an isolated node holds the floor so a first
   // encounter is never slower than the paper's fixed schedule.
   const std::size_t occupancy = discovery_occupancy();
-  Duration allowed = p.floor;
+  Duration allowed = floor;
   if (occupancy >= p.dense_peers) {
     allowed = p.ceiling;
   } else if (occupancy >= p.sparse_peers) {
     allowed = p.sparse_ceiling;
   }
   Duration target = churned
-                        ? p.floor
+                        ? floor
                         : std::min(allowed, current_beacon_interval_ * p.ramp);
-  if (target < p.floor) target = p.floor;
+  if (target < floor) target = floor;
   if (target != current_beacon_interval_) push_beacon_interval(target);
 
   // Beacons saved versus the floor cadence over the window just ending.
-  if (current_beacon_interval_ > p.floor) {
-    const double saved = options_.probe_interval / p.floor -
+  if (current_beacon_interval_ > floor) {
+    const double saved = options_.probe_interval / floor -
                          options_.probe_interval / current_beacon_interval_;
     const auto n = static_cast<std::uint64_t>(saved > 0.0 ? saved + 0.5 : 0.0);
     if (n > 0) {
       stats_.beacons_suppressed += n;
-      if (obs::Omniscope* sc = scope_of(sim_)) {
+      if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
         sc->count_on(options_.owner, sc->core().beacons_suppressed, n);
       }
     }
@@ -707,7 +657,7 @@ void OmniManager::discovery_tick() {
   }
   if (duty > 0.0) {
     ++stats_.scan_windows_skipped;
-    if (obs::Omniscope* sc = scope_of(sim_)) {
+    if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
       sc->count_on(options_.owner, sc->core().scan_windows_skipped);
     }
   }
@@ -736,7 +686,7 @@ void OmniManager::peer_sweep_fired() {
   // grants a floor-rate one — scaling wall-clock alone leaves the
   // sweep racing capture losses around every ramp transition.
   const std::int64_t floor_us =
-      std::max<std::int64_t>(1, options_.discovery.floor.as_micros());
+      std::max<std::int64_t>(1, options_.beacon_interval.as_micros());
   const double hint_scale =
       options_.discovery.mode == DiscoveryPolicy::Mode::kAdaptive
           ? static_cast<double>(options_.peer_ttl.as_micros()) /
@@ -744,14 +694,13 @@ void OmniManager::peer_sweep_fired() {
           : 0.0;
   peers_.expire(sim_.now(), options_.peer_ttl, hint_scale);
   ++stats_.peer_expire_sweeps;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->count_on(options_.owner, sc->core().peer_expire_sweeps);
   }
 }
 
 void OmniManager::maintenance_tick() {
   discovery_tick();
-  adapt_beacon_interval();
   if (!options_.enable_engagement) return;
   // Disengage any engaged non-primary context technology on which every
   // recently-heard peer is also reachable via a lower-energy technology.
@@ -866,7 +815,7 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
   switch (p.kind) {
     case PacketKind::kAddressBeacon: {
       ++stats_.beacons_received;
-      if (obs::Omniscope* sc = scope_of(sim_)) {
+      if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
         sc->mark_frame_on(options_.owner, sc->core().beacon_rx,
                           obs::Cat::kBeaconRx, p.source.value);
       }
@@ -904,7 +853,7 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
       break;
     case PacketKind::kData:
       ++stats_.data_received;
-      if (obs::Omniscope* sc = scope_of(sim_)) {
+      if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
         sc->mark_on(options_.owner, sc->core().data_rx,
                     obs::Cat::kDataRx, p.source.value, p.payload.size());
       }
@@ -919,7 +868,7 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
 
 void OmniManager::deliver_context(const PackedView& p) {
   ++stats_.context_received;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->mark_frame_on(options_.owner, sc->core().context_rx,
                       obs::Cat::kContextRx, p.source.value, p.payload.size());
   }
@@ -1035,16 +984,7 @@ void OmniManager::handle_response(TechResponse response) {
       beacon_info_.mesh = std::get<MeshAddress>(response.new_address);
     }
     ++beacon_gen_;  // beacon_wire() re-encodes against the fresh mapping
-    for (auto& bs : slots_) {
-      if (!bs.up || !bs.beaconing) continue;
-      SendRequest req;
-      req.request_id = next_request_id();
-      req.op = SendOp::kUpdateContext;
-      req.context_id = beacon_context_id(bs.tech->type());
-      req.interval = current_beacon_interval_;
-      req.packed = beacon_wire();
-      bs.send_queue->push(std::move(req));
-    }
+    readvertise_beacon(current_beacon_interval_);
     return;
   }
 
@@ -1109,7 +1049,7 @@ void OmniManager::handle_data_response(const TechResponse& response) {
 
   if (response.success) {
     peers_.mark_fresh(op.dest, response.tech);
-    if (obs::Omniscope* sc = scope_of(sim_)) {
+    if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
       sc->count_on(options_.owner, sc->core().data_ok);
       sc->observe_on(options_.owner, sc->core().data_latency_ms,
                      (sim_.now() - op.started).as_seconds() * 1e3);
@@ -1130,7 +1070,7 @@ void OmniManager::handle_data_response(const TechResponse& response) {
              op.dest.to_string().c_str(), to_string(response.tech).c_str(),
              response.failure_reason.c_str());
   ++stats_.data_failovers;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->count_on(options_.owner, sc->core().data_failovers);
     sc->instant_on(options_.owner, obs::Cat::kFailover, op_id, 0,
                    static_cast<std::uint8_t>(response.tech));
@@ -1460,10 +1400,6 @@ std::optional<Technology> OmniManager::pick_data_tech(
         }
         break;
     }
-    if (best == t && options_.data_policy !=
-                         ManagerOptions::DataPolicy::kExpectedTime) {
-      best_rank = static_cast<int>(t);
-    }
   }
   return best;
 }
@@ -1479,7 +1415,7 @@ void OmniManager::dispatch_data(std::uint64_t op_id) {
     return;
   }
   op.tried.insert(*tech);
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->instant_on(options_.owner, obs::Cat::kTechSelect, op_id, 0,
                    static_cast<std::uint8_t>(*tech));
   }
@@ -1523,7 +1459,7 @@ void OmniManager::dispatch_data(std::uint64_t op_id) {
 void OmniManager::fail_data(std::uint64_t op_id, const std::string& why) {
   auto it = pending_data_.find(op_id);
   if (it == pending_data_.end()) return;
-  if (obs::Omniscope* sc = scope_of(sim_)) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->count_on(options_.owner, sc->core().data_failed);
     sc->async_end_on(options_.owner, obs::Cat::kOpData, op_id, 1);
   }
@@ -1572,7 +1508,7 @@ void OmniManager::send_data(const std::vector<OmniAddress>& destinations,
     op.packed = packed;
     op.callback = callback;
     op.started = sim_.now();
-    if (obs::Omniscope* sc = scope_of(sim_)) {
+    if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
       sc->count_on(options_.owner, sc->core().data_ops);
       sc->async_begin_on(options_.owner, obs::Cat::kOpData, op_id,
                          packed->size());
@@ -1652,18 +1588,17 @@ void OmniManager::snapshot_state(sim::ByteWriter& w, bool deep) const {
   w.var(backoff_draws_);
   w.var(discovery_draws_);
   w.var(discovery_last_inserts_);
-  w.u64(last_neighborhood_hash_);
   w.svar(current_beacon_interval_.as_micros());
   w.f64(discovery_scan_duty_);
 
-  // Full ManagerStats, declaration order.
+  // ManagerStats in declaration order, except the always-zero
+  // beacon_decode_skips.
   for (std::uint64_t v :
        {stats_.packets_received, stats_.sealed_drops, stats_.beacons_received,
         stats_.context_received, stats_.data_received, stats_.data_sends,
         stats_.data_failovers, stats_.context_failovers, stats_.engagements,
         stats_.disengagements, stats_.beacon_encodes,
-        stats_.beacon_frames_cached, stats_.beacon_decode_skips,
-        stats_.peer_expire_sweeps, stats_.relayed_out, stats_.relayed_in,
+        stats_.beacon_frames_cached, stats_.peer_expire_sweeps, stats_.relayed_out, stats_.relayed_in,
         stats_.deadline_failovers, stats_.beacon_rearms, stats_.quarantines,
         stats_.overload_rejections, stats_.beacons_suppressed,
         stats_.scan_windows_skipped}) {

@@ -51,7 +51,11 @@ using ::omni::codec::ByteWriter;
 }
 
 struct ManagerOptions {
-  /// Address beacon interval; the paper fixes it at 500 ms.
+  /// Address beacon interval; the paper fixes it at 500 ms. Under
+  /// DiscoveryPolicy::kAdaptive it is the floor: the interval a node starts
+  /// at and snaps back to when a new peer appears, and the lattice its
+  /// backed-off interval is quantized to. Must stay >= the engine's
+  /// conservative lookahead (BleMedium::min_latency(), 10 ms).
   Duration beacon_interval = Duration::millis(500);
   /// Engagement maintenance / probe cadence (paper: "e.g., every five
   /// seconds").
@@ -85,21 +89,10 @@ struct ManagerOptions {
   /// How long one relayed packet keeps being re-broadcast.
   Duration relay_lifetime = Duration::millis(1500);
 
-  /// Adaptive address-beacon interval (paper §5 / eDiscovery-style): tighten
-  /// to min_interval while the neighborhood is changing, back off toward
-  /// max_interval (doubling per quiet maintenance tick) when it is static.
-  struct AdaptiveBeacon {
-    bool enabled = false;
-    Duration min_interval = Duration::millis(250);
-    Duration max_interval = Duration::seconds(4);
-  };
-  AdaptiveBeacon adaptive_beacon;
-
-  /// Density-aware discovery scheduling (ROADMAP item 4; subsumes the
-  /// AdaptiveBeacon ablation knob above). kFixed — the default — reproduces
-  /// the fixed 500 ms cadence bit-for-bit; kAdaptive arms the beacon-interval
-  /// controller and the Karowski-Miller listen-duty controller in
-  /// maintenance_tick().
+  /// Density-aware discovery scheduling (paper §5 adaptive intervals).
+  /// kFixed — the default — beacons at the fixed beacon_interval; kAdaptive
+  /// arms the beacon-interval controller and the Karowski-Miller listen-duty
+  /// controller in maintenance_tick().
   DiscoveryPolicy discovery;
 
   /// Optional world handle for the discovery controller's region-occupancy
@@ -160,9 +153,8 @@ struct ManagerStats {
   std::uint64_t beacon_encodes = 0;        ///< beacon wire-frame (re)encodes
   std::uint64_t beacon_frames_cached = 0;  ///< beacon ops served from cache
   /// Always 0: the receiver-side beacon memo it counted is gone. Kept
-  /// because benchmark/omni_bench.cpp still reads it (omni.memo_hit_ratio)
-  /// and the manager snapshot record still writes it, so the .osnap
-  /// managers record keeps its layout.
+  /// because benchmark/omni_bench.cpp still reads it (omni.memo_hit_ratio);
+  /// the .osnap managers record no longer writes it.
   std::uint64_t beacon_decode_skips = 0;
   std::uint64_t peer_expire_sweeps = 0;    ///< periodic expiry sweeps run
   std::uint64_t relayed_out = 0;  ///< packets this device re-broadcast
@@ -225,7 +217,8 @@ class OmniManager {
   /// The beacon info advertised by this device.
   const AddressBeaconInfo& beacon_info() const { return beacon_info_; }
   const ManagerOptions& options() const { return options_; }
-  /// Current address-beacon interval (changes under adaptive beaconing).
+  /// Current address-beacon interval (changes under
+  /// DiscoveryPolicy::kAdaptive).
   Duration current_beacon_interval() const {
     return current_beacon_interval_;
   }
@@ -324,7 +317,9 @@ class OmniManager {
   void peer_sweep_fired();
   static void maintenance_thunk(void* ctx);
   static void peer_sweep_thunk(void* ctx);
-  void adapt_beacon_interval();
+  /// Re-advertise the address beacon at `interval` on every beaconing slot:
+  /// one kUpdateContext request per slot, in slot order.
+  void readvertise_beacon(Duration interval);
 
   // Adaptive discovery scheduler (options_.discovery, kAdaptive mode only;
   // see DESIGN.md "Adaptive discovery"). All methods are no-ops under kFixed.
@@ -339,7 +334,8 @@ class OmniManager {
   /// Receive-path hook: snaps to the floor when the PeerTable insert counter
   /// moved since the last check (a genuinely new peer, not a refresh).
   void discovery_note_inserts();
-  /// Push `interval` (owner-hash jittered) to every beaconing slot.
+  /// Push `interval` (owner-hash jittered, quantized to the beacon_interval
+  /// lattice) to every beaconing slot.
   void push_beacon_interval(Duration interval);
   /// Neighborhood occupancy signal: region residents in radio range via the
   /// World when wired, else live PeerTable size.
@@ -490,11 +486,10 @@ class OmniManager {
   std::map<std::uint64_t, ContextId> active_relays_;
   ContextId next_relay_id_ = kRelayContextBase;
 
-  // Adaptive beaconing state.
-  Duration current_beacon_interval_;
-  std::uint64_t last_neighborhood_hash_ = 0;
-
   // Discovery scheduler state (all inert under DiscoveryPolicy::kFixed).
+  /// The unjittered beacon interval: beacon_interval, or the adaptive
+  /// controller's current tier value.
+  Duration current_beacon_interval_;
   /// Dedicated jitter draw counter — separate from backoff_draws_ so arming
   /// the policy never perturbs the self-healing jitter sequence.
   std::uint64_t discovery_draws_ = 0;

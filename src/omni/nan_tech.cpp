@@ -114,8 +114,7 @@ void NanTech::process(SendRequest request) {
       return;
     }
     case SendOp::kSendData: {
-      if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator());
-          sc != nullptr && sc->recording()) {
+      if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator())) {
         sc->count_on(radio_.node(), sc->core().tech_send[1]);
         sc->instant_on(radio_.node(), obs::Cat::kTechSend,
                        request.request_id, request.packed->size(), 1);
@@ -147,8 +146,7 @@ void NanTech::on_receive(const NanAddress& from, const SharedBytes& frame) {
 
 void NanTech::respond(const SendRequest& request, bool success,
                       std::string failure) {
-  if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator());
-      sc != nullptr && sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator())) {
     sc->instant_on(radio_.node(), obs::Cat::kTechResponse,
                    request.request_id, success ? 0 : 1, 1);
   }

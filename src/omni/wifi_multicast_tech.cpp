@@ -250,8 +250,7 @@ void WifiMulticastTech::process(SendRequest request) {
       return;
     }
     case SendOp::kSendData: {
-      if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator());
-          sc != nullptr && sc->recording()) {
+      if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator())) {
         sc->count_on(radio_.node(), sc->core().tech_send[2]);
         sc->instant_on(radio_.node(), obs::Cat::kTechSend,
                        request.request_id, request.packed->size(), 2);
@@ -340,8 +339,7 @@ void WifiMulticastTech::do_send_data(std::shared_ptr<SendRequest> request) {
 
 void WifiMulticastTech::respond(const SendRequest& request, bool success,
                                 std::string failure) {
-  if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator());
-      sc != nullptr && sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator())) {
     sc->instant_on(radio_.node(), obs::Cat::kTechResponse,
                    request.request_id, success ? 0 : 1, 2);
   }

@@ -109,8 +109,7 @@ void WifiUnicastTech::process(SendRequest request) {
     respond(request, false, "WiFi unicast carries data only");
     return;
   }
-  if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator());
-      sc != nullptr && sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator())) {
     sc->count_on(radio_.node(), sc->core().tech_send[3]);
     sc->instant_on(radio_.node(), obs::Cat::kTechSend,
                    request.request_id, request.packed->size(), 3);
@@ -174,8 +173,7 @@ void WifiUnicastTech::do_send(std::shared_ptr<SendRequest> request) {
 
 void WifiUnicastTech::respond(const SendRequest& request, bool success,
                               std::string failure) {
-  if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator());
-      sc != nullptr && sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(radio_.simulator())) {
     sc->instant_on(radio_.node(), obs::Cat::kTechResponse,
                    request.request_id, success ? 0 : 1, 3);
   }

@@ -188,8 +188,7 @@ void BleRadio::fire_adv(AdvertisementId id) {
   if (adv == nullptr || !powered_) return;
   meter_.charge_for(cal_.ble_adv_event, cal_.ble_advertise_ma,
                     obs::EnergyRail::kBle);
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc != nullptr &&
-                                             sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->mark_frame(sc->core().ble_adv, obs::Cat::kBleAdv);
   }
   // Reschedule before broadcasting, reusing this lookup. A receive handler
@@ -204,8 +203,7 @@ void BleRadio::fire_adv(AdvertisementId id) {
   medium_.broadcast(*this, adv->payload);
 }
 
-Status BleRadio::send_datagram(Bytes payload, SendDoneFn done,
-                               bool deterministic_latency) {
+Status BleRadio::send_datagram(Bytes payload, SendDoneFn done) {
   if (!powered_) return Status::error("BLE radio is off");
   // Datagrams ride advertisement + scan-response, so twice the single-PDU
   // payload is available.
@@ -214,12 +212,8 @@ Status BleRadio::send_datagram(Bytes payload, SendDoneFn done,
     return Status::error("BLE datagram exceeds " + std::to_string(cap) +
                          " bytes");
   }
-  Duration wait =
-      deterministic_latency
-          ? Duration::micros(cal_.ble_fast_adv_interval.as_micros() / 2)
-          : Duration::micros(static_cast<std::int64_t>(sim_.rng().uniform(
-                0, static_cast<double>(
-                       cal_.ble_fast_adv_interval.as_micros()))));
+  const Duration wait =
+      Duration::micros(cal_.ble_fast_adv_interval.as_micros() / 2);
   auto shared = std::make_shared<const Bytes>(std::move(payload));
   // The burst goes on the air at `wait`; receivers hear it one advertising
   // event later (the medium's delivery latency), and completion reports at
@@ -232,8 +226,7 @@ Status BleRadio::send_datagram(Bytes payload, SendDoneFn done,
     }
     meter_.charge_for(cal_.ble_adv_event, cal_.ble_advertise_ma,
                       obs::EnergyRail::kBle);
-    if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc != nullptr &&
-                                               sc->recording()) {
+    if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
       sc->mark_frame(sc->core().ble_adv, obs::Cat::kBleAdv,
                      /*a0=*/shared->size());
     }
@@ -248,8 +241,7 @@ Status BleRadio::send_datagram(Bytes payload, SendDoneFn done,
 
 void BleRadio::deliver(const BleAddress& from, const SharedBytes& payload) {
   if (!powered_ || !scanning_) return;
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc != nullptr &&
-                                             sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->mark_frame(sc->core().ble_rx, obs::Cat::kBleRx,
                    /*a0=*/payload->size());
   }
@@ -474,8 +466,7 @@ void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
                                       sim::FaultRadio::kBle, now);
     if (fault_delay > Duration::zero()) {
       plan->note_delay();
-      if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                                sc->recording()) {
+      if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
         sc->mark_on(from.node(), sc->core().fault_delays,
                     obs::Cat::kFaultDelay,
                     static_cast<std::uint64_t>(fault_delay.as_micros()));
@@ -499,8 +490,7 @@ void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
       if (partitions_now &&
           plan->partitioned(src_pos, world_.position(node), now)) {
         plan->note_partition_drop();
-        if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                                  sc->recording()) {
+        if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
           sc->mark_on(from.node(), sc->core().fault_partition_drops,
                       obs::Cat::kFaultPartition, node);
         }
@@ -509,8 +499,7 @@ void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
       if (plan->dropped(from.node(), node, sim::FaultRadio::kBle, now,
                         salt)) {
         plan->note_drop();
-        if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                                  sc->recording()) {
+        if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
           sc->mark_on(from.node(), sc->core().fault_drops,
                       obs::Cat::kFaultDrop, node);
         }
@@ -537,8 +526,7 @@ void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
       }
       if (corrupt_here) {
         plan->note_corruption();
-        if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                                  sc->recording()) {
+        if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
           sc->mark_on(from.node(), sc->core().fault_corruptions,
                       obs::Cat::kFaultCorrupt, node);
         }

@@ -113,11 +113,9 @@ class BleRadio {
   std::size_t active_advertisements() const { return advertisements_.size(); }
 
   /// Push one datagram via fast advertising: broadcast to in-range scanners
-  /// after the fast-advertising latency, then report completion.
-  /// With `deterministic_latency` (the default) the delay is the analytic
-  /// mean (interval/2 + event); otherwise it is sampled uniformly.
-  Status send_datagram(Bytes payload, SendDoneFn done,
-                       bool deterministic_latency = true);
+  /// after the fast-advertising latency, the analytic mean (interval/2 +
+  /// event), then report completion.
+  Status send_datagram(Bytes payload, SendDoneFn done);
 
   /// Called by the medium when an in-range advertisement arrives.
   void deliver(const BleAddress& from, const SharedBytes& payload);

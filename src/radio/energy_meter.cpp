@@ -39,8 +39,7 @@ void EnergyMeter::charge(TimePoint t0, TimePoint t1, double ma,
 
 bool EnergyMeter::ledger_active() const {
   if (node_ == kInvalidNode) return false;
-  obs::Omniscope* sc = OMNI_SCOPE(sim_);
-  return sc != nullptr && sc->recording();
+  return OMNI_SCOPE(sim_) != nullptr;
 }
 
 void EnergyMeter::set_level(const std::string& tag, double ma,

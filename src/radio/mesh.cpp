@@ -152,8 +152,7 @@ Result<FlowId> MeshNetwork::open_flow(WifiRadio& src, const MeshAddress& dst,
   flow.payload = std::move(payload);
   flow.last_settle = sim.now();
   flows_.emplace(id, std::move(flow));
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                            sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
     sc->async_begin_on(src.node(), obs::Cat::kFlow, id, bytes);
   }
 
@@ -251,8 +250,7 @@ void MeshNetwork::finish_flow(FlowId id, Status status) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return;
   it->second.completion.cancel();
-  if (obs::Omniscope* sc = OMNI_SCOPE(system_.simulator());
-      sc != nullptr && sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(system_.simulator())) {
     sc->async_end_on(it->second.src->node(), obs::Cat::kFlow, id,
                      status.is_ok() ? 0 : 1);
   }
@@ -324,8 +322,7 @@ Status MeshNetwork::send_datagram(WifiRadio& src, const MeshAddress& dst,
   // Small frame: half an RTT of latency, short tx/rx bursts for energy.
   src.meter().charge_for(Duration::millis(2), cal.wifi_send_ma,
                          obs::EnergyRail::kWifi);
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                            sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
     sc->count_on(src.node(), sc->core().mesh_tx);
     sc->instant_on(src.node(), obs::Cat::kMeshTx, peer->node(),
                    payload.size());
@@ -337,7 +334,6 @@ Status MeshNetwork::send_datagram(WifiRadio& src, const MeshAddress& dst,
     const std::uint64_t salt = ++fault_salt_;
     const TimePoint now = sim.now();
     obs::Omniscope* sc = OMNI_SCOPE(sim);
-    if (sc != nullptr && !sc->recording()) sc = nullptr;
     if (fault_partitioned(src, *peer, now)) {
       plan->note_partition_drop();
       if (sc != nullptr) {
@@ -416,8 +412,7 @@ Status MeshNetwork::multicast_datagram(WifiRadio& src, Bytes payload) {
   // The sender pays the full driver wakeup + queueing burst.
   src.meter().charge_for(cal.wifi_multicast_send_burst, cal.wifi_send_ma,
                          obs::EnergyRail::kWifi);
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                            sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
     sc->count_on(src.node(), sc->core().mesh_tx);
     sc->instant_on(src.node(), obs::Cat::kMeshMulticast, 0, payload.size());
   }
@@ -438,7 +433,6 @@ Status MeshNetwork::multicast_datagram(WifiRadio& src, Bytes payload) {
                              obs::EnergyRail::kWifi);
       if (plan != nullptr) {
         obs::Omniscope* sc = OMNI_SCOPE(system_.simulator());
-        if (sc != nullptr && !sc->recording()) sc = nullptr;
         if (fault_partitioned(src, *rx, now)) {
           plan->note_partition_drop();
           if (sc != nullptr) {
@@ -534,8 +528,7 @@ void MeshNetwork::service_bulk_queue() {
     rx->meter().charge_for(airtime, cal.wifi_receive_ma,
                            obs::EnergyRail::kWifi);
   }
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                            sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
     sc->count_on(item.src->node(), sc->core().mesh_tx, n);
     sc->instant_on(item.src->node(), obs::Cat::kMeshMulticast, n,
                    static_cast<std::uint64_t>(n) * cal.wifi_multicast_mtu);

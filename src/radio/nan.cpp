@@ -90,8 +90,7 @@ void NanSystem::run_window() {
                                      sim::FaultRadio::kNan, start);
       if (tx_extra > Duration::zero()) {
         plan->note_delay();
-        if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                                  sc->recording()) {
+        if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
           sc->count_on(tx->node(), sc->core().fault_delays);
           sc->instant_on(tx->node(), obs::Cat::kFaultDelay,
                          static_cast<std::uint64_t>(tx_extra.as_micros()));
@@ -109,7 +108,6 @@ void NanSystem::run_window() {
           SharedBytes frame = payload;
           if (plan != nullptr) {
             obs::Omniscope* sc = OMNI_SCOPE(sim);
-            if (sc != nullptr && !sc->recording()) sc = nullptr;
             if (plan->partitioned(world_.position(tx->node()),
                                   world_.position(rx->node()), start)) {
               plan->note_partition_drop();
@@ -186,8 +184,7 @@ void NanSystem::run_window() {
           // The frame (or its ack) was lost: retry in a later window, like
           // an unreachable destination.
           plan->note_drop();
-          if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                                    sc->recording()) {
+          if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
             sc->count_on(tx->node(), sc->core().fault_drops);
             sc->instant_on(tx->node(), obs::Cat::kFaultDrop, dest->node());
           }
@@ -201,8 +198,7 @@ void NanSystem::run_window() {
         if (plan->corrupted(tx->node(), dest->node(), sim::FaultRadio::kNan,
                             start, salt)) {
           plan->note_corruption();
-          if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                                    sc->recording()) {
+          if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
             sc->count_on(tx->node(), sc->core().fault_corruptions);
             sc->instant_on(tx->node(), obs::Cat::kFaultCorrupt,
                            dest->node());
@@ -225,8 +221,7 @@ void NanSystem::run_window() {
       tx->meter().charge(
           start, start + cal_.nan_frame_airtime * frames,
           cal_.wifi_send_ma, obs::EnergyRail::kNan);
-      if (obs::Omniscope* sc = OMNI_SCOPE(sim); sc != nullptr &&
-                                                sc->recording()) {
+      if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
         sc->instant_on(tx->node(), obs::Cat::kNanTx,
                        static_cast<std::uint64_t>(frames));
       }
@@ -292,8 +287,7 @@ bool NanRadio::attends(std::uint64_t window_index) const {
 void NanRadio::window_wake(TimePoint window_start) {
   meter_.charge(window_start, window_start + cal_.nan_dw_duration,
                 cal_.wifi_receive_ma, obs::EnergyRail::kNan);
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc != nullptr &&
-                                             sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->count_on(node_, sc->core().nan_dw);
     sc->complete_on(node_, obs::Cat::kNanDw, cal_.nan_dw_duration);
   }

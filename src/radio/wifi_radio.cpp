@@ -88,8 +88,7 @@ void WifiRadio::start_next_op() {
   if (op.kind == PendingOp::Kind::kScan) {
     meter_.charge_for(cal_.wifi_scan_duration, cal_.wifi_scan_ma,
                       obs::EnergyRail::kWifi);
-    if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc != nullptr &&
-                                               sc->recording()) {
+    if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
       sc->count_on(node_, sc->core().wifi_scans);
       sc->complete_on(node_, obs::Cat::kWifiScan, cal_.wifi_scan_duration);
     }
@@ -107,8 +106,7 @@ void WifiRadio::start_next_op() {
   // Join: peering + SAE authentication.
   meter_.charge_for(cal_.wifi_join_duration, cal_.wifi_connect_ma,
                     obs::EnergyRail::kWifi);
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc != nullptr &&
-                                             sc->recording()) {
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->complete_on(node_, obs::Cat::kWifiJoin, cal_.wifi_join_duration);
   }
   sim_.after(cal_.wifi_join_duration,

@@ -261,9 +261,11 @@ struct Scenario::Impl {
   /// `checkpoint every <dur> [dir]` — zero interval means no checkpointing.
   Duration checkpoint_interval = Duration::zero();
   std::string checkpoint_dir = ".";
-  /// Run-wide discovery scheduling policy (`discovery` directive); the
-  /// default (kFixed) reproduces the paper's fixed 500 ms cadence exactly.
+  /// Run-wide discovery scheduling (`discovery` directive): the policy and
+  /// every device's beacon interval (its `floor=`). The defaults reproduce
+  /// the paper's fixed 500 ms cadence exactly.
   DiscoveryPolicy discovery;
+  Duration beacon_interval = ManagerOptions().beacon_interval;
   std::vector<DeviceDecl> devices;
   std::vector<Instr> instructions;
   // Fault schedule (declarative; applied before the first run block).
@@ -659,11 +661,13 @@ Result<std::unique_ptr<Scenario>> Scenario::parse(const std::string& text) {
       // discovery fixed|adaptive [floor=500ms] [ceiling=8s]
       //           [sparse_ceiling=2s] [ramp=2.0] [dense=8] [sparse=2]
       //           [jitter=0.1] [duty=0.05] [range=40]
-      // Applies to every device in the scenario.
+      // Applies to every device in the scenario. `floor` is each device's
+      // beacon interval: the fixed cadence, or the adaptive lower bound.
       if (tokens.size() < 2) {
         return error("discovery fixed|adaptive [key=value...]");
       }
       DiscoveryPolicy p;
+      Duration floor = ManagerOptions().beacon_interval;
       if (tokens[1] == "fixed") {
         p.mode = DiscoveryPolicy::Mode::kFixed;
       } else if (tokens[1] == "adaptive") {
@@ -679,7 +683,7 @@ Result<std::unique_ptr<Scenario>> Scenario::parse(const std::string& text) {
           auto d = parse_duration(kv->second);
           if (!d || d->is_zero()) return error("bad " + kv->first);
           if (kv->first == "floor") {
-            p.floor = *d;
+            floor = *d;
           } else if (kv->first == "ceiling") {
             p.ceiling = *d;
           } else {
@@ -709,10 +713,11 @@ Result<std::unique_ptr<Scenario>> Scenario::parse(const std::string& text) {
           return error("unknown argument '" + kv->first + "'");
         }
       }
-      if (p.ceiling < p.floor || p.sparse_ceiling < p.floor) {
+      if (p.ceiling < floor || p.sparse_ceiling < floor) {
         return error("discovery ceilings must be >= the floor");
       }
       impl.discovery = p;
+      impl.beacon_interval = floor;
 
     } else if (op == "run") {
       if (tokens.size() != 2) return error("run <duration>");
@@ -773,6 +778,7 @@ Status Scenario::run(std::ostream& out, unsigned threads, bool observe) {
     live[i].device = &bed.add_device(decl.name, decl.position);
     OmniNodeOptions options = decl.options;
     options.manager.discovery = impl.discovery;
+    options.manager.beacon_interval = impl.beacon_interval;
     live[i].node = std::make_unique<OmniNode>(*live[i].device, bed.mesh(),
                                               options);
     auto* ld = &live[i];

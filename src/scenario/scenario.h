@@ -18,7 +18,7 @@
 //   blackout kiosk at=15s until=25s radio=wifi
 //   flap beacon at=10s until=30s period=2s off=0.5
 //   crash embedded at=20s restart=35s         # fresh BLE address on reboot
-//   discovery adaptive floor=500ms ceiling=8s  # density-aware beaconing
+//   discovery adaptive floor=500ms ceiling=8s  # floor = beacon interval
 //   checkpoint every 5s ckpts           # periodic .osnap state checkpoints
 //   run 60s
 //   report

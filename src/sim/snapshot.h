@@ -52,7 +52,7 @@ class World;
 class FaultPlan;
 
 inline constexpr char kSnapshotMagic[4] = {'O', 'S', 'N', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Well-known section ids. Ids are stable across versions; unknown ids are
 /// preserved by parse/serialize round trips (forward compatibility for
@@ -87,7 +87,7 @@ const ::omni::codec::ContainerSpec& snapshot_spec();
 // SectionContainer's default version must stay in lockstep with the
 // snapshot version, because capture paths rely on `Snapshot{}` already
 // carrying the version they serialize under.
-static_assert(kSnapshotVersion == 1,
+static_assert(kSnapshotVersion == 2,
               "bump SectionContainer's default version alongside this");
 
 // --- Manifest ----------------------------------------------------------------

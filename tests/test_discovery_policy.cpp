@@ -2,9 +2,11 @@
 //
 // Covers the controller's behavioral envelope and its two contracts:
 //  * behavior: a dense stable clique ramps the beacon interval to the
-//    ceiling and starts suppressing beacons/scan windows; an isolated pair
-//    (below sparse_peers) never leaves the floor, so entrant discovery
-//    latency stays paper-faithful where it matters;
+//    ceiling, starts suppressing beacons/scan windows and cuts its
+//    advertising draw, and an entrant snaps it back to the floor; an
+//    isolated pair (below sparse_peers) never leaves the floor
+//    (ManagerOptions::beacon_interval, which the DSL's floor= sets), so
+//    entrant discovery latency stays paper-faithful where it matters;
 //  * determinism: the adaptive run's end-of-run state capture (with and
 //    without jitter) is identical at 1, 2 and 8 threads, and the controller
 //    leaks no ops under crash/restart churn;
@@ -42,14 +44,16 @@ DiscoveryPolicy adaptive_policy() {
 }
 
 /// A testbed with `n` full-stack nodes on a tight grid (spacing well inside
-/// BLE range), all running `policy`. Its captures carry the managers.
+/// BLE range), all running `policy` with `floor` as their beacon interval.
+/// Its captures carry the managers.
 struct Clique {
   Clique(int n, const DiscoveryPolicy& policy, unsigned threads,
-         double spacing_m = 10.0)
+         double spacing_m = 10.0, Duration floor = Duration::millis(500))
       : bed(kSeed, radio::Calibration::defaults(), threads) {
     bed.set_discovery_policy(policy);
     OmniNodeOptions opts;
     opts.manager.discovery = bed.discovery_policy();
+    opts.manager.beacon_interval = floor;
     int side = 1;
     while (side * side < n) ++side;
     for (int i = 0; i < n; ++i) {
@@ -83,18 +87,110 @@ TEST(DiscoveryPolicyTest, DenseCliqueConvergesToCeiling) {
   EXPECT_GT(skipped, 0u);
 }
 
+// A clique held at the ceiling hears a new peer walk in: every member snaps
+// back to the floor and restores its full listen duty, so the entrant is
+// discovered at the floor rate, not at the backed-off one.
+TEST(DiscoveryPolicyTest, EntrantSnapsCliqueBackToFloor) {
+  const DiscoveryPolicy policy = adaptive_policy();
+  Clique clique(12, policy, 1);
+  OmniNodeOptions opts;
+  opts.manager.discovery = policy;
+  net::Device& far = clique.bed.add_device("entrant", {5000.0, 5000.0});
+  OmniNode entrant(far, clique.bed.mesh(), opts);
+  entrant.start();
+  clique.bed.simulator().run_for(Duration::seconds(60));
+  for (auto& node : clique.nodes) {
+    ASSERT_EQ(node->manager().current_beacon_interval(), policy.ceiling);
+  }
+
+  // The 4x3 grid spans 30 x 20 m: its middle is in BLE range of everyone.
+  // A quiet tick ramps a member up again, so sample every 100 ms.
+  clique.bed.world().set_position(far.node(), {15.0, 10.0});
+  std::vector<bool> snapped(clique.nodes.size(), false);
+  for (int step = 0; step < 200; ++step) {
+    clique.bed.simulator().run_for(Duration::millis(100));
+    for (std::size_t i = 0; i < clique.nodes.size(); ++i) {
+      const OmniManager& m = clique.nodes[i]->manager();
+      if (m.current_beacon_interval() == Duration::millis(500) &&
+          m.discovery_scan_duty() == 0.0) {
+        snapped[i] = true;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < clique.nodes.size(); ++i) {
+    EXPECT_TRUE(snapped[i]) << "member " << i;
+    EXPECT_NE(clique.nodes[i]->manager().peer_table().find(entrant.address()),
+              nullptr)
+        << "member " << i;
+  }
+}
+
+// At the ceiling a saturated clique advertises 16x less often than at the
+// floor, which shows on the BLE advertising rail (the scan draw rides
+// kBleScan) against the same clique under the fixed policy.
+TEST(DiscoveryPolicyTest, CeilingCliqueDrawsLessOnAdvertisingRail) {
+  const TimePoint t0 = at_s(60);
+  const TimePoint t1 = at_s(90);
+  double adv_mAs[2] = {0.0, 0.0};
+  for (int adaptive = 0; adaptive < 2; ++adaptive) {
+    Clique clique(12, adaptive != 0 ? adaptive_policy() : DiscoveryPolicy{},
+                  1);
+    clique.bed.simulator().run_until(t1);
+    for (auto& node : clique.nodes) {
+      if (adaptive != 0) {
+        EXPECT_EQ(node->manager().current_beacon_interval(),
+                  DiscoveryPolicy{}.ceiling);
+      }
+      adv_mAs[adaptive] +=
+          node->device().meter().total_mAs(t0, t1, obs::EnergyRail::kBle);
+    }
+  }
+  EXPECT_GT(adv_mAs[1], 0.0);
+  EXPECT_LT(adv_mAs[1] * 8, adv_mAs[0])
+      << "fixed " << adv_mAs[0] << " mAs, adaptive " << adv_mAs[1] << " mAs";
+}
+
 // One neighbor is below sparse_peers: the interval must stay pinned to the
 // floor forever, so a node that walks up to a lone peer is still discovered
-// within one paper-default period.
+// within one floor period. The floor is the beacon interval, whatever it is.
 TEST(DiscoveryPolicyTest, IsolatedPairStaysAtFloor) {
-  DiscoveryPolicy policy = adaptive_policy();
-  Clique pair(2, policy, 1);
-  pair.bed.simulator().run_for(Duration::seconds(60));
-  for (auto& node : pair.nodes) {
-    EXPECT_EQ(node->manager().peer_table().size(), 1u);
-    EXPECT_EQ(node->manager().current_beacon_interval(), policy.floor);
-    EXPECT_EQ(node->manager().stats().beacons_suppressed, 0u);
+  for (Duration floor : {Duration::millis(500), Duration::seconds(1)}) {
+    Clique pair(2, adaptive_policy(), 1, 10.0, floor);
+    pair.bed.simulator().run_for(Duration::seconds(60));
+    for (auto& node : pair.nodes) {
+      EXPECT_EQ(node->manager().peer_table().size(), 1u);
+      EXPECT_EQ(node->manager().current_beacon_interval(), floor)
+          << floor.as_millis() << " ms floor";
+      EXPECT_EQ(node->manager().stats().beacons_suppressed, 0u);
+    }
   }
+}
+
+// The DSL's floor= is every device's beacon interval. Lone devices hold the
+// floor under the adaptive policy, so `discovery adaptive floor=1s` must
+// report exactly what a fixed 1 s cadence reports, and every device must
+// differ from the default 500 ms run.
+TEST(DiscoveryPolicyTest, ScenarioFloorSetsEveryBeaconInterval) {
+  const std::string devices =
+      "seed 5\ndevice a 0 0\ndevice b 500 0\ndevice c 0 500\n";
+  const std::string tail = "run 30s\nreport\n";
+  const std::string adaptive = scenario::run_scenario_text(
+      devices + "discovery adaptive floor=1s\n" + tail);
+  const std::string fixed_1s = scenario::run_scenario_text(
+      devices + "discovery fixed floor=1s\n" + tail);
+  const std::string fixed_500ms = scenario::run_scenario_text(devices + tail);
+  EXPECT_EQ(adaptive, fixed_1s);
+  std::istringstream got(adaptive);
+  std::istringstream base(fixed_500ms);
+  std::string got_line;
+  std::string base_line;
+  int device_lines = 0;
+  while (std::getline(got, got_line) && std::getline(base, base_line)) {
+    if (got_line.rfind("  ", 0) != 0) continue;  // device lines are indented
+    ++device_lines;
+    EXPECT_NE(got_line, base_line);
+  }
+  EXPECT_EQ(device_lines, 3);
 }
 
 /// End-of-run state capture of a 45 s clique run.

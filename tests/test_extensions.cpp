@@ -1,7 +1,7 @@
 // The paper's §5 future-work extensions: multi-hop context relay ("BLE Mesh
 // offers a promising solution for low-energy context sharing across longer
-// ranges") and adaptive beacon intervals ("plugging in existing neighbor
-// discovery protocols that use adaptive transmission frequencies").
+// ranges"). Adaptive beacon intervals are DiscoveryPolicy's, tested in
+// test_discovery_policy.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -171,78 +171,6 @@ TEST(RelayTest, DisabledByDefault) {
   EXPECT_EQ(b.manager().stats().relayed_out, 0u);
   EXPECT_EQ(c.manager().peer_table().find(a.address()), nullptr);
 }
-
-TEST(AdaptiveBeaconTest, BacksOffWhenNeighborhoodStatic) {
-  net::Testbed bed(96);
-  auto& da = bed.add_device("a", {0, 0});
-  auto& db = bed.add_device("b", {10, 0});
-  OmniNodeOptions options;
-  options.manager.adaptive_beacon.enabled = true;
-  OmniNode a(da, bed.mesh(), options);
-  OmniNode b(db, bed.mesh(), options);
-  a.start();
-  b.start();
-  EXPECT_EQ(a.manager().current_beacon_interval(),
-            options.manager.adaptive_beacon.min_interval);
-  // After discovery the neighborhood is static: several quiet maintenance
-  // ticks double the interval up to the maximum.
-  bed.simulator().run_for(Duration::seconds(40));
-  EXPECT_EQ(a.manager().current_beacon_interval(),
-            options.manager.adaptive_beacon.max_interval);
-}
-
-TEST(AdaptiveBeaconTest, ChurnResetsToMinimum) {
-  net::Testbed bed(97);
-  auto& da = bed.add_device("a", {0, 0});
-  auto& db = bed.add_device("b", {2000, 0});  // far away initially
-  OmniNodeOptions options;
-  options.manager.adaptive_beacon.enabled = true;
-  OmniNode a(da, bed.mesh(), options);
-  OmniNode b(db, bed.mesh(), options);
-  a.start();
-  b.start();
-  bed.simulator().run_for(Duration::seconds(40));
-  ASSERT_EQ(a.manager().current_beacon_interval(),
-            options.manager.adaptive_beacon.max_interval);
-
-  // b arrives: a's neighborhood changes, the beacon tightens again. The
-  // reset happens on the first maintenance tick after b's (backed-off, 4 s
-  // cadence) beacon is heard — poll rather than sample a fixed instant, as
-  // a later quiet tick starts doubling the interval again.
-  bed.world().set_position(db.node(), {10, 0});
-  bool tightened = false;
-  for (int i = 0; i < 12 && !tightened; ++i) {
-    bed.simulator().run_for(Duration::seconds(1));
-    tightened = a.manager().current_beacon_interval() ==
-                options.manager.adaptive_beacon.min_interval;
-  }
-  EXPECT_TRUE(tightened);
-}
-
-TEST(AdaptiveBeaconTest, SavesIdleEnergy) {
-  double energy[2];
-  for (int variant = 0; variant < 2; ++variant) {
-    net::Testbed bed(98);
-    auto& da = bed.add_device("a", {0, 0});
-    OmniNodeOptions options;
-    options.wifi_standby = false;   // isolate the BLE advertising cost
-    options.wifi_unicast = false;   // BLE-only node
-    options.manager.adaptive_beacon.enabled = variant == 1;
-    options.manager.adaptive_beacon.min_interval = Duration::millis(100);
-    options.manager.beacon_interval = Duration::millis(100);
-    OmniNode a(da, bed.mesh(), options);
-    a.start();
-    bed.simulator().run_for(Duration::seconds(120));
-    energy[variant] = da.meter().average_ma(
-        TimePoint::origin() + Duration::seconds(60),
-        bed.simulator().now());
-  }
-  // The adaptive node backed off to a 4 s interval: ~40x fewer beacon
-  // events in steady state. The continuous scanner dominates the absolute
-  // draw, so assert on the advertising delta.
-  EXPECT_LT(energy[1], energy[0] - 0.5);
-}
-
 
 TEST(AddressRotationTest, CommunicationSurvivesBleAddressRotation) {
   // BLE privacy rotates the link address; the paper's §3.2 contract makes

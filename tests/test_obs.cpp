@@ -190,9 +190,11 @@ TEST(OmniscopeTest, ScopeIsNullUntilEnabled) {
   EXPECT_EQ(OMNI_SCOPE(bed.simulator()), nullptr);
   Omniscope& sc = bed.enable_observability();
   EXPECT_EQ(OMNI_SCOPE(bed.simulator()), &sc);
-  EXPECT_TRUE(sc.recording());
   // Idempotent: the second call returns the same scope.
   EXPECT_EQ(&bed.enable_observability(), &sc);
+  // A published scope records; detaching is the only way to stop it.
+  sc.detach();
+  EXPECT_EQ(OMNI_SCOPE(bed.simulator()), nullptr);
 }
 
 TEST(OmniscopeTest, DevicesGetOwnerNamesEitherSideOfEnable) {

@@ -131,12 +131,16 @@ TEST(SnapshotFile, RejectsBadMagic) {
 }
 
 TEST(SnapshotFile, RejectsUnknownVersion) {
-  std::vector<std::uint8_t> bytes = serialize_snapshot(make_sample());
-  bytes[4] = 99;  // version field follows the 4-byte magic
-  auto parsed = parse_snapshot(bytes);
-  ASSERT_FALSE(parsed.is_ok());
-  EXPECT_NE(parsed.error_message().find("version"), std::string::npos)
-      << parsed.error_message();
+  // 1 is the retired layout whose managers record carried two more fields.
+  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{99}}) {
+    std::vector<std::uint8_t> bytes = serialize_snapshot(make_sample());
+    bytes[4] = version;  // version field follows the 4-byte magic
+    auto parsed = parse_snapshot(bytes);
+    ASSERT_FALSE(parsed.is_ok()) << "version " << int{version};
+    EXPECT_NE(parsed.error_message().find("unsupported snapshot version"),
+              std::string::npos)
+        << parsed.error_message();
+  }
 }
 
 TEST(SnapshotFile, RejectsEveryTruncation) {
