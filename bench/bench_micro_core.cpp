@@ -2,17 +2,16 @@
 // packed-struct codec, sealing, queue plumbing, the event queue, and a full
 // simulated testbed tick.
 //
-// Besides the google-benchmark tables, main() runs a manual closure-vs-
-// descriptor event comparison (schedule+dispatch ns, events/sec, heap
+// Besides the google-benchmark tables, main() measures what an event costs
+// by closure capture size (schedule+dispatch ns, events/sec, heap
 // bytes/event via global operator new counting, slab slot footprint) and
-// writes BENCH_micro_core.json for the perf trajectory — the number the
-// typed-event refactor is accountable to.
+// writes BENCH_micro_core.json for the perf trajectory. The two rows show
+// the cost behind the rule that hot closures capture at most 16 bytes.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 
 #include "bench_util.h"
@@ -21,7 +20,6 @@
 #include "omni/packed_struct.h"
 #include "omni/queues.h"
 #include "omni/security.h"
-#include "sim/event_desc.h"
 #include "sim/event_queue.h"
 
 // Global allocation meter for the bytes/event rows. Counting allocations
@@ -107,23 +105,6 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop);
 
-// Descriptor twin of BM_EventQueueScheduleAndPop: same schedule/pop slab
-// traffic, payload bytes inline instead of a closure body.
-void BM_EventQueueScheduleAndPopDescriptor(benchmark::State& state) {
-  unsigned char payload[sim::kEventPayloadMax];
-  const std::uint8_t psize = sim::pack_u32s(payload, {1, 2, 3});
-  for (auto _ : state) {
-    sim::EventQueue q;
-    for (int i = 0; i < 1000; ++i) {
-      q.schedule_desc(TimePoint::from_micros(i * 37 % 1000), sim::kEventTestA,
-                      payload, psize);
-    }
-    while (!q.empty()) q.pop(TimePoint::max());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueScheduleAndPopDescriptor);
-
 void BM_SimQueuePushDrain(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;
@@ -180,7 +161,7 @@ void BM_FluidFlowRecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_FluidFlowRecompute)->Unit(benchmark::kMillisecond);
 
-// --- Closure vs descriptor: the typed-event accountability numbers ----------
+// --- Event cost by closure capture size ------------------------------------
 
 struct EventVariantResult {
   const char* variant;
@@ -191,25 +172,15 @@ struct EventVariantResult {
 
 // One schedule+dispatch measurement over a pre-warmed queue (slab already
 // grown, so vector growth does not pollute the heap meter). `schedule` fills
-// the queue with kBatch events; the drain loop dispatches each popped event
-// the way Simulator::run_shard_window does — closure call or payload read.
+// the queue with kBatch events; the drain loop runs each popped closure the
+// way Simulator::run_shard_window does.
 template <typename ScheduleFn>
 EventVariantResult measure_events(const char* variant, ScheduleFn schedule) {
   constexpr int kBatch = 1 << 15;
   constexpr int kReps = 5;
   sim::EventQueue q;
-  volatile std::uint64_t sink = 0;
   auto drain = [&] {
-    while (!q.empty()) {
-      sim::EventQueue::Popped p = q.pop(TimePoint::max());
-      if (p.kind == sim::kEventClosure) {
-        p.fn();
-      } else {
-        std::uint32_t v;
-        std::memcpy(&v, p.payload, sizeof v);
-        sink = sink + v;
-      }
-    }
+    while (!q.empty()) q.pop(TimePoint::max()).fn();
   };
   schedule(q, kBatch);  // warm the slab (and the allocator's size classes)
   drain();
@@ -235,9 +206,9 @@ EventVariantResult measure_events(const char* variant, ScheduleFn schedule) {
   return res;
 }
 
-int run_event_variant_report() {
+void run_event_variant_report() {
   bench::print_heading(
-      "Event cost: closure vs serializable descriptor (schedule + dispatch)");
+      "Event cost by closure capture size (schedule + dispatch)");
 
   // Captureless closure: std::function stores it inline (small-buffer).
   auto inline_closure = measure_events(
@@ -246,9 +217,9 @@ int run_event_variant_report() {
           q.schedule(TimePoint::from_micros(i * 37 % 1000), [] {});
         }
       });
-  // Capturing closure shaped like the converted call sites (this + a few
-  // ids = 24 bytes) — past std::function's inline buffer, so every event
-  // heap-allocates its body.
+  // Three ids and a reference (32 bytes), past std::function's 16-byte
+  // inline buffer: every event heap-allocates its body. Hot closures capture
+  // at most 16 bytes (`this` plus an id) to stay in the first row's cost.
   struct Captured {
     std::uint64_t node, uid, adv;
   };
@@ -261,16 +232,6 @@ int run_event_variant_report() {
                      [c, &capture_sink] { capture_sink = capture_sink + c.node; });
         }
       });
-  // Descriptor: the same 3 ids as inline payload bytes; no closure at all.
-  auto descriptor = measure_events(
-      "descriptor", [](sim::EventQueue& q, int n) {
-        unsigned char payload[sim::kEventPayloadMax];
-        const std::uint8_t psize = sim::pack_u32s(payload, {1, 7, 9});
-        for (int i = 0; i < n; ++i) {
-          q.schedule_desc(TimePoint::from_micros(i * 37 % 1000),
-                          sim::kEventTestA, payload, psize);
-        }
-      });
 
   const double slot_bytes =
       static_cast<double>(sim::EventQueue::slot_footprint());
@@ -279,8 +240,7 @@ int run_event_variant_report() {
   bench::BenchReport report("micro_core");
   report.set_meta("batch", std::to_string(1 << 15));
   report.set_meta("compare", "schedule+dispatch, pre-warmed slab, best of 5");
-  for (const EventVariantResult& r :
-       {inline_closure, capture_closure, descriptor}) {
+  for (const EventVariantResult& r : {inline_closure, capture_closure}) {
     table.add_row({r.variant, bench::fmt(r.ns_per_event),
                    bench::fmt(r.events_per_sec, 0),
                    bench::fmt(r.heap_bytes_per_event),
@@ -296,30 +256,7 @@ int run_event_variant_report() {
                slot_bytes + r.heap_bytes_per_event);
   }
   table.print();
-
-  // The refactor's acceptance: descriptors must beat the closure they
-  // replaced by >= 1.3x in events/sec, or at worst match it while being
-  // strictly smaller per event.
-  const double ratio =
-      descriptor.events_per_sec / capture_closure.events_per_sec;
-  const bool smaller = descriptor.heap_bytes_per_event <
-                       capture_closure.heap_bytes_per_event;
-  report.add_row()
-      .field("variant", std::string("descriptor-vs-closure-capture"))
-      .field("events_per_sec_ratio", ratio)
-      .field("bytes_per_event_smaller", std::uint64_t{smaller ? 1u : 0u});
   report.write_file();
-  std::printf("\ndescriptor vs capturing closure: x%.2f events/sec, "
-              "%s bytes/event\n",
-              ratio, smaller ? "smaller" : "NOT smaller");
-  if (ratio < 1.3 && !(ratio >= 0.99 && smaller)) {
-    std::fprintf(stderr,
-                 "FAIL: descriptor events/sec only x%.2f of the capturing "
-                 "closure and not smaller per event\n",
-                 ratio);
-    return 1;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -330,5 +267,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return omni::run_event_variant_report();
+  omni::run_event_variant_report();
+  return 0;
 }

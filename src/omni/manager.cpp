@@ -51,10 +51,6 @@ OmniManager::OmniManager(sim::Simulator& sim, OmniAddress self,
     // collide.
     next_nonce_ = self_.value << 20;
   }
-  maintenance_slot_ =
-      sim_.register_callback_slot(this, &OmniManager::maintenance_thunk);
-  peer_sweep_slot_ =
-      sim_.register_callback_slot(this, &OmniManager::peer_sweep_thunk);
 }
 
 SharedBytes OmniManager::maybe_seal(Bytes packed) {
@@ -64,8 +60,6 @@ SharedBytes OmniManager::maybe_seal(Bytes packed) {
 
 OmniManager::~OmniManager() {
   if (running_) stop();
-  sim_.unregister_callback_slot(peer_sweep_slot_);
-  sim_.unregister_callback_slot(maintenance_slot_);
 }
 
 void OmniManager::add_technology(CommTechnology& tech) {
@@ -457,17 +451,12 @@ void OmniManager::disengage(Technology tech) {
 void OmniManager::schedule_maintenance() {
   // Pinned to the manager's owner: start() runs in setup/global context, but
   // the tick must live on the owning node's shard with the rest of the
-  // manager's state. Scheduled as a {u32 slot} descriptor, so the recurring
-  // tick costs 4 inline payload bytes per schedule instead of a closure.
+  // manager's state. stop() cancels the handle.
   maintenance_event_ =
-      sim_.schedule_slot_on(options_.owner, options_.probe_interval,
-                            sim::kEventMgrMaintenance, maintenance_slot_);
-}
-
-void OmniManager::maintenance_thunk(void* ctx) {
-  auto* mgr = static_cast<OmniManager*>(ctx);
-  mgr->maintenance_tick();
-  if (mgr->running_) mgr->schedule_maintenance();
+      sim_.after_on(options_.owner, options_.probe_interval, [this] {
+        maintenance_tick();
+        if (running_) schedule_maintenance();
+      });
 }
 
 void OmniManager::readvertise_beacon(Duration interval) {
@@ -668,13 +657,8 @@ void OmniManager::schedule_peer_sweep() {
   // self-reschedules before doing its work, so at every shared instant its
   // sequence number stays below the maintenance tick's — inductively
   // preserving the expire-then-adapt order the old combined tick had.
-  peer_sweep_event_ =
-      sim_.schedule_slot_on(options_.owner, options_.probe_interval,
-                            sim::kEventMgrPeerSweep, peer_sweep_slot_);
-}
-
-void OmniManager::peer_sweep_thunk(void* ctx) {
-  static_cast<OmniManager*>(ctx)->peer_sweep_fired();
+  peer_sweep_event_ = sim_.after_on(options_.owner, options_.probe_interval,
+                                   [this] { peer_sweep_fired(); });
 }
 
 void OmniManager::peer_sweep_fired() {

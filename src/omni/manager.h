@@ -311,12 +311,7 @@ class OmniManager {
   void maintenance_tick();
   void schedule_maintenance();
   void schedule_peer_sweep();
-  /// Periodic-tick bodies, invoked through the callback-slot directory: the
-  /// maintenance and peer-sweep timers are {u32 slot} descriptors
-  /// (kEventMgrMaintenance / kEventMgrPeerSweep), not `this` closures.
   void peer_sweep_fired();
-  static void maintenance_thunk(void* ctx);
-  static void peer_sweep_thunk(void* ctx);
   /// Re-advertise the address beacon at `interval` on every beaconing slot:
   /// one kUpdateContext request per slot, in slot order.
   void readvertise_beacon(Duration interval);
@@ -473,10 +468,6 @@ class OmniManager {
   /// maintenance tick at start(), so at shared instants expiry still runs
   /// first — exactly where it sat inside maintenance_tick before).
   sim::EventHandle peer_sweep_event_;
-  /// Callback-slot ids naming this manager in maintenance / peer-sweep
-  /// descriptors (registered for the manager's lifetime).
-  std::uint32_t maintenance_slot_ = 0;
-  std::uint32_t peer_sweep_slot_ = 0;
   /// Monotonic draw counter for backoff jitter (deterministic: all draws
   /// happen in this manager's owner context, in program order).
   std::uint64_t backoff_draws_ = 0;

@@ -10,8 +10,8 @@
 // owner.
 #pragma once
 
-#include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -25,10 +25,7 @@ namespace omni {
 template <typename T>
 class SimQueue {
  public:
-  explicit SimQueue(sim::Simulator& sim)
-      : sim_(&sim),
-        drain_slot_(sim.register_callback_slot(this, &SimQueue::drain_thunk)) {}
-  ~SimQueue() { sim_->unregister_callback_slot(drain_slot_); }
+  explicit SimQueue(sim::Simulator& sim) : sim_(&sim) {}
   SimQueue(const SimQueue&) = delete;
   SimQueue& operator=(const SimQueue&) = delete;
 
@@ -50,17 +47,8 @@ class SimQueue {
     return out;
   }
 
-  /// Swap out the entire backlog.
-  std::vector<T> drain() {
-    std::vector<T> out;
-    out.swap(items_);
-    out.resize(count_);  // drop recycled slots past the live prefix
-    count_ = 0;
-    return out;
-  }
-
-  /// drain() into a reused buffer: the backlog is exchanged with `out` and
-  /// the number of live items — a prefix of `out` — is returned. The queue
+  /// Swap out the entire backlog: it is exchanged with `out` and the
+  /// number of live items — a prefix of `out` — is returned. The queue
   /// takes `out`'s old storage in exchange; a caller that clear()s `out`
   /// after handling the batch releases every item and keeps both vectors'
   /// capacity, so steady-state draining allocates no vector storage.
@@ -116,25 +104,24 @@ class SimQueue {
     deferred_wake();
   }
 
-  /// The wakeup is a queue-drain descriptor naming this queue's callback
-  /// slot, not a `this`-capturing closure: same owner, delay, and scheduling
-  /// order as the closure it replaced (so event sequences are untouched),
-  /// but the slab stores 4 payload bytes and no capture is heap-allocated.
+  /// The wakeup is not kept as a handle: a push from another owner's event
+  /// posts it through the mailbox, where it cannot be cancelled. It holds a
+  /// liveness token instead, so a wake that outlives its queue (a node torn
+  /// down before the barrier merges the post) does nothing.
   void deferred_wake() {
     wake_pending_ = true;
     sim::OwnerId owner = pinned_ ? owner_ : sim_->current_owner();
-    sim_->schedule_slot_on(owner, Duration::zero(), sim::kEventQueueDrain,
-                           drain_slot_);
-  }
-
-  static void drain_thunk(void* ctx) {
-    auto* q = static_cast<SimQueue*>(ctx);
-    q->wake_pending_ = false;
-    if (q->consumer_) q->consumer_();
+    sim_->after_on(owner, Duration::zero(),
+                   [this, alive = std::weak_ptr<bool>(alive_)] {
+                     if (alive.expired()) return;
+                     wake_pending_ = false;
+                     if (consumer_) consumer_();
+                   });
   }
 
   sim::Simulator* sim_;
-  std::uint32_t drain_slot_;  ///< callback-slot id for queue-drain descriptors
+  /// Liveness token for deferred wakes that outlive the queue.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   // Vector, not deque: consumers batch-drain, so FIFO pop-front is rare
   // (short send queues only) while push/drain are hot. The live backlog is
   // items_[0, count_); later elements, if any, are what a drain_into()

@@ -9,21 +9,12 @@ namespace omni {
 WifiMulticastTech::WifiMulticastTech(radio::WifiRadio& radio,
                                      radio::MeshNetwork& mesh,
                                      Options options)
-    : radio_(radio), mesh_(mesh), options_(options) {
-  sim::Simulator& sim = radio_.simulator();
-  probe_slot_ =
-      sim.register_callback_slot(this, &WifiMulticastTech::probe_thunk);
-  engage_sync_slot_ =
-      sim.register_callback_slot(this, &WifiMulticastTech::engage_sync_thunk);
-}
+    : radio_(radio), mesh_(mesh), options_(options) {}
 
 WifiMulticastTech::~WifiMulticastTech() {
   probe_event_.cancel();
   maintenance_event_.cancel();
   tick_event_.cancel();
-  sim::Simulator& sim = radio_.simulator();
-  sim.unregister_callback_slot(engage_sync_slot_);
-  sim.unregister_callback_slot(probe_slot_);
 }
 
 EnableResult WifiMulticastTech::enable(const TechQueues& queues) {
@@ -121,35 +112,23 @@ void WifiMulticastTech::set_engaged(bool engaged) {
   // The probe event lives in the barrier-serialized global queue, but the
   // manager may call set_engaged from its node-shard context. The flag flip
   // above is safe (phase-serialized); the probe bookkeeping is deferred to
-  // the next barrier and re-checks the flags there. The defer is an
-  // engage-sync descriptor — a shippable cross-owner post, unlike the
-  // `this`-capturing closure it replaced.
-  radio_.simulator().schedule_slot_on(sim::kGlobalOwner, Duration::zero(),
-                                      sim::kEventEngageSync,
-                                      engage_sync_slot_);
-}
-
-void WifiMulticastTech::engage_sync_thunk(void* ctx) {
-  static_cast<WifiMulticastTech*>(ctx)->engage_sync_fired();
-}
-
-void WifiMulticastTech::engage_sync_fired() {
-  if (!enabled_) return;
-  if (engaged_) {
-    probe_event_.cancel();
-  } else if (!probe_event_.pending()) {
-    schedule_probe();
-  }
+  // the next barrier and re-checks the flags there. That cross-owner post
+  // cannot be cancelled, so it holds a liveness token: a sync that outlives
+  // the plugin does nothing.
+  radio_.simulator().after_global(
+      Duration::zero(), [this, alive = std::weak_ptr<bool>(alive_)] {
+        if (alive.expired() || !enabled_) return;
+        if (engaged_) {
+          probe_event_.cancel();
+        } else if (!probe_event_.pending()) {
+          schedule_probe();
+        }
+      });
 }
 
 void WifiMulticastTech::schedule_probe() {
-  probe_event_ = radio_.simulator().schedule_slot_on(
-      sim::kGlobalOwner, options_.probe_interval, sim::kEventDiscoveryTick,
-      probe_slot_);
-}
-
-void WifiMulticastTech::probe_thunk(void* ctx) {
-  static_cast<WifiMulticastTech*>(ctx)->probe_fired();
+  probe_event_ = radio_.simulator().after_global(options_.probe_interval,
+                                                 [this] { probe_fired(); });
 }
 
 void WifiMulticastTech::probe_fired() {

@@ -86,14 +86,7 @@ class WifiMulticastTech final : public CommTechnology {
   void do_send_data(std::shared_ptr<SendRequest> request);
   void schedule_probe();
   void schedule_maintenance_scan(Duration delay);
-  /// Descriptor-dispatched bodies: the disengaged probe tick and the
-  /// engagement-flag sync are {u32 slot} descriptors (kEventDiscoveryTick /
-  /// kEventEngageSync) — cross-owner node→global posts that partitioned
-  /// workers can ship as data, where the closures they replaced could not.
   void probe_fired();
-  void engage_sync_fired();
-  static void probe_thunk(void* ctx);
-  static void engage_sync_thunk(void* ctx);
   void on_multicast(const MeshAddress& from, const SharedBytes& frame);
   void respond(const SendRequest& request, bool success,
                std::string failure = {});
@@ -112,9 +105,8 @@ class WifiMulticastTech final : public CommTechnology {
   radio::PeriodicLoadId aggregate_load_ = 0;
   sim::EventHandle probe_event_;
   sim::EventHandle maintenance_event_;
-  /// Callback-slot ids for the probe tick / engage sync descriptors.
-  std::uint32_t probe_slot_ = 0;
-  std::uint32_t engage_sync_slot_ = 0;
+  /// Liveness token for engagement syncs that outlive the plugin.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace omni

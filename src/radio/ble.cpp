@@ -173,14 +173,10 @@ void BleRadio::schedule_adv(AdvertisementId id, Duration delay) {
   Advertisement* adv = find_adv(id);
   if (adv == nullptr) return;
   // Pinned to this node's owner: advertising chains run on the node's shard
-  // no matter which context (setup, queue drain) started them. The fire is a
-  // {node, uid, adv} descriptor, not a closure: the medium resolves it back
-  // to this radio (dropping it if we detached), and the slab stores 12
-  // payload bytes instead of a captured `this`.
-  unsigned char p[sim::kEventPayloadMax];
-  std::uint8_t n = sim::pack_u32s(p, {node_, uid_, id});
-  adv->next_event =
-      sim_.schedule_desc_on(node_, delay, sim::kEventBleAdvertFire, p, n);
+  // no matter which context (setup, queue drain) started them. The handle is
+  // cancelled when the advertisement stops or the radio powers off, which
+  // the destructor does.
+  adv->next_event = sim_.after_on(node_, delay, [this, id] { fire_adv(id); });
 }
 
 void BleRadio::fire_adv(AdvertisementId id) {
@@ -194,10 +190,8 @@ void BleRadio::fire_adv(AdvertisementId id) {
   // Reschedule before broadcasting, reusing this lookup. A receive handler
   // that stops or retunes this advertisement mid-broadcast cancels/replaces
   // the handle we just stored, so the outcome matches reschedule-after.
-  unsigned char p[sim::kEventPayloadMax];
-  std::uint8_t n = sim::pack_u32s(p, {node_, uid_, id});
-  adv->next_event = sim_.schedule_desc_on(node_, adv->interval,
-                                          sim::kEventBleAdvertFire, p, n);
+  adv->next_event =
+      sim_.after_on(node_, adv->interval, [this, id] { fire_adv(id); });
   // The shared payload keeps delivery events valid even if a later event
   // stops the advertisement (or reallocates the vector) before they fire.
   medium_.broadcast(*this, adv->payload);
@@ -253,16 +247,6 @@ BleMedium::BleMedium(sim::World& world, const Calibration& cal)
   // One lane per shard plus the global lane (current_shard_index() returns
   // threads() outside windows).
   world_.simulator().add_barrier_hook([this] { flush_pending(); });
-  // The medium owns the BLE descriptor kinds: advert fires, sweep batches,
-  // and deferred scan-state applies dispatch here instead of through
-  // captured-`this` closures.
-  sim::Simulator& sim = world_.simulator();
-  sim.register_desc_handler(sim::kEventBleAdvertFire, this,
-                            &BleMedium::advert_fire_handler);
-  sim.register_desc_handler(sim::kEventBleSweep, this,
-                            &BleMedium::sweep_handler);
-  sim.register_desc_handler(sim::kEventBleScanApply, this,
-                            &BleMedium::scan_apply_handler);
 }
 
 BleRadio* BleMedium::find_radio(NodeId node, std::uint32_t uid) {
@@ -271,25 +255,6 @@ BleRadio* BleMedium::find_radio(NodeId node, std::uint32_t uid) {
     if (st.uid == uid) return st.radio;
   }
   return nullptr;
-}
-
-void BleMedium::advert_fire_handler(void* ctx, sim::Simulator& /*sim*/,
-                                    const sim::EventDesc& d) {
-  auto* medium = static_cast<BleMedium*>(ctx);
-  BleRadio* radio = medium->find_radio(d.payload_u32(0), d.payload_u32(4));
-  if (radio != nullptr) radio->fire_adv(d.payload_u32(8));
-}
-
-void BleMedium::sweep_handler(void* ctx, sim::Simulator& /*sim*/,
-                              const sim::EventDesc& d) {
-  static_cast<BleMedium*>(ctx)->run_sweep(d.payload_u64(0));
-}
-
-void BleMedium::scan_apply_handler(void* ctx, sim::Simulator& /*sim*/,
-                                   const sim::EventDesc& d) {
-  auto* medium = static_cast<BleMedium*>(ctx);
-  BleRadio* radio = medium->find_radio(d.payload_u32(0), d.payload_u32(4));
-  if (radio != nullptr) medium->apply_scan_state(radio);
 }
 
 std::uint64_t BleMedium::delivered_count() const {
@@ -346,12 +311,14 @@ void BleMedium::update_scan_state(BleRadio* radio) {
   // write to the barrier so concurrent senders keep reading a stable table.
   // Until then the radio keeps its old *eligibility* for capture trials;
   // actual delivery always revalidates against the receiver's live state.
-  // The defer is a {node, uid} descriptor: this is a node→global cross-owner
-  // post, and as data it can ship between partitioned workers.
-  unsigned char p[sim::kEventPayloadMax];
-  std::uint8_t n = sim::pack_u32s(p, {radio->node(), radio->uid_});
-  sim.schedule_desc_on(sim::kGlobalOwner, Duration::zero(),
-                       sim::kEventBleScanApply, p, n);
+  // The post names the radio by (node, uid), not by pointer: its handle is
+  // inert, and a radio destroyed before the barrier is skipped.
+  sim.after_global(Duration::zero(),
+                   [this, node = radio->node(), uid = radio->uid_] {
+                     if (BleRadio* r = find_radio(node, uid)) {
+                       apply_scan_state(r);
+                     }
+                   });
 }
 
 void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
@@ -658,9 +625,7 @@ void BleMedium::flush_pending() {
     OMNI_ASSERTF(slot < (1u << 16) && j < (1u << 24),
                  "sweep range exceeds packed encoding (slot %zu, j %zu)",
                  slot, j);
-    unsigned char p[sim::kEventPayloadMax];
-    std::uint8_t n = sim::pack_u64(p, packed);
-    sim.schedule_desc_at_on(head.dst, head_at, sim::kEventBleSweep, p, n);
+    sim.at_on(head.dst, head_at, [this, packed] { run_sweep(packed); });
     ++sweeps;
     i = j;
   }

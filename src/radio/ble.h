@@ -134,9 +134,8 @@ class BleRadio {
   void apply_scan_level();
   Advertisement* find_adv(AdvertisementId id);
 
-  /// The medium assigns uid_ at attach and fires advertisements by
-  /// descriptor ({node, uid, adv} — see kEventBleAdvertFire), resolving the
-  /// uid back to this radio through its snapshot table.
+  /// The medium assigns uid_ at attach; a deferred scan-state apply names
+  /// this radio by (node, uid) and resolves it through the medium's table.
   friend class BleMedium;
 
   BleMedium& medium_;
@@ -270,18 +269,9 @@ class BleMedium {
   };
 
   void apply_scan_state(BleRadio* radio);
-  /// Resolve a (node, uid) descriptor reference back to a live radio;
-  /// nullptr if it detached since the descriptor was scheduled.
+  /// Resolve a (node, uid) reference back to a live radio; nullptr if it
+  /// detached since the reference was taken.
   BleRadio* find_radio(NodeId node, std::uint32_t uid);
-  /// Descriptor dispatch (registered in the constructor): advert fires,
-  /// sweep batches, and deferred scan-state applies arrive as typed events
-  /// instead of `this`-capturing closures.
-  static void advert_fire_handler(void* ctx, sim::Simulator& sim,
-                                  const sim::EventDesc& d);
-  static void sweep_handler(void* ctx, sim::Simulator& sim,
-                            const sim::EventDesc& d);
-  static void scan_apply_handler(void* ctx, sim::Simulator& sim,
-                                 const sim::EventDesc& d);
   void deliver(NodeId node, std::uint32_t rx_uid, const BleAddress& from,
                const SharedBytes& payload);
   /// Run one sweep event: slot(16) | begin(24) | end(24), see flush_pending.

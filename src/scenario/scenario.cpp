@@ -2,7 +2,6 @@
 
 #include <array>
 #include <charconv>
-#include <deque>
 #include <variant>
 #include <optional>
 #include <ostream>
@@ -22,42 +21,6 @@
 namespace omni::scenario {
 
 namespace {
-
-/// Scenario timed instructions (walk/send/power) as kEventScenarioTimer
-/// descriptors: each instruction body is stored here (deque — stable
-/// addresses) and named by a callback slot, so the pending timer in the
-/// event slab is a 4-byte descriptor rather than a captured closure. Slots
-/// are released when the run ends; a straggler descriptor then degrades to
-/// a deterministic no-op instead of a dangling capture.
-class ScenarioTimers {
- public:
-  explicit ScenarioTimers(sim::Simulator& sim) : sim_(sim) {}
-  ~ScenarioTimers() {
-    for (std::uint32_t slot : slots_) sim_.unregister_callback_slot(slot);
-  }
-  ScenarioTimers(const ScenarioTimers&) = delete;
-  ScenarioTimers& operator=(const ScenarioTimers&) = delete;
-
-  void at(TimePoint when, std::function<void()> body) {
-    bodies_.push_back(std::move(body));
-    std::uint32_t slot =
-        sim_.register_callback_slot(&bodies_.back(), &ScenarioTimers::invoke);
-    slots_.push_back(slot);
-    unsigned char p[sizeof slot];
-    std::memcpy(p, &slot, sizeof slot);
-    sim_.schedule_desc_at_on(sim_.current_owner(), when,
-                             sim::kEventScenarioTimer, p, sizeof slot);
-  }
-
- private:
-  static void invoke(void* ctx) {
-    (*static_cast<std::function<void()>*>(ctx))();
-  }
-
-  sim::Simulator& sim_;
-  std::deque<std::function<void()>> bodies_;
-  std::vector<std::uint32_t> slots_;
-};
 
 // --- Tokenizing / argument parsing -------------------------------------------
 
@@ -683,6 +646,15 @@ Result<std::unique_ptr<Scenario>> Scenario::parse(const std::string& text) {
           auto d = parse_duration(kv->second);
           if (!d || d->is_zero()) return error("bad " + kv->first);
           if (kv->first == "floor") {
+            // A beacon interval must span at least one advertising event
+            // (ManagerOptions::beacon_interval): shorter ones overlap their
+            // own charges and undercut the engine's lookahead.
+            const Duration adv_event =
+                radio::Calibration::defaults().ble_adv_event;
+            if (*d < adv_event) {
+              return error("floor must be at least one BLE advertising "
+                           "event (" + adv_event.to_string() + ")");
+            }
             floor = *d;
           } else if (kv->first == "ceiling") {
             p.ceiling = *d;
@@ -854,7 +826,6 @@ Status Scenario::run(std::ostream& out, unsigned threads, bool observe) {
     }
   };
 
-  ScenarioTimers timers(bed.simulator());
   for (const Instr& instruction : impl.instructions) {
     if (const auto* adv = std::get_if<AdvertiseInstr>(&instruction)) {
       int i = impl.find_device(adv->device);
@@ -876,7 +847,7 @@ Status Scenario::run(std::ostream& out, unsigned threads, bool observe) {
       sim::Vec2 to = walk->to;
       double speed = walk->speed;
       bool teleport = walk->teleport;
-      timers.at(walk->at, [&bed, node, to, speed, teleport] {
+      bed.simulator().at(walk->at, [&bed, node, to, speed, teleport] {
         if (teleport) {
           bed.world().set_position(node, to);
         } else {
@@ -889,7 +860,7 @@ Status Scenario::run(std::ostream& out, unsigned threads, bool observe) {
       auto* src = &live[from];
       OmniAddress dest = live[to].node->address();
       std::uint64_t bytes = send->bytes;
-      timers.at(send->at, [src, dest, bytes] {
+      bed.simulator().at(send->at, [src, dest, bytes] {
         src->node->manager().send_data(
             {dest}, Bytes(bytes, 0xD5),
             [src](StatusCode code, const ResponseInfo&) {
@@ -904,7 +875,7 @@ Status Scenario::run(std::ostream& out, unsigned threads, bool observe) {
       int i = impl.find_device(power->device);
       auto* dev = live[i].device;
       bool ble = power->ble, wifi = power->wifi;
-      timers.at(power->at, [dev, ble, wifi] {
+      bed.simulator().at(power->at, [dev, ble, wifi] {
         if (ble) dev->ble().set_powered(false);
         if (wifi) dev->wifi().set_powered(false);
       });

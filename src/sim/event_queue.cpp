@@ -73,12 +73,8 @@ std::uint32_t EventQueue::alloc_slot() {
 
 void EventQueue::free_slot(std::uint32_t idx) {
   Slot& s = slots_[idx];
-  // Destroy the closure (if any) eagerly so captured state is released the
-  // moment the event is popped or cancelled, not when the slot is reused.
-  if (s.kind == kEventClosure) s.fn_ref().~EventFn();
   s.generation = 0;
-  s.kind = kEventClosure;
-  s.psize = 0;
+  s.fn = nullptr;  // release captured state eagerly
   s.heap_index = kNone;
   s.next_free = free_head_;
   free_head_ = idx;
@@ -117,10 +113,8 @@ EventHandle EventQueue::schedule(TimePoint at, EventFn fn, OwnerId owner) {
   Slot& s = slots_[idx];
   s.at = at;
   s.generation = next_generation_++;
+  s.fn = std::move(fn);
   s.owner = owner;
-  s.kind = kEventClosure;
-  s.psize = 0;
-  new (s.body) EventFn(std::move(fn));
   heap_.push_back(HeapEntry{at, s.generation, idx});
   s.heap_index = static_cast<std::uint32_t>(heap_.size() - 1);
   sift_up(heap_.size() - 1);
@@ -134,50 +128,8 @@ EventHandle EventQueue::schedule_now(TimePoint now, EventFn fn,
   Slot& s = slots_[idx];
   s.at = now;
   s.generation = next_generation_++;
+  s.fn = std::move(fn);
   s.owner = owner;
-  s.kind = kEventClosure;
-  s.psize = 0;
-  new (s.body) EventFn(std::move(fn));
-  s.heap_index = kInFifo;
-  fifo_.push_back(FifoEntry{s.generation, idx});
-  ++fifo_live_;
-  if (size() > peak_live_) peak_live_ = size();
-  return EventHandle{this, idx, s.generation};
-}
-
-EventHandle EventQueue::schedule_desc(TimePoint at, EventKind kind,
-                                      const unsigned char* payload,
-                                      std::uint8_t psize, OwnerId owner) {
-  OMNI_ASSERT(kind != kEventClosure && kind < kEventKindCount &&
-              psize <= kEventPayloadMax);
-  std::uint32_t idx = alloc_slot();
-  Slot& s = slots_[idx];
-  s.at = at;
-  s.generation = next_generation_++;
-  s.owner = owner;
-  s.kind = kind;
-  s.psize = psize;
-  std::memcpy(s.body, payload, psize);
-  heap_.push_back(HeapEntry{at, s.generation, idx});
-  s.heap_index = static_cast<std::uint32_t>(heap_.size() - 1);
-  sift_up(heap_.size() - 1);
-  if (heap_.size() > peak_live_) peak_live_ = heap_.size();
-  return EventHandle{this, idx, s.generation};
-}
-
-EventHandle EventQueue::schedule_desc_now(TimePoint now, EventKind kind,
-                                          const unsigned char* payload,
-                                          std::uint8_t psize, OwnerId owner) {
-  OMNI_ASSERT(kind != kEventClosure && kind < kEventKindCount &&
-              psize <= kEventPayloadMax);
-  std::uint32_t idx = alloc_slot();
-  Slot& s = slots_[idx];
-  s.at = now;
-  s.generation = next_generation_++;
-  s.owner = owner;
-  s.kind = kind;
-  s.psize = psize;
-  std::memcpy(s.body, payload, psize);
   s.heap_index = kInFifo;
   fifo_.push_back(FifoEntry{s.generation, idx});
   ++fifo_live_;
@@ -197,25 +149,9 @@ EventQueue::Popped EventQueue::pop(TimePoint now) {
 
 EventQueue::Popped EventQueue::pop_heap() {
   std::uint32_t idx = heap_[0].slot;
-  Popped out = take_payload(slots_[idx], slots_[idx].at);
+  Popped out{slots_[idx].at, slots_[idx].owner, std::move(slots_[idx].fn)};
   remove_heap_at(0);
   free_slot(idx);
-  return out;
-}
-
-/// Move a slot's content into a Popped (closure moved out, descriptor bytes
-/// copied); `at` overrides the slot time so the FIFO path can report `now`.
-EventQueue::Popped EventQueue::take_payload(Slot& s, TimePoint at) {
-  Popped out;
-  out.at = at;
-  out.owner = s.owner;
-  out.kind = s.kind;
-  out.psize = s.psize;
-  if (s.kind == kEventClosure) {
-    out.fn = std::move(s.fn_ref());
-  } else {
-    std::memcpy(out.payload, s.body, kEventPayloadMax);
-  }
   return out;
 }
 
@@ -233,7 +169,7 @@ EventQueue::Popped EventQueue::pop_fifo(TimePoint now) {
       fifo_head_ = 0;
     }
     if (!slot_live(e.slot, e.generation)) continue;  // cancelled, then freed
-    Popped out = take_payload(slots_[e.slot], now);
+    Popped out{now, slots_[e.slot].owner, std::move(slots_[e.slot].fn)};
     free_slot(e.slot);
     --fifo_live_;
     return out;

@@ -23,16 +23,18 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
-#include <new>
 #include <vector>
 
 #include "common/time.h"
-#include "sim/event_desc.h"
 
 namespace omni::sim {
 
+/// The one event representation. libstdc++ stores a closure whose captures
+/// total at most 16 trivially copyable bytes (`this` plus an id or two)
+/// inside the std::function itself, so scheduling one allocates nothing;
+/// hot recurring events keep to that. A larger or non-trivially-copyable
+/// capture heap-allocates its body once per schedule.
 using EventFn = std::function<void()>;
 
 /// Logical owner of scheduled work. Node-local events (radio fires, queue
@@ -91,21 +93,6 @@ class EventQueue {
   EventHandle schedule_now(TimePoint now, EventFn fn,
                            OwnerId owner = kGlobalOwner);
 
-  /// Descriptor twin of schedule(): same ordering contract and handle
-  /// semantics, but the event is a typed EventDesc — `psize` payload bytes
-  /// (≤ kEventPayloadMax) copied inline into the slot, no closure, no heap.
-  /// `kind` must be a real descriptor kind (not kEventClosure). The caller
-  /// (the Simulator's dispatch registry) interprets kind/payload on pop.
-  EventHandle schedule_desc(TimePoint at, EventKind kind,
-                            const unsigned char* payload, std::uint8_t psize,
-                            OwnerId owner = kGlobalOwner);
-
-  /// Descriptor twin of schedule_now() (zero-delay FIFO path).
-  EventHandle schedule_desc_now(TimePoint now, EventKind kind,
-                                const unsigned char* payload,
-                                std::uint8_t psize,
-                                OwnerId owner = kGlobalOwner);
-
   bool empty() const { return heap_.empty() && fifo_live_ == 0; }
   std::size_t size() const { return heap_.size() + fifo_live_; }
 
@@ -121,10 +108,9 @@ class EventQueue {
   /// schedule/cancel churn count).
   std::size_t slab_capacity() const { return slots_.size(); }
 
-  /// Bytes one slab slot occupies. Closures and descriptors share the same
-  /// inline body overlay, so this is the whole per-event slab footprint of
-  /// either flavor — the bench reports it as bytes/event alongside any
-  /// heap bytes a capturing closure adds on top.
+  /// Bytes one slab slot occupies, the closure's inline buffer included —
+  /// the bench reports it as bytes/event alongside any heap bytes a
+  /// capturing closure adds on top.
   static constexpr std::size_t slot_footprint() { return sizeof(Slot); }
 
   /// Earliest pending *heap* event time; TimePoint::max() if the heap is
@@ -141,36 +127,25 @@ class EventQueue {
   struct Popped {
     TimePoint at;
     OwnerId owner;
-    EventKind kind = kEventClosure;
-    std::uint8_t psize = 0;
-    EventFn fn;                               ///< live iff kind == kEventClosure
-    unsigned char payload[kEventPayloadMax];  ///< valid iff kind != kEventClosure
+    EventFn fn;
   };
   Popped pop(TimePoint now);
 
-  /// Visit every live pending event as
-  /// f(at, generation, owner, immediate, kind, psize, payload): heap entries
-  /// in storage order, then live zero-delay FIFO entries in fire order.
-  /// `payload` points at the slot's inline bytes (null for closures); copy it
-  /// if it must outlive the visit. Generations totally order same-owner
-  /// events under (at, generation) — snapshot capture sorts on that key and
-  /// then discards the (engine-internal, thread-count-dependent) generation
-  /// values.
+  /// Visit every live pending event as f(at, generation, owner, immediate):
+  /// heap entries in storage order, then live zero-delay FIFO entries in
+  /// fire order. Generations totally order same-owner events under
+  /// (at, generation) — snapshot capture sorts on that key and then discards
+  /// the (engine-internal, thread-count-dependent) generation values.
   template <typename Fn>
   void for_each_pending(Fn&& f) const {
-    auto visit = [&](const Slot& s, std::uint64_t generation, TimePoint at,
-                     bool immediate) {
-      f(at, generation, s.owner, immediate, s.kind, s.psize,
-        s.kind == kEventClosure ? nullptr : s.body);
-    };
     for (const HeapEntry& e : heap_) {
-      visit(slots_[e.slot], e.generation, e.at, /*immediate=*/false);
+      f(e.at, e.generation, slots_[e.slot].owner, /*immediate=*/false);
     }
     for (std::size_t i = fifo_head_; i < fifo_.size(); ++i) {
       const FifoEntry& e = fifo_[i];
       if (!slot_live(e.slot, e.generation)) continue;  // cancelled
-      visit(slots_[e.slot], e.generation, slots_[e.slot].at,
-            /*immediate=*/true);
+      f(slots_[e.slot].at, e.generation, slots_[e.slot].owner,
+        /*immediate=*/true);
     }
   }
 
@@ -185,50 +160,13 @@ class EventQueue {
   /// cheap; compaction would just thrash).
   static constexpr std::size_t kCompactMin = 64;
 
-  /// The event's inline storage budget: big enough for one EventFn *or* a
-  /// full descriptor payload, overlaid in one buffer so descriptors ride for
-  /// free. Closure lifecycle is manual: `body` holds a constructed EventFn
-  /// iff the slot is live (generation != 0) and kind == kEventClosure;
-  /// otherwise it is raw payload bytes (or garbage while free).
   struct Slot {
-    static constexpr std::size_t kBodyBytes =
-        sizeof(EventFn) > kEventPayloadMax ? sizeof(EventFn)
-                                           : kEventPayloadMax;
-
     TimePoint at;
     std::uint64_t generation = 0;  ///< 0 = free; doubles as the fire sequence
-    alignas(EventFn) unsigned char body[kBodyBytes];
+    EventFn fn;
     OwnerId owner = kGlobalOwner;
     std::uint32_t heap_index = kNone;  ///< kNone while free
     std::uint32_t next_free = kNone;
-    EventKind kind = kEventClosure;
-    std::uint8_t psize = 0;
-
-    Slot() = default;
-    Slot(const Slot&) = delete;
-    Slot& operator=(const Slot&) = delete;
-    // The slab vector relocates slots on growth/shrink_to_fit; a noexcept
-    // move keeps that a memcpy plus (for closures) one EventFn move.
-    Slot(Slot&& o) noexcept
-        : at(o.at), generation(o.generation), owner(o.owner),
-          heap_index(o.heap_index), next_free(o.next_free), kind(o.kind),
-          psize(o.psize) {
-      if (generation != 0 && kind == kEventClosure) {
-        new (body) EventFn(std::move(o.fn_ref()));
-        o.fn_ref().~EventFn();
-        o.generation = 0;
-      } else {
-        std::memcpy(body, o.body, kEventPayloadMax);
-      }
-    }
-    Slot& operator=(Slot&&) = delete;
-    ~Slot() {
-      if (generation != 0 && kind == kEventClosure) fn_ref().~EventFn();
-    }
-
-    EventFn& fn_ref() {
-      return *std::launder(reinterpret_cast<EventFn*>(body));
-    }
   };
 
   /// One heap element: the slot's ordering key, duplicated here so sifts
@@ -255,7 +193,6 @@ class EventQueue {
   void remove_heap_at(std::size_t i);
   Popped pop_heap();
   Popped pop_fifo(TimePoint now);
-  static Popped take_payload(Slot& s, TimePoint at);
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t idx);

@@ -49,24 +49,15 @@ CrowdChurn::CrowdChurn(World& world, std::vector<NodeId> pool,
   OMNI_CHECK_MSG(options_.area_max.x >= options_.area_min.x &&
                      options_.area_max.y >= options_.area_min.y,
                  "invalid area");
-  hop_slot_ =
-      world_.simulator().register_callback_slot(this, &CrowdChurn::hop_thunk);
 }
 
-CrowdChurn::~CrowdChurn() {
-  stop();
-  world_.simulator().unregister_callback_slot(hop_slot_);
-}
-
-void CrowdChurn::hop_thunk(void* ctx) {
-  static_cast<CrowdChurn*>(ctx)->run_tick();
-}
+CrowdChurn::~CrowdChurn() { stop(); }
 
 void CrowdChurn::start() {
   if (running_ || pool_.empty()) return;
   running_ = true;
-  next_event_ = world_.simulator().schedule_slot_on(
-      kGlobalOwner, options_.tick, kEventMobilityHop, hop_slot_);
+  next_event_ = world_.simulator().after_global(options_.tick,
+                                                [this] { run_tick(); });
 }
 
 void CrowdChurn::stop() {
@@ -95,8 +86,8 @@ void CrowdChurn::run_tick() {
     world_.move_to(node, target, options_.speed_mps);
     ++moves_;
   }
-  next_event_ = world_.simulator().schedule_slot_on(
-      kGlobalOwner, options_.tick, kEventMobilityHop, hop_slot_);
+  next_event_ = world_.simulator().after_global(options_.tick,
+                                                [this] { run_tick(); });
 }
 
 RandomWaypointMobility::RandomWaypointMobility(World& world, NodeId node,
@@ -109,18 +100,9 @@ RandomWaypointMobility::RandomWaypointMobility(World& world, NodeId node,
   OMNI_CHECK_MSG(options_.area_max.x >= options_.area_min.x &&
                      options_.area_max.y >= options_.area_min.y,
                  "invalid area");
-  hop_slot_ = world_.simulator().register_callback_slot(
-      this, &RandomWaypointMobility::leg_thunk);
 }
 
-RandomWaypointMobility::~RandomWaypointMobility() {
-  stop();
-  world_.simulator().unregister_callback_slot(hop_slot_);
-}
-
-void RandomWaypointMobility::leg_thunk(void* ctx) {
-  static_cast<RandomWaypointMobility*>(ctx)->next_leg();
-}
+RandomWaypointMobility::~RandomWaypointMobility() { stop(); }
 
 void RandomWaypointMobility::start() {
   if (running_) return;
@@ -147,9 +129,7 @@ void RandomWaypointMobility::next_leg() {
       options_.min_pause.as_micros(),
       std::max(options_.min_pause.as_micros(),
                options_.max_pause.as_micros())));
-  Simulator& sim = world_.simulator();
-  next_event_ = sim.schedule_slot_on(sim.current_owner(), walk + pause,
-                                     kEventMobilityHop, hop_slot_);
+  next_event_ = world_.simulator().after(walk + pause, [this] { next_leg(); });
 }
 
 }  // namespace omni::sim

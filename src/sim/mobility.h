@@ -76,7 +76,6 @@ class CrowdChurn {
 
  private:
   void run_tick();
-  static void hop_thunk(void* ctx);
 
   World& world_;
   std::vector<NodeId> pool_;
@@ -86,8 +85,6 @@ class CrowdChurn {
   std::uint64_t moves_ = 0;
   bool running_ = false;
   EventHandle next_event_;
-  /// Callback-slot id: ticks are {u32 slot} kEventMobilityHop descriptors.
-  std::uint32_t hop_slot_ = 0;
 };
 
 /// Classic random-waypoint motion inside an axis-aligned rectangle.
@@ -115,7 +112,6 @@ class RandomWaypointMobility {
 
  private:
   void next_leg();
-  static void leg_thunk(void* ctx);
 
   World& world_;
   NodeId node_;
@@ -124,8 +120,6 @@ class RandomWaypointMobility {
   bool running_ = false;
   std::uint64_t legs_ = 0;
   EventHandle next_event_;
-  /// Callback-slot id: legs are {u32 slot} kEventMobilityHop descriptors.
-  std::uint32_t hop_slot_ = 0;
 };
 
 }  // namespace omni::sim

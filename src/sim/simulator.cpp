@@ -42,14 +42,6 @@ Simulator::Simulator(std::uint64_t seed, unsigned threads)
       shards_(nshards_),
       rng_(seed) {
   for (Shard& sh : shards_) sh.out.resize(nshards_ + 1);
-  // Slot-call kinds all dispatch through the callback-slot directory; the
-  // kind tag distinguishes them for diagnostics, telemetry, and snapshots.
-  for (EventKind k : {kEventQueueDrain, kEventMgrMaintenance,
-                      kEventMgrPeerSweep, kEventMobilityHop,
-                      kEventScenarioTimer, kEventDiscoveryTick,
-                      kEventEngageSync}) {
-    desc_handlers_[k] = DescHandler{this, &Simulator::slot_kind_handler};
-  }
 }
 
 Simulator::~Simulator() {
@@ -180,102 +172,6 @@ EventHandle Simulator::after_on(OwnerId owner, Duration delay, EventFn fn) {
   return EventHandle{};
 }
 
-EventHandle Simulator::schedule_desc_on(OwnerId owner, Duration delay,
-                                        EventKind kind,
-                                        const unsigned char* payload,
-                                        std::uint8_t psize) {
-  // Mirrors after_on branch for branch: descriptor and closure schedules
-  // must draw generations and mailbox sequence numbers identically so
-  // converting an event class to a descriptor cannot perturb any ordering.
-  ExecCtx& c = tls_ctx_;
-  if (c.sim != this || c.shard == nullptr) {
-    if (owner == kGlobalOwner) {
-      if (delay <= Duration::zero()) {
-        return global_q_.schedule_desc_now(now_, kind, payload, psize, owner);
-      }
-      return global_q_.schedule_desc(now_ + delay, kind, payload, psize,
-                                     owner);
-    }
-    ensure_owner(owner);
-    TimePoint at = delay <= Duration::zero() ? now_ : now_ + delay;
-    return shard_for(owner).q.schedule_desc(at, kind, payload, psize, owner);
-  }
-  Shard& sh = *c.shard;
-  if (owner == c.owner) {
-    if (delay <= Duration::zero()) {
-      return sh.q.schedule_desc_now(sh.now, kind, payload, psize, owner);
-    }
-    return sh.q.schedule_desc(sh.now + delay, kind, payload, psize, owner);
-  }
-  TimePoint at = delay <= Duration::zero() ? sh.now : sh.now + delay;
-  if (at < window_end_) at = window_end_;
-  std::size_t dst_box =
-      owner == kGlobalOwner ? nshards_ : shard_index_for(owner);
-  OMNI_ASSERTF(c.owner < owner_seq_.size(), "posting owner %u not registered",
-               static_cast<unsigned>(c.owner));
-  Post p;
-  p.at = at;
-  p.src = c.owner;
-  p.seq = ++owner_seq_[c.owner];
-  p.dst = owner;
-  p.kind = kind;
-  p.psize = psize;
-  std::memcpy(p.payload, payload, psize);
-  sh.out[dst_box].push_back(std::move(p));
-  return EventHandle{};
-}
-
-void Simulator::register_desc_handler(EventKind kind, void* ctx,
-                                      DescHandlerFn fn) {
-  OMNI_CHECK_MSG(kind != kEventClosure && kind < kEventKindCount,
-                 "register_desc_handler: invalid descriptor kind");
-  desc_handlers_[kind] = DescHandler{ctx, fn};
-}
-
-std::uint32_t Simulator::register_callback_slot(void* ctx, void (*fn)(void*)) {
-  if (callback_free_head_ != 0xffffffffu) {
-    std::uint32_t idx = callback_free_head_;
-    callback_free_head_ = callback_slots_[idx].next_free;
-    callback_slots_[idx] = CallbackSlot{ctx, fn, 0xffffffffu};
-    return idx;
-  }
-  callback_slots_.push_back(CallbackSlot{ctx, fn, 0xffffffffu});
-  return static_cast<std::uint32_t>(callback_slots_.size() - 1);
-}
-
-void Simulator::unregister_callback_slot(std::uint32_t slot) {
-  if (slot >= callback_slots_.size()) return;
-  callback_slots_[slot] = CallbackSlot{nullptr, nullptr, callback_free_head_};
-  callback_free_head_ = slot;
-}
-
-void Simulator::invoke_callback_slot(std::uint32_t slot) {
-  // A pending descriptor may outlive its registrant (the closure equivalent
-  // would have fired a dangling `this`); an empty slot is a deterministic
-  // no-op instead.
-  if (slot >= callback_slots_.size()) return;
-  const CallbackSlot& cb = callback_slots_[slot];
-  if (cb.fn != nullptr) cb.fn(cb.ctx);
-}
-
-void Simulator::slot_kind_handler(void* ctx, Simulator& sim,
-                                  const EventDesc& desc) {
-  (void)ctx;
-  sim.invoke_callback_slot(desc.payload_u32(0));
-}
-
-void Simulator::dispatch_desc(const EventQueue::Popped& popped) {
-  const DescHandler& h = desc_handlers_[popped.kind];
-  OMNI_ASSERTF(h.fn != nullptr, "no handler registered for %s descriptor",
-               event_kind_name(popped.kind));
-  EventDesc d;
-  d.kind = popped.kind;
-  d.psize = popped.psize;
-  d.owner = popped.owner;
-  std::memcpy(d.payload, popped.payload, kEventPayloadMax);
-  h.fn(h.ctx, *this, d);
-}
-
 bool Simulator::idle() const {
   if (!global_q_.empty()) return false;
   for (const Shard& sh : shards_) {
@@ -301,11 +197,8 @@ void Simulator::snapshot_pending(std::vector<PendingEvent>& out) const {
   OMNI_CHECK_MSG(c.sim != this || c.shard == nullptr,
                  "snapshot_pending must run outside parallel windows");
   auto visit = [&out](TimePoint at, std::uint64_t generation, OwnerId owner,
-                      bool immediate, EventKind kind, std::uint8_t psize,
-                      const unsigned char* payload) {
-    PendingEvent e{at, generation, owner, immediate, kind, psize, {}};
-    if (payload != nullptr) std::memcpy(e.payload, payload, psize);
-    out.push_back(e);
+                      bool immediate) {
+    out.push_back(PendingEvent{at, generation, owner, immediate});
   };
   global_q_.for_each_pending(visit);
   for (const Shard& sh : shards_) sh.q.for_each_pending(visit);
@@ -339,11 +232,7 @@ void Simulator::run_shard_window(Shard& sh, TimePoint window_end) {
     auto popped = sh.q.pop(sh.now);
     if (popped.at > sh.now) sh.now = popped.at;
     c.owner = popped.owner;
-    if (popped.kind == kEventClosure) {
-      popped.fn();
-    } else {
-      dispatch_desc(popped);
-    }
+    popped.fn();
     ++sh.executed;
   }
   c = ExecCtx{};
@@ -441,11 +330,7 @@ void Simulator::merge_mailboxes() {
                                              owner_rngs_[p.dst] != nullptr),
                    "mailbox post to unregistered owner %u",
                    static_cast<unsigned>(p.dst));
-      if (p.kind == kEventClosure) {
-        q.schedule(p.at, std::move(p.fn), p.dst);
-      } else {
-        q.schedule_desc(p.at, p.kind, p.payload, p.psize, p.dst);
-      }
+      q.schedule(p.at, std::move(p.fn), p.dst);
     }
   }
   merge_scratch_.clear();
@@ -477,11 +362,7 @@ std::uint64_t Simulator::run_loop(TimePoint deadline, bool advance_clock) {
       auto popped = global_q_.pop(now_);
       if (popped.at > now_) now_ = popped.at;
       c = ExecCtx{this, kGlobalOwner, nullptr};
-      if (popped.kind == kEventClosure) {
-        popped.fn();
-      } else {
-        dispatch_desc(popped);
-      }
+      popped.fn();
       c = ExecCtx{};
       ++ran;
       ++executed_;

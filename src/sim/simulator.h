@@ -121,6 +121,13 @@ class Simulator {
   /// clamped to the window end, the event is merged at the barrier in
   /// canonical (time, src_owner, seq) order, and the returned handle is
   /// inert (cross-owner posts cannot be cancelled).
+  ///
+  /// Because such a handle cannot be cancelled, a closure posted across
+  /// owners must not dereference a component that can be destroyed before
+  /// it runs. Capture a `std::weak_ptr` liveness token beside `this` and
+  /// return when it has expired (SimQueue's deferred wake does this).
+  /// Same-owner timers may capture plain `this` when their component
+  /// cancels the handle on stop() or in its destructor.
   EventHandle after_on(OwnerId owner, Duration delay, EventFn fn);
 
   /// Schedule barrier-serialized work: after_on(kGlobalOwner, ...). Use for
@@ -134,65 +141,6 @@ class Simulator {
   EventHandle at_on(OwnerId owner, TimePoint when, EventFn fn) {
     return after_on(owner, when - now(), std::move(fn));
   }
-
-  // --- Typed descriptor events (sim/event_desc.h) ---------------------------
-
-  /// Descriptor twin of after_on: identical owner/clamping/mailbox semantics
-  /// and the same scheduling-order guarantees (both draw from one generation
-  /// counter per queue), but the event is `psize` payload bytes tagged with
-  /// `kind` instead of a closure — no capture allocation on schedule, direct
-  /// kind-dispatch on pop, and a pending event that snapshots can record as
-  /// data.
-  EventHandle schedule_desc_on(OwnerId owner, Duration delay, EventKind kind,
-                               const unsigned char* payload,
-                               std::uint8_t psize);
-
-  /// schedule_desc_on with an absolute firing time (clamped to now).
-  EventHandle schedule_desc_at_on(OwnerId owner, TimePoint when,
-                                  EventKind kind,
-                                  const unsigned char* payload,
-                                  std::uint8_t psize) {
-    return schedule_desc_on(owner, when - now(), kind, payload, psize);
-  }
-
-  /// Convenience for the common slot-call descriptor shape: a {u32 slot}
-  /// payload naming a callback-slot registered below.
-  EventHandle schedule_slot_on(OwnerId owner, Duration delay, EventKind kind,
-                               std::uint32_t slot) {
-    unsigned char payload[sizeof slot];
-    std::memcpy(payload, &slot, sizeof slot);
-    return schedule_desc_on(owner, delay, kind, payload, sizeof slot);
-  }
-
-  /// Handler invoked when a descriptor event of its kind fires; runs in the
-  /// event's execution context exactly like a closure body would.
-  using DescHandlerFn = void (*)(void* ctx, Simulator& sim,
-                                 const EventDesc& desc);
-
-  /// Install the handler for `kind` (one per kind per simulator; installing
-  /// again replaces — components that own a kind register in their
-  /// constructor). Slot-call kinds (queue-drain, maintenance, peer-sweep,
-  /// mobility-hop, scenario-timer, discovery-tick, engage-sync) are
-  /// pre-registered to invoke the callback-slot directory and need no
-  /// handler. Register from a quiescent context.
-  void register_desc_handler(EventKind kind, void* ctx, DescHandlerFn fn);
-
-  /// Register a callback slot: a stable small integer naming (ctx, fn) so
-  /// recurring per-component events can be descriptors ({u32 slot} payload)
-  /// instead of `this`-capturing closures. Ids are assigned in registration
-  /// order with free-list reuse — deterministic, so a slot id recorded in a
-  /// snapshot names the same component in every run of one scenario.
-  std::uint32_t register_callback_slot(void* ctx, void (*fn)(void* ctx));
-
-  /// Release a slot id for reuse. A descriptor still pending for the slot
-  /// becomes a no-op (or invokes the slot's next registrant — deterministic
-  /// either way, and strictly safer than the dangling `this` a closure
-  /// would have captured).
-  void unregister_callback_slot(std::uint32_t slot);
-
-  /// Invoke a registered callback slot immediately (the built-in slot-kind
-  /// handler; exposed for tests).
-  void invoke_callback_slot(std::uint32_t slot);
 
   /// Register a hook that runs on the driving thread at every window
   /// barrier, after cross-owner mailboxes have been merged. No window is
@@ -292,9 +240,6 @@ class Simulator {
     std::uint64_t generation;
     OwnerId owner;
     bool immediate;  ///< queued on a zero-delay FIFO, not the heap
-    EventKind kind = kEventClosure;  ///< descriptor kind; 0 = closure
-    std::uint8_t psize = 0;
-    unsigned char payload[kEventPayloadMax] = {};
   };
 
   /// Append every live pending event across the global queue and all shards.
@@ -331,17 +276,12 @@ class Simulator {
 
  private:
   /// A cross-owner schedule captured during a window, merged at the barrier.
-  /// Either a closure (kind == kEventClosure, fn live) or a descriptor
-  /// (kind != 0, payload live) — never both.
   struct Post {
     TimePoint at;
     OwnerId src;
     std::uint64_t seq;
     OwnerId dst;
     EventFn fn;
-    EventKind kind = kEventClosure;
-    std::uint8_t psize = 0;
-    unsigned char payload[kEventPayloadMax] = {};
   };
 
   struct alignas(64) Shard {
@@ -364,9 +304,6 @@ class Simulator {
 
   std::uint64_t run_loop(TimePoint deadline, bool advance_clock);
   void run_shard_window(Shard& sh, TimePoint window_end);
-  void dispatch_desc(const EventQueue::Popped& popped);
-  static void slot_kind_handler(void* ctx, Simulator& sim,
-                                const EventDesc& desc);
   std::uint64_t run_windows(TimePoint window_end);
   void merge_mailboxes();
   void ensure_workers();
@@ -402,23 +339,6 @@ class Simulator {
   std::uint64_t global_events_ = 0;
   std::uint64_t mailbox_posts_ = 0;
   std::uint64_t cross_shard_posts_ = 0;
-
-  /// kind → handler; slot kinds pre-registered in the constructor.
-  struct DescHandler {
-    void* ctx = nullptr;
-    DescHandlerFn fn = nullptr;
-  };
-  DescHandler desc_handlers_[kEventKindCount];
-
-  /// Callback-slot directory (register_callback_slot). Free entries link
-  /// through `next_free` for deterministic id reuse.
-  struct CallbackSlot {
-    void* ctx = nullptr;
-    void (*fn)(void*) = nullptr;
-    std::uint32_t next_free = 0xffffffffu;
-  };
-  std::vector<CallbackSlot> callback_slots_;
-  std::uint32_t callback_free_head_ = 0xffffffffu;
 
   // Worker pool (lazily started on the first multi-shard window). Workers
   // sleep on epoch_; the driver publishes window_end_, arms running_workers_,

@@ -23,7 +23,6 @@ const char* section_name(std::uint32_t id) {
     case kSecFaults: return "faults";
     case kSecManagers: return "managers";
     case kSecMetrics: return "metrics";
-    case kSecEventDescs: return "event-descs";
     default: {
       static thread_local char buf[16];
       std::snprintf(buf, sizeof(buf), "sec%u", id);
@@ -115,21 +114,6 @@ void capture_events(const Simulator& sim, TimePoint at, Snapshot& snap) {
     }
   }
   snap.section(kSecEvents).bytes = w.take();
-  // Companion section, index-aligned with the kSecEvents order: each pending
-  // event's descriptor body. Closures write a bare kind 0; descriptors write
-  // kind + payload, so a state comparison proves not just *when* events
-  // fire but *what* the typed ones will do. Additive — kSecEvents bytes are
-  // untouched and old readers skip unknown section ids.
-  ByteWriter dw;
-  dw.var(pending.size());
-  for (const Simulator::PendingEvent& e : pending) {
-    if (e.kind == kEventClosure) {
-      dw.var(kEventClosure);
-    } else {
-      encode_event_desc(dw, e.kind, e.psize, e.payload);
-    }
-  }
-  snap.section(kSecEventDescs).bytes = dw.take();
 }
 
 void capture_rng(const Simulator& sim, Snapshot& snap) {
@@ -326,22 +310,6 @@ std::string describe_snapshot(const Snapshot& snap) {
         if (r.ok()) {
           detail = std::to_string(n) + " pending events across " +
                    std::to_string(owners) + " owners";
-        }
-        break;
-      }
-      case kSecEventDescs: {
-        const std::uint64_t n = r.var();
-        std::uint64_t descs = 0;
-        for (std::uint64_t i = 0; r.ok() && i < n; ++i) {
-          const std::uint64_t kind = r.var();
-          if (kind == kEventClosure) continue;
-          const std::uint64_t psize = r.var();
-          for (std::uint64_t b = 0; r.ok() && b < psize; ++b) r.u8();
-          ++descs;
-        }
-        if (r.ok()) {
-          detail = std::to_string(descs) + " of " + std::to_string(n) +
-                   " pending events typed";
         }
         break;
       }

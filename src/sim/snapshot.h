@@ -8,10 +8,10 @@
 // with the manifest (seed, capture time, executed events, scenario
 // fingerprint) that state identifies the run bit-for-bit.
 //
-// What is serialized vs rebuilt: events hold opaque std::function closures,
-// so a snapshot records *when* each pending event fires (and the body of
-// typed ones), not what a closure captured; a snapshot is an oracle to
-// compare runs against, not a run to load. Anything derivable by
+// What is serialized vs rebuilt: events are opaque std::function closures,
+// so a snapshot records each pending event by owner, firing time and queue
+// (heap or zero-delay FIFO), not by what its closure captured; a snapshot
+// is an oracle to compare runs against, not a run to load. Anything derivable by
 // construction — radio-medium fan-out caches, nodes_near caches, beacon
 // frame caches, observability rings — is deliberately *not* serialized.
 //
@@ -56,16 +56,17 @@ inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Well-known section ids. Ids are stable across versions; unknown ids are
 /// preserved by parse/serialize round trips (forward compatibility for
-/// additive sections).
+/// additive sections). Id 8 is retired: it held the bodies of typed events,
+/// which no longer exist. It is never reused, and readers treat a file that
+/// still carries it (written before the retirement) like any unknown id.
 enum SectionId : std::uint32_t {
   kSecManifest = 1,  ///< seed, capture time, scenario fingerprint
   kSecEvents = 2,    ///< canonical per-owner pending-event lists
   kSecRng = 3,       ///< per-owner RNG digests + mailbox seq counters
   kSecWorld = 4,     ///< motion rows (full-stack + crowd)
   kSecFaults = 5,    ///< fault plan config + injection counters
-  kSecManagers = 6,   ///< OmniManager state (written by the omni layer)
-  kSecMetrics = 7,    ///< canonical metrics-registry dump
-  kSecEventDescs = 8, ///< descriptor bodies of pending events (kind+payload)
+  kSecManagers = 6,  ///< OmniManager state (written by the omni layer)
+  kSecMetrics = 7,   ///< canonical metrics-registry dump
 };
 
 /// Human name for a section id ("events", "world", ...; "sec<id>" for

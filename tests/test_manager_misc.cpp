@@ -1,10 +1,14 @@
 // Manager odds and ends: graceful Developer-API behavior after stop(),
-// beacon-info integrity with a NAN slot present, and multi-mesh WiFi
-// environments.
+// beacon-info integrity with a NAN slot present, multi-mesh WiFi
+// environments, and cross-owner posts that outlive their component.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "net/testbed.h"
 #include "omni/omni_node.h"
+#include "omni/wifi_multicast_tech.h"
 
 namespace omni {
 namespace {
@@ -103,6 +107,81 @@ TEST(MultiMeshTest, FlowsAreScopedToOneMesh) {
   auto flow = bed.mesh().open_flow(a.wifi(), b.wifi().address(), 1000,
                                    nullptr);
   EXPECT_FALSE(flow.is_ok());
+}
+
+/// True if a global-owned event is pending at exactly `at`.
+bool global_event_pending_at(const sim::Simulator& sim, TimePoint at) {
+  std::vector<sim::Simulator::PendingEvent> pending;
+  sim.snapshot_pending(pending);
+  for (const auto& e : pending) {
+    if (e.owner == sim::kGlobalOwner && e.at == at) return true;
+  }
+  return false;
+}
+
+// A push into a global-pinned send queue from a node-owned event wakes the
+// queue through a mailbox post, whose handle cannot be cancelled. run_until
+// stops with that wake merged but not yet run; tearing the node down then
+// frees the queue under it (and the teardown's own responses leave a wake of
+// the node's response queue behind). The wakes must do nothing (ASan builds
+// check that they touch no freed memory), and the surviving device runs on.
+TEST(LivenessTest, QueueWakeOutlivingItsNodeIsInert) {
+  net::Testbed bed(707);
+  sim::Simulator& sim = bed.simulator();
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {10, 0});
+  auto node_a = std::make_unique<OmniNode>(a, bed.mesh());
+  OmniNode node_b(b, bed.mesh());
+  node_a->start();
+  node_b.start();
+  sim.run_for(Duration::seconds(5));
+  ASSERT_NE(node_a->manager().peer_table().find(node_b.address()), nullptr);
+
+  int outcomes = 0;
+  const TimePoint t = sim.now() + Duration::millis(3);
+  sim.at_on(a.node(), t, [&node_a, &node_b, &outcomes] {
+    node_a->manager().send_data({node_b.address()}, Bytes(20'000, 0x5A),
+                                [&outcomes](StatusCode, const ResponseInfo&) {
+                                  ++outcomes;
+                                });
+  });
+  sim.run_until(t);
+  // The wake is clamped to the window end, one microsecond past `t`.
+  ASSERT_TRUE(global_event_pending_at(sim, t + Duration::micros(1)));
+
+  node_a.reset();
+  const TimePoint torn_down = sim.now();
+  sim.run_for(Duration::seconds(1));
+  EXPECT_EQ(outcomes, 1);  // the stop fails the op once
+  EXPECT_GT(b.meter().total_mAs(torn_down, sim.now(), obs::EnergyRail::kBle),
+            0.0)
+      << "b stopped beaconing";
+}
+
+// The multicast plugin's engagement sync is the other cross-owner post: the
+// manager flips the flag from its node's events, and the probe bookkeeping
+// follows in the global phase.
+TEST(LivenessTest, EngageSyncOutlivingItsPluginIsInert) {
+  net::Testbed bed(708);
+  sim::Simulator& sim = bed.simulator();
+  auto& a = bed.add_device("a", {0, 0});
+  SimQueue<SendRequest> send(sim);
+  SimQueue<ReceivedPacket> receive(sim);
+  SimQueue<TechResponse> response(sim);
+  auto tech = std::make_unique<WifiMulticastTech>(a.wifi(), bed.mesh());
+  tech->enable(TechQueues{&send, &receive, &response});
+  sim.run_for(Duration::seconds(1));
+
+  const TimePoint t = sim.now() + Duration::millis(3);
+  sim.at_on(a.node(), t, [&tech] { tech->set_engaged(true); });
+  sim.run_until(t);
+  ASSERT_TRUE(tech->engaged());
+  ASSERT_TRUE(global_event_pending_at(sim, t + Duration::micros(1)));
+
+  tech.reset();
+  const std::uint64_t executed = sim.executed_events();
+  sim.run_for(Duration::seconds(1));
+  EXPECT_GT(sim.executed_events(), executed);  // the stale sync ran
 }
 
 TEST(MultiMeshTest, IndependentCapacities) {

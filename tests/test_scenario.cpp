@@ -44,6 +44,26 @@ TEST(ScenarioParseTest, RejectsBadInputs) {
                    .is_ok());
 }
 
+// ManagerOptions::beacon_interval must span at least one BLE advertising
+// event (10 ms); the DSL's `floor=` sets it, so a shorter floor is a parse
+// error naming the line, under either policy.
+TEST(ScenarioParseTest, DiscoveryFloorBelowOneAdvertisingEventRejected) {
+  for (const std::string mode : {"fixed", "adaptive"}) {
+    for (const std::string floor : {"1ms", "9ms"}) {
+      auto s = Scenario::parse("device a 0 0\ndevice b 10 0\ndiscovery " +
+                               mode + " floor=" + floor + "\nrun 3s\n");
+      ASSERT_FALSE(s.is_ok()) << mode << " floor=" << floor;
+      EXPECT_NE(s.error_message().find("line 3"), std::string::npos)
+          << s.error_message();
+      EXPECT_NE(s.error_message().find("floor"), std::string::npos)
+          << s.error_message();
+    }
+    auto ok = Scenario::parse("device a 0 0\ndiscovery " + mode +
+                              " floor=10ms\nrun 1s\n");
+    EXPECT_TRUE(ok.is_ok()) << mode << ": " << ok.error_message();
+  }
+}
+
 TEST(ScenarioParseTest, DurationsAndPositions) {
   auto s = Scenario::parse(
       "device a 0 0\n"

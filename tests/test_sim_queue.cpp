@@ -86,9 +86,13 @@ TEST(SimQueueTest, DrainReturnsBacklogInOrder) {
   sim::Simulator sim;
   SimQueue<int> q(sim);
   for (int i = 0; i < 4; ++i) q.push(i);
-  EXPECT_EQ(q.drain(), (std::vector<int>{0, 1, 2, 3}));
+  std::vector<int> out;
+  ASSERT_EQ(q.drain_into(out), 4u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.drain().empty());
+  std::vector<int> none;
+  EXPECT_EQ(q.drain_into(none), 0u);
+  EXPECT_TRUE(none.empty());
 }
 
 TEST(SimQueueTest, DrainIntoReportsLivePrefixAndRecyclesSlots) {

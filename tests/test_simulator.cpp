@@ -90,6 +90,20 @@ TEST(SimulatorTest, CancelViaHandle) {
   EXPECT_FALSE(ran);
 }
 
+// The shape of every self-rescheduling timer: cancel the pending handle,
+// schedule afresh. Only the new event fires, at its own time.
+TEST(SimulatorTest, CancelThenRescheduleFiresOnceAtTheNewTime) {
+  Simulator sim;
+  std::vector<int> fired;
+  EventHandle h =
+      sim.after_global(Duration::millis(5), [&] { fired.push_back(1); });
+  h.cancel();
+  sim.after_global(Duration::millis(9), [&] { fired.push_back(2); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+  EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::millis(9));
+}
+
 TEST(SimulatorTest, CountsExecutedEvents) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) sim.after(Duration::millis(i), [] {});

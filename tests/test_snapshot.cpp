@@ -121,6 +121,26 @@ TEST(SnapshotFile, UnknownSectionsSurviveRoundTrip) {
   EXPECT_EQ(sec->bytes, (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
+// Section id 8 once held the bodies of typed events. Captures no longer
+// write it; a file that still carries one (written before its retirement)
+// parses, keeps it as an unknown id across a round trip, and names it so.
+TEST(SnapshotFile, RetiredSection8IsSkippedAsUnknown) {
+  Simulator sim;
+  sim.after_global(Duration::millis(10), [] {});
+  sim.after_global(Duration::millis(20), [] {});
+  Snapshot snap = make_sample();
+  capture_events(sim, sim.now(), snap);
+  EXPECT_EQ(snap.find(8), nullptr);
+  ByteReader r(snap.find(kSecEvents)->bytes);
+  EXPECT_EQ(r.var(), 2u);  // both pending events, recorded by time
+
+  snap.section(8).bytes = {2, 0, 0};  // the section an older writer added
+  auto parsed = parse_snapshot(serialize_snapshot(snap));
+  ASSERT_TRUE(parsed.is_ok()) << parsed.error_message();
+  EXPECT_NE(parsed.value().find(8), nullptr);
+  EXPECT_STREQ(section_name(8), "sec8");
+}
+
 TEST(SnapshotFile, RejectsBadMagic) {
   std::vector<std::uint8_t> bytes = serialize_snapshot(make_sample());
   bytes[0] = 'X';
