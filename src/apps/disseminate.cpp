@@ -71,7 +71,7 @@ double DisseminateApp::d2d_rate_Bps() const {
   if (d2d_samples_.empty()) return 0;
   std::uint64_t bytes = 0;
   for (const auto& [t, b] : d2d_samples_) bytes += b;
-  double window = config_.d2d_rate_window.as_seconds();
+  double window = kD2dRateWindow.as_seconds();
   return static_cast<double>(bytes) / window;
 }
 
@@ -109,14 +109,14 @@ void DisseminateApp::pump_infra() {
       // Trim stale samples, then compare expected waits.
       TimePoint now = sim_.now();
       while (!d2d_samples_.empty() &&
-             now - d2d_samples_.front().first > config_.d2d_rate_window) {
+             now - d2d_samples_.front().first > kD2dRateWindow) {
         d2d_samples_.pop_front();
       }
       double rate = d2d_rate_Bps();
       double remaining = static_cast<double>(missing_bytes());
       double d2d_wait = rate > 0 ? remaining / rate : 1e18;
       double infra_time = remaining / config_.infra_rate_Bps;
-      if (d2d_wait > config_.backfill_bias * infra_time) {
+      if (d2d_wait > kBackfillBias * infra_time) {
         next = promised;
       } else if (!backfill_recheck_.pending()) {
         // D2D looks healthy: hold off and re-evaluate shortly.
@@ -186,7 +186,7 @@ void DisseminateApp::on_chunk_obtained(std::uint64_t id, bool from_infra) {
 }
 
 void DisseminateApp::refresh_advert() {
-  stack_.advertise(store_.bitmap(), config_.advert_interval);
+  stack_.advertise(store_.bitmap(), kAdvertInterval);
 }
 
 void DisseminateApp::on_peer_advert(baselines::D2dStack::PeerId peer,
@@ -233,7 +233,7 @@ std::uint64_t DisseminateApp::pick_queued_chunk(
 
 void DisseminateApp::pump_sends(baselines::D2dStack::PeerId peer) {
   PeerState& state = peers_[peer];
-  while (state.in_flight < config_.send_window && !state.queued.empty()) {
+  while (state.in_flight < kSendWindow && !state.queued.empty()) {
     std::uint64_t id = pick_queued_chunk(state.queued);
     state.queued.erase(id);
     state.sent.insert(id);

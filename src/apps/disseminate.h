@@ -35,12 +35,9 @@ struct DisseminateConfig {
   std::uint64_t file_bytes = 30ull * 1000 * 1000;  ///< paper: 30 MB
   std::uint64_t chunk_bytes = 250ull * 1000;       ///< 120 chunks
   double infra_rate_Bps = 100e3;  ///< paper: 100 or 1000 KBps
-  Duration advert_interval = Duration::millis(500);
   /// Share chunks via multicast broadcast instead of per-peer unicast (the
   /// paper's SP configuration "purely uses multicast over WiFi-Mesh").
   bool share_via_broadcast = false;
-  /// Max unicast chunk transfers in flight per peer.
-  std::size_t send_window = 2;
   /// Push order for queued chunks: sequential (lowest id first) or
   /// rarest-first (prefer chunks the fewest peers hold — the classic swarm
   /// heuristic that spreads distinct pieces fastest).
@@ -49,15 +46,6 @@ struct DisseminateConfig {
   /// Keep backfilling missing chunks from the infrastructure after the
   /// assigned range completes.
   bool infra_backfill = true;
-  /// Rate-aware backfill: a chunk some peer already holds ("promised") is
-  /// only re-fetched from the infrastructure when the observed D2D supply
-  /// rate is so slow that waiting would take more than `backfill_bias`
-  /// times the infrastructure download time. This is what lets a multicast-
-  /// limited deployment degrade gracefully to direct-download speed while a
-  /// TCP-backed one trusts its peers.
-  double backfill_bias = 2.0;
-  /// Window over which the D2D supply rate is estimated.
-  Duration d2d_rate_window = Duration::seconds(10);
 };
 
 class DisseminateApp {
@@ -93,6 +81,19 @@ class DisseminateApp {
   std::uint64_t pick_queued_chunk(const std::set<std::uint64_t>& queued) const;
   /// Count and record one app event on the Omniscope, if one is attached.
   void note(const obs::AppEvent& ev, std::uint64_t a0 = 0);
+
+  static constexpr Duration kAdvertInterval = Duration::millis(500);
+  /// Max unicast chunk transfers in flight per peer.
+  static constexpr std::size_t kSendWindow = 2;
+  /// Rate-aware backfill: a chunk some peer already holds ("promised") is
+  /// only re-fetched from the infrastructure when the observed D2D supply
+  /// rate is so slow that waiting would take more than kBackfillBias times
+  /// the infrastructure download time. This is what lets a multicast-
+  /// limited deployment degrade gracefully to direct-download speed while a
+  /// TCP-backed one trusts its peers.
+  static constexpr double kBackfillBias = 2.0;
+  /// Window over which the D2D supply rate is estimated.
+  static constexpr Duration kD2dRateWindow = Duration::seconds(10);
 
   baselines::D2dStack& stack_;
   net::InfraNetwork& infra_;

@@ -50,7 +50,7 @@ void ProphetNode::start() {
 double ProphetNode::aged(const Entry& e) const {
   double seconds = (sim_.now() - e.updated).as_seconds();
   if (seconds <= 0) return e.p;
-  return e.p * std::pow(config_.gamma, seconds);
+  return e.p * std::pow(kGamma, seconds);
 }
 
 double ProphetNode::predictability(PeerId dest) const {
@@ -65,7 +65,7 @@ void ProphetNode::seed_predictability(PeerId dest, double p) {
 void ProphetNode::bump_encounter(PeerId peer) {
   Entry& e = table_[peer];
   double p = aged(e);
-  e.p = p + (1.0 - p) * config_.p_init;
+  e.p = p + (1.0 - p) * kPInit;
   e.updated = sim_.now();
 }
 
@@ -73,7 +73,7 @@ void ProphetNode::apply_transitivity(PeerId via, PeerId dest,
                                      double p_via_dest) {
   if (dest == stack_.self()) return;
   double p_self_via = predictability(via);
-  double candidate = p_self_via * p_via_dest * config_.beta;
+  double candidate = p_self_via * p_via_dest * kBeta;
   Entry& e = table_[dest];
   double current = aged(e);
   if (candidate > current) {
@@ -142,8 +142,8 @@ Bytes ProphetNode::encode_summary() const {
               if (an != bn) return !an;  // non-neighbors first
               return a.second > b.second;
             });
-  if (entries.size() > config_.summary_entries) {
-    entries.resize(config_.summary_entries);
+  if (entries.size() > kSummaryEntries) {
+    entries.resize(kSummaryEntries);
   }
   ByteWriter w(1 + entries.size() * 10);
   w.u8(static_cast<std::uint8_t>(entries.size()));
@@ -155,7 +155,7 @@ Bytes ProphetNode::encode_summary() const {
 }
 
 void ProphetNode::refresh_advert() {
-  stack_.advertise(encode_summary(), config_.advert_interval);
+  stack_.advertise(encode_summary(), kAdvertInterval);
 }
 
 void ProphetNode::on_advert(PeerId peer, const Bytes& summary) {

@@ -31,12 +31,6 @@
 namespace omni::apps {
 
 struct ProphetConfig {
-  double p_init = 0.75;
-  double beta = 0.25;
-  double gamma = 0.98;  ///< per second
-  Duration advert_interval = Duration::millis(500);
-  /// Max predictability entries in one summary advert (BLE-constrained).
-  std::size_t summary_entries = 2;
   /// Buffer capacity in messages; the oldest message is evicted when full
   /// (standard DTN store-and-carry behavior).
   std::size_t buffer_capacity = 64;
@@ -74,6 +68,14 @@ class ProphetNode {
   std::uint64_t expired_messages() const { return expired_; }
 
  private:
+  // The three rules' constants (Lindgren et al.'s defaults).
+  static constexpr double kPInit = 0.75;
+  static constexpr double kBeta = 0.25;
+  static constexpr double kGamma = 0.98;  ///< per second
+  static constexpr Duration kAdvertInterval = Duration::millis(500);
+  /// Max predictability entries in one summary advert (BLE-constrained).
+  static constexpr std::size_t kSummaryEntries = 2;
+
   struct Entry {
     double p = 0;
     TimePoint updated;

@@ -21,7 +21,6 @@ class Directory {
   void register_node(std::uint64_t app_id, MeshAddress address) {
     entries_[app_id] = address;
   }
-  void unregister_node(std::uint64_t app_id) { entries_.erase(app_id); }
 
   std::optional<MeshAddress> lookup(std::uint64_t app_id) const {
     auto it = entries_.find(app_id);

@@ -40,7 +40,8 @@ void SaNode::start() {
         mesh_.register_periodic_multicast(options_.overlay_interval);
     schedule_wifi_advert(options_.overlay_interval);
     // First rescan at half period, de-phasing it from other periodic work.
-    schedule_maintenance(options_.maintenance_scan_period / 2);
+    schedule_maintenance(
+        device_.wifi().calibration().wifi_maintenance_scan_period / 2);
   }
   refresh_overlay_adverts();
 }
@@ -61,11 +62,11 @@ void SaNode::stop() {
 }
 
 void SaNode::schedule_maintenance(Duration delay) {
-  if (options_.maintenance_scan_period <= Duration::zero()) return;
   maintenance_event_ = device_.meter().simulator().after(delay, [this] {
     if (!started_) return;
     device_.wifi().scan([](std::vector<radio::MeshNetwork*>) {});
-    schedule_maintenance(options_.maintenance_scan_period);
+    schedule_maintenance(
+        device_.wifi().calibration().wifi_maintenance_scan_period);
   });
 }
 
@@ -249,7 +250,7 @@ std::vector<D2dStack::PeerId> SaNode::known_peers() const {
   std::vector<PeerId> out;
   TimePoint now = device_.meter().simulator().now();
   for (const auto& [id, peer] : peers_) {
-    if (now - peer.last_seen <= options_.peer_ttl) out.push_back(id);
+    if (now - peer.last_seen <= kBaselinePeerTtl) out.push_back(id);
   }
   return out;
 }

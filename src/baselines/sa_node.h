@@ -38,8 +38,6 @@ class SaNode final : public D2dStack {
     /// Overlay maintenance interval (address + service info on all
     /// technologies), paper-fixed at 500 ms.
     Duration overlay_interval = Duration::millis(500);
-    Duration peer_ttl = Duration::seconds(30);
-    Duration maintenance_scan_period = Duration::seconds(60);
   };
 
   SaNode(net::Device& device, radio::MeshNetwork& mesh, Directory& directory)

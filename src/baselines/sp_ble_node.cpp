@@ -4,9 +4,6 @@
 
 namespace omni::baselines {
 
-SpBleNode::SpBleNode(net::Device& device, Options options)
-    : device_(device), options_(options) {}
-
 void SpBleNode::start() {
   if (started_) return;
   started_ = true;
@@ -18,7 +15,7 @@ void SpBleNode::start() {
       [this](const BleAddress& from, const SharedBytes& frame) {
         on_receive(from, *frame);
       });
-  device_.ble().set_scanning(true, options_.idle_scan_duty);
+  device_.ble().set_scanning(true, kIdleScanDuty);
 }
 
 void SpBleNode::stop() {
@@ -27,14 +24,6 @@ void SpBleNode::stop() {
   device_.ble().set_scanning(false);
   device_.ble().set_receive_handler(nullptr);
   started_ = false;
-}
-
-void SpBleNode::set_interactive(bool interactive) {
-  interactive_ = interactive;
-  if (started_) {
-    device_.ble().set_scanning(true,
-                               interactive_ ? 1.0 : options_.idle_scan_duty);
-  }
 }
 
 void SpBleNode::advertise(Bytes info, Duration interval) {
@@ -78,7 +67,7 @@ std::vector<D2dStack::PeerId> SpBleNode::known_peers() const {
   std::vector<PeerId> out;
   TimePoint now = device_.meter().simulator().now();
   for (const auto& [id, peer] : peers_) {
-    if (now - peer.last_seen <= options_.peer_ttl) out.push_back(id);
+    if (now - peer.last_seen <= kBaselinePeerTtl) out.push_back(id);
   }
   return out;
 }

@@ -17,15 +17,7 @@ namespace omni::baselines {
 
 class SpBleNode final : public D2dStack {
  public:
-  struct Options {
-    /// Hand-tuned idle scanner duty (the developer knows the app's own
-    /// schedule, so it scans just enough to eventually discover peers).
-    double idle_scan_duty = 0.05;
-    Duration peer_ttl = Duration::seconds(30);
-  };
-
-  explicit SpBleNode(net::Device& device) : SpBleNode(device, Options{}) {}
-  SpBleNode(net::Device& device, Options options);
+  explicit SpBleNode(net::Device& device) : device_(device) {}
 
   void start() override;
   void stop() override;
@@ -40,16 +32,15 @@ class SpBleNode final : public D2dStack {
   std::vector<PeerId> known_peers() const override;
   const char* name() const override { return "SP(BLE)"; }
 
-  /// Raise/lower the scanner duty (the hand-tuned "interactive" mode).
-  void set_interactive(bool interactive);
-
  private:
+  /// Hand-tuned scanner duty (the developer knows the app's own schedule,
+  /// so it scans just enough to eventually discover peers).
+  static constexpr double kIdleScanDuty = 0.05;
+
   void on_receive(const BleAddress& from, const Bytes& frame);
 
   net::Device& device_;
-  Options options_;
   bool started_ = false;
-  bool interactive_ = false;
   AdvertFn on_advert_;
   DataFn on_data_;
   radio::AdvertisementId advert_ = 0;

@@ -4,10 +4,6 @@
 
 namespace omni::baselines {
 
-SpWifiNode::SpWifiNode(net::Device& device, radio::MeshNetwork& mesh,
-                       Options options)
-    : device_(device), mesh_(mesh), options_(options) {}
-
 SpWifiNode::~SpWifiNode() { stop(); }
 
 void SpWifiNode::start() {
@@ -22,7 +18,8 @@ void SpWifiNode::start() {
       });
   device_.wifi().join(mesh_, [this](Status s) { joined_ = s.is_ok(); });
   // First rescan at half period, de-phasing it from other periodic work.
-  schedule_maintenance(options_.maintenance_scan_period / 2);
+  schedule_maintenance(
+      device_.wifi().calibration().wifi_maintenance_scan_period / 2);
 }
 
 void SpWifiNode::stop() {
@@ -34,11 +31,11 @@ void SpWifiNode::stop() {
 }
 
 void SpWifiNode::schedule_maintenance(Duration delay) {
-  if (options_.maintenance_scan_period <= Duration::zero()) return;
   maintenance_event_ = device_.meter().simulator().after(delay, [this] {
     if (!started_) return;
     device_.wifi().scan([](std::vector<radio::MeshNetwork*>) {});
-    schedule_maintenance(options_.maintenance_scan_period);
+    schedule_maintenance(
+        device_.wifi().calibration().wifi_maintenance_scan_period);
   });
 }
 
@@ -164,7 +161,7 @@ std::vector<D2dStack::PeerId> SpWifiNode::known_peers() const {
   std::vector<PeerId> out;
   TimePoint now = device_.meter().simulator().now();
   for (const auto& [id, peer] : peers_) {
-    if (now - peer.last_seen <= options_.peer_ttl) out.push_back(id);
+    if (now - peer.last_seen <= kBaselinePeerTtl) out.push_back(id);
   }
   return out;
 }

@@ -20,15 +20,8 @@ namespace omni::baselines {
 
 class SpWifiNode final : public D2dStack {
  public:
-  struct Options {
-    Duration peer_ttl = Duration::seconds(30);
-    /// Maintenance rescan cadence (environment cannot be assumed static).
-    Duration maintenance_scan_period = Duration::seconds(60);
-  };
-
   SpWifiNode(net::Device& device, radio::MeshNetwork& mesh)
-      : SpWifiNode(device, mesh, Options{}) {}
-  SpWifiNode(net::Device& device, radio::MeshNetwork& mesh, Options options);
+      : device_(device), mesh_(mesh) {}
   ~SpWifiNode() override;
 
   void start() override;
@@ -63,7 +56,6 @@ class SpWifiNode final : public D2dStack {
 
   net::Device& device_;
   radio::MeshNetwork& mesh_;
-  Options options_;
   bool started_ = false;
   bool joined_ = false;
   AdvertFn on_advert_;

@@ -1,7 +1,7 @@
 // Application-level wire helpers shared by the SP and SA baselines: every
 // advert/data payload is prefixed with the sender's 8-byte application id
 // (the baselines have no omni_address; a real app would embed a user or
-// install id the same way).
+// install id the same way). Also the peer freshness horizon they share.
 #pragma once
 
 #include <optional>
@@ -11,6 +11,10 @@
 #include "baselines/d2d_stack.h"
 
 namespace omni::baselines {
+
+/// How long an SP or SA baseline keeps listing a peer it has not heard from
+/// (known_peers()).
+inline constexpr Duration kBaselinePeerTtl = Duration::seconds(30);
 
 inline Bytes with_id(D2dStack::PeerId id, const Bytes& payload) {
   ByteWriter w(payload.size() + 8);

@@ -31,14 +31,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool chance(double p) { return uniform() < p; }
 
-  /// Exponentially distributed value with the given mean.
-  double exponential(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
-  }
-
-  /// Derive an independent child stream (for per-device RNGs).
-  Rng fork() { return Rng(engine_() ^ 0x9e3779b97f4a7c15ull); }
-
   std::mt19937_64& engine() { return engine_; }
   const std::mt19937_64& engine() const { return engine_; }
 

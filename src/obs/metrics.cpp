@@ -231,30 +231,6 @@ std::string MetricsRegistry::dump() const {
   return os.str();
 }
 
-std::string MetricsRegistry::totals_json() const {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (MetricId id = 0; id < defs_.size(); ++id) {
-    const Def& d = defs_[id];
-    if (d.kind == MetricKind::kGauge) continue;  // gauges are per-owner
-    os << (first ? "" : ", ") << "\"" << d.name << "\": ";
-    if (d.kind == MetricKind::kCounter) {
-      os << counter_total(id);
-    } else {
-      std::vector<std::uint64_t> counts = histogram_total(id);
-      os << "[";
-      for (std::size_t b = 0; b < counts.size(); ++b) {
-        os << (b ? "," : "") << counts[b];
-      }
-      os << "]";
-    }
-    first = false;
-  }
-  os << "}";
-  return os.str();
-}
-
 void MetricsRegistry::reset() {
   for (Lane& lane : lanes_) {
     std::fill(lane.cells.begin(), lane.cells.end(), 0);

@@ -124,10 +124,6 @@ class MetricsRegistry {
   /// count — the digest oracle used by the parallel-engine tests.
   std::string dump() const;
 
-  /// Aggregated totals as a JSON object (metric name -> total), embedded in
-  /// BENCH_*.json files under "omniscope".
-  std::string totals_json() const;
-
   /// Zero every cell (layout and registrations are kept).
   void reset();
 

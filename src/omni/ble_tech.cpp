@@ -8,11 +8,12 @@
 
 namespace omni {
 
-BleTech::BleTech(radio::BleRadio& radio, Options options)
-    : radio_(radio), options_(options) {}
+BleTech::~BleTech() {
+  if (enabled_) release_radio();
+}
 
 double BleTech::effective_scan_duty() const {
-  const double base = engaged_ ? 1.0 : options_.probe_scan_duty;
+  const double base = engaged_ ? 1.0 : kProbeScanDuty;
   return scan_duty_override_ > 0.0 ? std::min(scan_duty_override_, base)
                                    : base;
 }
@@ -62,9 +63,14 @@ void BleTech::disable() {
   for (auto& [id, adv] : context_advs_) radio_.stop_advertising(adv);
   context_advs_.clear();
   radio_.set_scanning(false);
+  release_radio();
+  enabled_ = false;
+}
+
+void BleTech::release_radio() {
   radio_.set_receive_handler(nullptr);
   radio_.set_power_handler(nullptr);
-  enabled_ = false;
+  radio_.set_address_handler(nullptr);
 }
 
 std::size_t BleTech::max_context_payload() const {
@@ -161,9 +167,12 @@ void BleTech::process(SendRequest request) {
                                       *request.packed);
       // Capture by value: the request must outlive the async send.
       auto req = std::make_shared<SendRequest>(std::move(request));
-      Status s = radio_.send_datagram(std::move(frame), [this, req](Status st) {
-        respond(*req, st.is_ok(), st.message());
-      });
+      Status s = radio_.send_datagram(
+          std::move(frame),
+          [this, req, alive = std::weak_ptr<bool>(alive_)](Status st) {
+            if (alive.expired()) return;  // plugin destroyed mid-send
+            respond(*req, st.is_ok(), st.message());
+          });
       if (!s.is_ok()) respond(*req, false, s.message());
       return;
     }

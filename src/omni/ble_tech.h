@@ -9,6 +9,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "omni/comm_tech.h"
@@ -18,13 +19,9 @@ namespace omni {
 
 class BleTech final : public CommTechnology {
  public:
-  struct Options {
-    /// Scanner duty while disengaged (probe listening).
-    double probe_scan_duty = 0.1;
-  };
-
-  explicit BleTech(radio::BleRadio& radio) : BleTech(radio, Options{}) {}
-  BleTech(radio::BleRadio& radio, Options options);
+  explicit BleTech(radio::BleRadio& radio) : radio_(radio) {}
+  /// Withdraws the radio handlers of a plugin destroyed while enabled.
+  ~BleTech() override;
 
   EnableResult enable(const TechQueues& queues) override;
   void disable() override;
@@ -45,27 +42,33 @@ class BleTech final : public CommTechnology {
   /// Discovery-policy listen scheduling: the manager caps the scan duty when
   /// the neighborhood is saturated and stable, and clears the cap (duty = 0)
   /// when it changes. Applies to both engaged (default duty 1.0) and probe
-  /// (options_.probe_scan_duty) listening; data datagrams ride reliable
-  /// bursts and are unaffected.
+  /// (kProbeScanDuty) listening; data datagrams ride reliable bursts and are
+  /// unaffected.
   void set_discovery_scan_duty(double duty) override;
   /// The duty the scanner currently runs at (tests / benches).
   double effective_scan_duty() const;
 
  private:
+  /// Scanner duty while disengaged (probe listening).
+  static constexpr double kProbeScanDuty = 0.1;
+
   void drain_send_queue();
   void process(SendRequest request);
   void on_radio_receive(const BleAddress& from, const SharedBytes& frame);
   void respond(const SendRequest& request, bool success,
                std::string failure = {});
+  /// Clear every handler enable() registered on the radio.
+  void release_radio();
 
   radio::BleRadio& radio_;
-  Options options_;
   TechQueues queues_;
   bool enabled_ = false;
   bool engaged_ = true;
   /// Discovery-policy duty cap; 0 = none (see set_discovery_scan_duty).
   double scan_duty_override_ = 0.0;
   std::map<ContextId, radio::AdvertisementId> context_advs_;
+  /// Liveness token for datagram completions that outlive the plugin.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace omni

@@ -42,6 +42,12 @@ inline bool is_unset(const LowLevelAddress& addr) {
   return std::holds_alternative<std::monostate>(addr);
 }
 
+/// Engagement maintenance and probe cadence (paper §3.3: the manager listens
+/// on each of the other context technologies "e.g., every five seconds").
+/// The manager's maintenance tick and peer-expiry sweep and the multicast
+/// plugin's probe listen all run at it.
+inline constexpr Duration kProbeInterval = Duration::seconds(5);
+
 enum class SendOp : std::uint8_t {
   kAddContext,
   kUpdateContext,
@@ -148,6 +154,10 @@ struct EnableResult {
 
 class CommTechnology {
  public:
+  CommTechnology() = default;
+  /// Plugins hand `this` to their radio's callbacks: never copied.
+  CommTechnology(const CommTechnology&) = delete;
+  CommTechnology& operator=(const CommTechnology&) = delete;
   virtual ~CommTechnology() = default;
 
   /// Bind the queues and activate the technology. Returns its type and the

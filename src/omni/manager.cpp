@@ -32,19 +32,16 @@ OmniManager::OmniManager(sim::Simulator& sim, OmniAddress self,
     : sim_(sim),
       self_(self),
       options_(options),
-      receive_queue_(sim),
-      shared_receive_queue_(sim),
-      response_queue_(sim),
+      // The manager's protocol state is single-context: drain its queues on
+      // the owning node's shard (or the global phase for standalone
+      // managers). Shared-medium receptions stay global (see
+      // shared_receive_queue_) — mutation from both contexts is safe
+      // because shard windows and the global phase never overlap.
+      receive_queue_(sim, options.owner),
+      shared_receive_queue_(sim, sim::kGlobalOwner),
+      response_queue_(sim, options.owner),
       current_beacon_interval_(options.beacon_interval) {
   OMNI_CHECK_MSG(self_.is_valid(), "manager needs a valid omni_address");
-  // The manager's protocol state is single-context: drain its queues on the
-  // owning node's shard (or the global phase for standalone managers).
-  // Shared-medium receptions stay global (see shared_receive_queue_) —
-  // mutation from both contexts is safe because shard windows and the
-  // global phase never overlap.
-  receive_queue_.set_owner(options_.owner);
-  shared_receive_queue_.set_owner(sim::kGlobalOwner);
-  response_queue_.set_owner(options_.owner);
   if (!options_.context_key.empty()) {
     cipher_.emplace(std::span<const std::uint8_t>(options_.context_key));
     // Derive a device-unique nonce space so two devices sharing a key never
@@ -72,12 +69,11 @@ void OmniManager::add_technology(CommTechnology& tech) {
   slot.tech = &tech;
   slot.type = tech.type();
   slot.supports_context = tech.supports_context();
-  slot.send_queue = std::make_unique<SimQueue<SendRequest>>(sim_);
   // Plugins whose send path drives shared infrastructure (the WiFi mesh)
   // must process requests barrier-serialized; node-local radios drain on
   // the owner's shard.
-  slot.send_queue->set_owner(tech.uses_shared_medium() ? sim::kGlobalOwner
-                                                       : options_.owner);
+  slot.send_queue = std::make_unique<SimQueue<SendRequest>>(
+      sim_, tech.uses_shared_medium() ? sim::kGlobalOwner : options_.owner);
   slots_.push_back(std::move(slot));
 }
 
@@ -118,20 +114,16 @@ bool OmniManager::technology_beaconing(Technology tech) const {
 // --- Self-healing ------------------------------------------------------------
 
 Duration OmniManager::backoff_delay(int attempt) {
-  const auto& sh = options_.self_healing;
   // Base scales with the live beacon cadence: when the discovery scheduler
-  // has backed the interval off past backoff_base, retrying faster than we
-  // advertise is wasted work. At the defaults (500 ms base, 500 ms fixed
-  // interval) this is exactly the historical backoff_base.
-  Duration d = std::max(sh.backoff_base, current_beacon_interval_);
-  for (int i = 1; i < attempt && d < sh.backoff_max; ++i) d = d + d;
-  if (d > sh.backoff_max) d = sh.backoff_max;
-  if (sh.backoff_jitter > 0) {
-    std::uint64_t h = mix64(self_.value ^ mix64(++backoff_draws_));
-    double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-    d = d * (1.0 + sh.backoff_jitter * (2.0 * u - 1.0));
-  }
-  return d;
+  // has backed the interval off past kBackoffBase, retrying faster than we
+  // advertise is wasted work. At the paper's fixed 500 ms interval this is
+  // exactly kBackoffBase.
+  Duration d = std::max(kBackoffBase, current_beacon_interval_);
+  for (int i = 1; i < attempt && d < kBackoffMax; ++i) d = d + d;
+  if (d > kBackoffMax) d = kBackoffMax;
+  std::uint64_t h = mix64(self_.value ^ mix64(++backoff_draws_));
+  double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
+  return d * (1.0 + kBackoffJitter * (2.0 * u - 1.0));
 }
 
 sim::EventHandle OmniManager::arm_deadline(std::uint64_t request_id,
@@ -180,15 +172,14 @@ void OmniManager::on_attempt_deadline(std::uint64_t request_id) {
 }
 
 void OmniManager::note_status_flap(TechSlot& s) {
-  const auto& sh = options_.self_healing;
   if (!running_) return;
   TimePoint now = sim_.now();
-  if (s.flaps == 0 || now - s.flap_window_start > sh.flap_window) {
+  if (s.flaps == 0 || now - s.flap_window_start > kFlapWindow) {
     s.flap_window_start = now;
     s.flaps = 0;
   }
   ++s.flaps;
-  if (s.flaps < sh.flap_threshold || quarantined(s)) return;
+  if (s.flaps < kFlapThreshold || quarantined(s)) return;
   // Circuit breaker: the radio is flapping faster than engagement can
   // usefully follow. Bench it for a backoff-scaled hold, then re-probe.
   ++stats_.quarantines;
@@ -453,7 +444,7 @@ void OmniManager::schedule_maintenance() {
   // the tick must live on the owning node's shard with the rest of the
   // manager's state. stop() cancels the handle.
   maintenance_event_ =
-      sim_.after_on(options_.owner, options_.probe_interval, [this] {
+      sim_.after_on(options_.owner, kProbeInterval, [this] {
         maintenance_tick();
         if (running_) schedule_maintenance();
       });
@@ -617,8 +608,8 @@ void OmniManager::discovery_tick() {
 
   // Beacons saved versus the floor cadence over the window just ending.
   if (current_beacon_interval_ > floor) {
-    const double saved = options_.probe_interval / floor -
-                         options_.probe_interval / current_beacon_interval_;
+    const double saved =
+        kProbeInterval / floor - kProbeInterval / current_beacon_interval_;
     const auto n = static_cast<std::uint64_t>(saved > 0.0 ? saved + 0.5 : 0.0);
     if (n > 0) {
       stats_.beacons_suppressed += n;
@@ -657,7 +648,7 @@ void OmniManager::schedule_peer_sweep() {
   // self-reschedules before doing its work, so at every shared instant its
   // sequence number stays below the maintenance tick's — inductively
   // preserving the expire-then-adapt order the old combined tick had.
-  peer_sweep_event_ = sim_.after_on(options_.owner, options_.probe_interval,
+  peer_sweep_event_ = sim_.after_on(options_.owner, kProbeInterval,
                                    [this] { peer_sweep_fired(); });
 }
 
@@ -673,10 +664,10 @@ void OmniManager::peer_sweep_fired() {
       std::max<std::int64_t>(1, options_.beacon_interval.as_micros());
   const double hint_scale =
       options_.discovery.mode == DiscoveryPolicy::Mode::kAdaptive
-          ? static_cast<double>(options_.peer_ttl.as_micros()) /
+          ? static_cast<double>(kPeerTtl.as_micros()) /
                 static_cast<double>(floor_us)
           : 0.0;
-  peers_.expire(sim_.now(), options_.peer_ttl, hint_scale);
+  peers_.expire(sim_.now(), kPeerTtl, hint_scale);
   ++stats_.peer_expire_sweeps;
   if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
     sc->count_on(options_.owner, sc->core().peer_expire_sweeps);
@@ -693,11 +684,11 @@ void OmniManager::maintenance_tick() {
     Technology tech = s.tech->type();
     if (!s.up || !s.tech->supports_context() || tech == primary) continue;
     if (!s.tech->engaged()) continue;
-    auto peers_here = peers_.peers_on(tech, sim_.now(), options_.peer_ttl);
+    auto peers_here = peers_.peers_on(tech, sim_.now(), kPeerTtl);
     bool all_covered = true;
     for (OmniAddress peer : peers_here) {
       if (!peers_.reachable_on_lower_energy(peer, tech, sim_.now(),
-                                            options_.peer_ttl)) {
+                                            kPeerTtl)) {
         all_covered = false;
         break;
       }
@@ -777,8 +768,7 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
   // rank, so for BLE packets the reachability probe is statically false.
   if (options_.enable_engagement &&
       (tech == Technology::kBle ||
-       !peers_.reachable_on_lower_energy(p.source, tech, now,
-                                         options_.peer_ttl))) {
+       !peers_.reachable_on_lower_energy(p.source, tech, now, kPeerTtl))) {
     TechSlot* s = slot(tech);
     if (s != nullptr && s->up && s->supports_context &&
         !s->tech->engaged()) {
@@ -927,7 +917,7 @@ void OmniManager::maybe_relay(OmniAddress source, std::uint8_t hops,
 
   // Expire the relay after its lifetime.
   Technology carrier = *tech;
-  sim_.after(options_.relay_lifetime, [this, key, rid, carrier] {
+  sim_.after(kRelayLifetime, [this, key, rid, carrier] {
     active_relays_.erase(key);
     TechSlot* s = slot(carrier);
     if (s == nullptr || !s->up) return;
@@ -1196,8 +1186,7 @@ void OmniManager::dispatch_context_add(ContextRecord& record) {
   attempt.id = record.id;
   attempt.tech = *tech;
   attempt.op = SendOp::kAddContext;
-  attempt.deadline =
-      arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
+  attempt.deadline = arm_deadline(req.request_id, kMinOpDeadline);
   context_attempts_[req.request_id] = std::move(attempt);
   slot(*tech)->send_queue->push(std::move(req));
 }
@@ -1288,8 +1277,7 @@ void OmniManager::update_context(ContextId id, const ContextParams& params,
   attempt.id = id;
   attempt.tech = *rec->tech;
   attempt.op = SendOp::kUpdateContext;
-  attempt.deadline =
-      arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
+  attempt.deadline = arm_deadline(req.request_id, kMinOpDeadline);
   context_attempts_[req.request_id] = std::move(attempt);
   s->send_queue->push(std::move(req));
 }
@@ -1336,8 +1324,7 @@ void OmniManager::remove_context(ContextId id, StatusCallback callback) {
   attempt.id = id;
   attempt.tech = *rec->tech;
   attempt.op = SendOp::kRemoveContext;
-  attempt.deadline =
-      arm_deadline(req.request_id, options_.self_healing.min_op_deadline);
+  attempt.deadline = arm_deadline(req.request_id, kMinOpDeadline);
   context_attempts_[req.request_id] = std::move(attempt);
   slot(*rec->tech)->send_queue->push(std::move(req));
 }
@@ -1421,7 +1408,7 @@ void OmniManager::dispatch_data(std::uint64_t op_id) {
     auto ble_it = peer->techs.find(Technology::kBle);
     bool heard_on_ble =
         ble_it != peer->techs.end() &&
-        sim_.now() - ble_it->second.last_seen <= options_.peer_ttl;
+        sim_.now() - ble_it->second.last_seen <= kPeerTtl;
     req.refresh_advert_wait = !heard_on_ble;
   }
   req.callback = op.callback;
@@ -1430,11 +1417,10 @@ void OmniManager::dispatch_data(std::uint64_t op_id) {
   attempt.tech = *tech;
   // Budget scaled to the expected transfer time (connection setup plus
   // size/throughput), floored so tiny transfers get a sane minimum.
-  const auto& sh = options_.self_healing;
   Duration est = slot(*tech)->tech->estimate_data_time(op.packed->size(),
                                                        info.requires_refresh);
   Duration budget =
-      std::max(sh.min_op_deadline, est * sh.deadline_factor + sh.deadline_slack);
+      std::max(kMinOpDeadline, est * kDeadlineFactor + kDeadlineSlack);
   attempt.deadline = arm_deadline(req.request_id, budget);
   data_attempts_[req.request_id] = std::move(attempt);
   slot(*tech)->send_queue->push(std::move(req));
@@ -1472,7 +1458,7 @@ void OmniManager::send_data(const std::vector<OmniAddress>& destinations,
   SharedBytes packed = std::make_shared<const Bytes>(
       PackedStruct::data(self_, std::move(data)).encode());
   for (OmniAddress dest : destinations) {
-    if (pending_data_.size() >= options_.self_healing.max_pending_ops) {
+    if (pending_data_.size() >= kMaxPendingOps) {
       // Overload shed: bound the pending table rather than letting a dead
       // network grow it without limit.
       ++stats_.overload_rejections;

@@ -9,7 +9,7 @@
 //     technologies, carrying this device's low-level addresses;
 //   * run the multi-technology engagement algorithm: beacon on the
 //     lowest-energy context technology; probe the others every
-//     probe_interval; engage a technology when an unknown peer appears
+//     kProbeInterval; engage a technology when an unknown peer appears
 //     there; disengage it once every peer heard there is also reachable on
 //     a lower-energy technology;
 //   * maintain the peer mapping (omni_address -> technology -> low-level
@@ -57,13 +57,6 @@ struct ManagerOptions {
   /// backed-off interval is quantized to. Must stay >= the engine's
   /// conservative lookahead (BleMedium::min_latency(), 10 ms).
   Duration beacon_interval = Duration::millis(500);
-  /// Engagement maintenance / probe cadence (paper: "e.g., every five
-  /// seconds").
-  Duration probe_interval = Duration::seconds(5);
-  /// How long a peer mapping stays usable without being re-heard. Expiry
-  /// runs in an owner-local sweep at the probe_interval cadence, just
-  /// before each maintenance tick.
-  Duration peer_ttl = Duration::seconds(10);
   /// Ablation switch: disable the multi-technology engagement algorithm
   /// (beacons then go to every context technology, ubiSOAP-style).
   bool enable_engagement = true;
@@ -86,8 +79,6 @@ struct ManagerOptions {
   /// packets exceed legacy BLE advertisements for most payloads, so this
   /// pairs naturally with Bluetooth 5 extended advertising.
   int context_relay_hops = 0;
-  /// How long one relayed packet keeps being re-broadcast.
-  Duration relay_lifetime = Duration::millis(1500);
 
   /// Density-aware discovery scheduling (paper §5 adaptive intervals).
   /// kFixed — the default — beacons at the fixed beacon_interval; kAdaptive
@@ -106,33 +97,6 @@ struct ManagerOptions {
   /// barrier-serialized global owner — correct for standalone managers
   /// driven directly by tests.
   sim::OwnerId owner = sim::kGlobalOwner;
-
-  /// Self-healing knobs (paper §3.3 "Handling Failures", hardened for the
-  /// wild). Defaults are chosen so fault-free behavior is unchanged: op
-  /// deadlines only fire when a technology never responds (healthy paths
-  /// cancel them first), and backoff/quarantine only engage after failures.
-  struct SelfHealing {
-    /// Floor for the per-attempt response deadline.
-    Duration min_op_deadline = Duration::seconds(2);
-    /// Data-op deadline = max(min_op_deadline,
-    ///                        estimate_data_time * deadline_factor + slack).
-    double deadline_factor = 4.0;
-    Duration deadline_slack = Duration::seconds(1);
-    /// Exponential backoff (base * 2^(n-1), capped) for beacon re-arm and
-    /// quarantine re-probe, with deterministic seeded jitter.
-    Duration backoff_base = Duration::millis(500);
-    Duration backoff_max = Duration::seconds(8);
-    double backoff_jitter = 0.25;  ///< +/- fraction applied to each delay
-    /// Circuit breaker: this many up/down transitions inside flap_window
-    /// quarantines the technology (no beaconing, no new ops) for a
-    /// backoff-scaled hold before a re-probe.
-    int flap_threshold = 4;
-    Duration flap_window = Duration::seconds(10);
-    /// Hard cap on concurrently pending data ops (table leak bound); ops
-    /// beyond it fail immediately with an overload status.
-    std::size_t max_pending_ops = 1024;
-  };
-  SelfHealing self_healing;
 };
 
 struct ManagerStats {
@@ -163,7 +127,7 @@ struct ManagerStats {
   std::uint64_t deadline_failovers = 0;  ///< ops failed over by deadline
   std::uint64_t beacon_rearms = 0;       ///< beacon re-arm retries scheduled
   std::uint64_t quarantines = 0;         ///< flap circuit-breaker trips
-  std::uint64_t overload_rejections = 0; ///< sends refused at max_pending_ops
+  std::uint64_t overload_rejections = 0; ///< sends refused at kMaxPendingOps
   // Adaptive discovery scheduler.
   std::uint64_t beacons_suppressed = 0;    ///< beacons saved vs the floor rate
   std::uint64_t scan_windows_skipped = 0;  ///< ticks with probe duty lowered
@@ -171,6 +135,38 @@ struct ManagerStats {
 
 class OmniManager {
  public:
+  /// How long a peer mapping stays usable without being re-heard. Expiry
+  /// runs in an owner-local sweep at the kProbeInterval cadence, just before
+  /// each maintenance tick.
+  static constexpr Duration kPeerTtl = Duration::seconds(10);
+  /// How long one relayed packet keeps being re-broadcast.
+  static constexpr Duration kRelayLifetime = Duration::millis(1500);
+
+  // Self-healing bounds (paper §3.3 "Handling Failures", hardened for the
+  // wild). They leave fault-free behavior unchanged: op deadlines only fire
+  // when a technology never responds (healthy paths cancel them first), and
+  // backoff/quarantine only engage after failures.
+  /// Floor for the per-attempt response deadline.
+  static constexpr Duration kMinOpDeadline = Duration::seconds(2);
+  /// Data-op deadline = max(kMinOpDeadline,
+  ///                        estimate_data_time * kDeadlineFactor +
+  ///                        kDeadlineSlack).
+  static constexpr double kDeadlineFactor = 4.0;
+  static constexpr Duration kDeadlineSlack = Duration::seconds(1);
+  /// Exponential backoff (base * 2^(n-1), capped) for beacon re-arm and
+  /// quarantine re-probe, with deterministic seeded jitter.
+  static constexpr Duration kBackoffBase = Duration::millis(500);
+  static constexpr Duration kBackoffMax = Duration::seconds(8);
+  static constexpr double kBackoffJitter = 0.25;  ///< +/- fraction per delay
+  /// Circuit breaker: this many up/down transitions inside kFlapWindow
+  /// quarantines the technology (no beaconing, no new ops) for a
+  /// backoff-scaled hold before a re-probe.
+  static constexpr int kFlapThreshold = 4;
+  static constexpr Duration kFlapWindow = Duration::seconds(10);
+  /// Hard cap on concurrently pending data ops (table leak bound); ops
+  /// beyond it fail immediately with an overload status.
+  static constexpr std::size_t kMaxPendingOps = 1024;
+
   OmniManager(sim::Simulator& sim, OmniAddress self,
               ManagerOptions options = {});
   ~OmniManager();
@@ -371,7 +367,7 @@ class OmniManager {
   }
   /// Up and not benched by the flap circuit breaker.
   bool usable(const TechSlot& s) const { return s.up && !quarantined(s); }
-  /// base * 2^(attempt-1) capped at backoff_max, with deterministic seeded
+  /// base * 2^(attempt-1) capped at kBackoffMax, with deterministic seeded
   /// jitter (stateless hash of the manager identity and a draw counter).
   Duration backoff_delay(int attempt);
   /// Schedule the no-response deadline for an attempt just pushed to `tech`.
@@ -473,7 +469,7 @@ class OmniManager {
   std::uint64_t backoff_draws_ = 0;
 
   // Relay state: content-hash -> active relay context id (entries expire
-  // after relay_lifetime).
+  // after kRelayLifetime).
   std::map<std::uint64_t, ContextId> active_relays_;
   ContextId next_relay_id_ = kRelayContextBase;
 

@@ -11,9 +11,6 @@ namespace {
 constexpr std::size_t kNanFrameOverhead = 1;
 }  // namespace
 
-NanTech::NanTech(radio::NanRadio& radio, Options options)
-    : radio_(radio), options_(options) {}
-
 EnableResult NanTech::enable(const TechQueues& queues) {
   OMNI_CHECK_MSG(!enabled_, "NanTech already enabled");
   OMNI_CHECK(queues.send != nullptr && queues.receive != nullptr &&
@@ -21,7 +18,7 @@ EnableResult NanTech::enable(const TechQueues& queues) {
   queues_ = queues;
   enabled_ = true;
   radio_.set_enabled(true);
-  radio_.set_attendance(engaged_ ? 1 : options_.probe_attendance);
+  radio_.set_attendance(engaged_ ? 1 : kProbeAttendance);
   radio_.set_receive_handler(
       [this](const NanAddress& from, const SharedBytes& frame) {
         on_receive(from, frame);
@@ -29,6 +26,10 @@ EnableResult NanTech::enable(const TechQueues& queues) {
   queues_.send->set_consumer([this] { drain_send_queue(); });
   return EnableResult{Technology::kWifiAware,
                       LowLevelAddress{radio_.address()}};
+}
+
+NanTech::~NanTech() {
+  if (enabled_) radio_.set_receive_handler(nullptr);
 }
 
 void NanTech::disable() {
@@ -62,7 +63,7 @@ Duration NanTech::estimate_data_time(std::size_t /*bytes*/,
 void NanTech::set_engaged(bool engaged) {
   engaged_ = engaged;
   if (enabled_) {
-    radio_.set_attendance(engaged_ ? 1 : options_.probe_attendance);
+    radio_.set_attendance(engaged_ ? 1 : kProbeAttendance);
   }
 }
 
@@ -126,7 +127,9 @@ void NanTech::process(SendRequest request) {
       NanAddress dest = std::get<NanAddress>(request.dest);
       auto req = std::make_shared<SendRequest>(std::move(request));
       Status s = radio_.send_followup(
-          dest, frame_broadcast_data(*req->packed), [this, req](Status st) {
+          dest, frame_broadcast_data(*req->packed),
+          [this, req, alive = std::weak_ptr<bool>(alive_)](Status st) {
+            if (alive.expired()) return;  // plugin destroyed mid-send
             respond(*req, st.is_ok(), st.message());
           });
       if (!s.is_ok()) respond(*req, false, s.message());

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 
 #include "omni/comm_tech.h"
 #include "radio/nan.h"
@@ -18,14 +19,9 @@ namespace omni {
 
 class NanTech final : public CommTechnology {
  public:
-  struct Options {
-    /// Window attendance while disengaged (probe-listening): attend one DW
-    /// in this many.
-    std::uint32_t probe_attendance = 10;
-  };
-
-  explicit NanTech(radio::NanRadio& radio) : NanTech(radio, Options{}) {}
-  NanTech(radio::NanRadio& radio, Options options);
+  explicit NanTech(radio::NanRadio& radio) : radio_(radio) {}
+  /// Withdraws the receive handler of a plugin destroyed while enabled.
+  ~NanTech() override;
 
   EnableResult enable(const TechQueues& queues) override;
   void disable() override;
@@ -44,6 +40,10 @@ class NanTech final : public CommTechnology {
   bool engaged() const override { return engaged_; }
 
  private:
+  /// Window attendance while disengaged (probe-listening): attend one DW in
+  /// this many.
+  static constexpr std::uint32_t kProbeAttendance = 10;
+
   void drain_send_queue();
   void process(SendRequest request);
   void on_receive(const NanAddress& from, const SharedBytes& frame);
@@ -51,11 +51,12 @@ class NanTech final : public CommTechnology {
                std::string failure = {});
 
   radio::NanRadio& radio_;
-  Options options_;
   TechQueues queues_;
   bool enabled_ = false;
   bool engaged_ = false;
   std::map<ContextId, radio::NanRadio::PublishId> context_publishes_;
+  /// Liveness token for follow-up completions that outlive the plugin.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace omni

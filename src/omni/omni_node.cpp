@@ -14,7 +14,7 @@ OmniNode::OmniNode(net::Device& device, radio::MeshNetwork& mesh,
                                            device_.omni_address(),
                                            options_.manager);
   if (options_.ble) {
-    ble_tech_ = std::make_unique<BleTech>(device_.ble(), options_.ble_options);
+    ble_tech_ = std::make_unique<BleTech>(device_.ble());
     manager_->add_technology(*ble_tech_);
   }
   if (options_.wifi_aware) {
@@ -22,8 +22,8 @@ OmniNode::OmniNode(net::Device& device, radio::MeshNetwork& mesh,
     manager_->add_technology(*nan_tech_);
   }
   if (options_.wifi_multicast) {
-    multicast_tech_ = std::make_unique<WifiMulticastTech>(
-        device_.wifi(), mesh, options_.multicast_options);
+    multicast_tech_ =
+        std::make_unique<WifiMulticastTech>(device_.wifi(), mesh);
     manager_->add_technology(*multicast_tech_);
   }
   if (options_.wifi_unicast) {

@@ -34,8 +34,6 @@ struct OmniNodeOptions {
   bool wifi_standby = true;
 
   ManagerOptions manager;
-  BleTech::Options ble_options;
-  WifiMulticastTech::Options multicast_options;
 };
 
 class OmniNode {

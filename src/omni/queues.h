@@ -2,12 +2,12 @@
 //
 // Under simulation, producers and consumers are both driven by the event
 // loop, so "concurrent access" (paper §3.2) is modelled by waking the
-// consumer at the same virtual instant as the push. When the producing event
-// already executes under the queue's pinned owner, the consumer is invoked
-// directly (guarded against recursion) — same virtual instant, no event
-// overhead, and the owner's events are serial so nothing can interleave.
-// Pushes from any other context defer the wakeup to a fresh event under the
-// owner.
+// consumer at the same virtual instant as the push. Every queue is pinned to
+// an owner. When the producing event already executes under that owner, the
+// consumer is invoked directly (guarded against recursion) — same virtual
+// instant, no event overhead, and the owner's events are serial so nothing
+// can interleave. Pushes from any other context defer the wakeup to a fresh
+// event under the owner.
 #pragma once
 
 #include <functional>
@@ -25,7 +25,12 @@ namespace omni {
 template <typename T>
 class SimQueue {
  public:
-  explicit SimQueue(sim::Simulator& sim) : sim_(&sim) {}
+  /// The consumer is pinned to `owner`: wakeups are scheduled under it
+  /// regardless of the producing context, so the parallel engine always
+  /// drains this queue on the owner's shard (or, for kGlobalOwner, in the
+  /// barrier-serialized global phase).
+  SimQueue(sim::Simulator& sim, sim::OwnerId owner)
+      : sim_(&sim), owner_(owner) {}
   SimQueue(const SimQueue&) = delete;
   SimQueue& operator=(const SimQueue&) = delete;
 
@@ -68,16 +73,6 @@ class SimQueue {
 
   void clear_consumer() { consumer_ = nullptr; }
 
-  /// Pin the consumer to an owner: wakeups are scheduled under `owner`
-  /// regardless of the producing context, so the parallel engine always
-  /// drains this queue on the owner's shard (or, for kGlobalOwner, in the
-  /// barrier-serialized global phase). Unpinned queues inherit the producing
-  /// event's owner — correct only when every producer already runs there.
-  void set_owner(sim::OwnerId owner) {
-    owner_ = owner;
-    pinned_ = true;
-  }
-
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 
@@ -93,8 +88,7 @@ class SimQueue {
     // e.g. the mesh delivery sweep, must not re-enter shared subsystems).
     // Whether a push takes this path depends only on event ownership, never
     // on the thread count, so event sequences stay bit-identical.
-    if (pinned_ && owner_ != sim::kGlobalOwner &&
-        sim_->current_owner() == owner_) {
+    if (owner_ != sim::kGlobalOwner && sim_->current_owner() == owner_) {
       draining_ = true;
       consumer_();
       draining_ = false;
@@ -110,8 +104,7 @@ class SimQueue {
   /// down before the barrier merges the post) does nothing.
   void deferred_wake() {
     wake_pending_ = true;
-    sim::OwnerId owner = pinned_ ? owner_ : sim_->current_owner();
-    sim_->after_on(owner, Duration::zero(),
+    sim_->after_on(owner_, Duration::zero(),
                    [this, alive = std::weak_ptr<bool>(alive_)] {
                      if (alive.expired()) return;
                      wake_pending_ = false;
@@ -129,8 +122,7 @@ class SimQueue {
   std::vector<T> items_;
   std::size_t count_ = 0;
   std::function<void()> consumer_;
-  sim::OwnerId owner_ = sim::kGlobalOwner;
-  bool pinned_ = false;
+  sim::OwnerId owner_;
   bool wake_pending_ = false;
   bool draining_ = false;
 };

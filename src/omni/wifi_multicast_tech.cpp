@@ -6,15 +6,16 @@
 
 namespace omni {
 
-WifiMulticastTech::WifiMulticastTech(radio::WifiRadio& radio,
-                                     radio::MeshNetwork& mesh,
-                                     Options options)
-    : radio_(radio), mesh_(mesh), options_(options) {}
-
 WifiMulticastTech::~WifiMulticastTech() {
   probe_event_.cancel();
   maintenance_event_.cancel();
   tick_event_.cancel();
+  if (enabled_) release_radio();
+}
+
+void WifiMulticastTech::release_radio() {
+  radio_.remove_handler(datagram_handler_);
+  radio_.remove_handler(power_handler_);
 }
 
 EnableResult WifiMulticastTech::enable(const TechQueues& queues) {
@@ -24,13 +25,13 @@ EnableResult WifiMulticastTech::enable(const TechQueues& queues) {
   queues_ = queues;
   enabled_ = true;
   radio_.set_powered(true);
-  radio_.add_datagram_handler(
+  datagram_handler_ = radio_.add_datagram_handler(
       [this](const MeshAddress& from, const SharedBytes& payload,
              bool multicast) {
         if (!multicast || !enabled_) return;
         on_multicast(from, payload);
       });
-  radio_.add_power_handler([this](bool powered) {
+  power_handler_ = radio_.add_power_handler([this](bool powered) {
     if (!enabled_) return;
     if (!powered) {
       joined_ = false;
@@ -40,17 +41,20 @@ EnableResult WifiMulticastTech::enable(const TechQueues& queues) {
       queues_.response->push(
           TechResponse::status_change(Technology::kWifiMulticast, false));
     } else {
-      radio_.join(mesh_, [this](Status s) {
-        joined_ = s.is_ok();
-        queues_.response->push(TechResponse::status_change(
-            Technology::kWifiMulticast, joined_));
-      });
+      radio_.join(mesh_,
+                  [this, alive = std::weak_ptr<bool>(alive_)](Status s) {
+                    if (alive.expired()) return;  // destroyed mid-join
+                    joined_ = s.is_ok();
+                    queues_.response->push(TechResponse::status_change(
+                        Technology::kWifiMulticast, joined_));
+                  });
     }
   });
   if (radio_.mesh() == &mesh_) {
     joined_ = true;
   } else {
-    radio_.join(mesh_, [this](Status s) {
+    radio_.join(mesh_, [this, alive = std::weak_ptr<bool>(alive_)](Status s) {
+      if (alive.expired()) return;  // plugin destroyed mid-join
       joined_ = s.is_ok();
       if (!joined_) {
         queues_.response->push(
@@ -64,7 +68,8 @@ EnableResult WifiMulticastTech::enable(const TechQueues& queues) {
   queues_.send->set_consumer([this] { drain_send_queue(); });
   if (!engaged_) schedule_probe();
   // First rescan at half period, de-phasing it from other periodic work.
-  schedule_maintenance_scan(options_.maintenance_scan_period / 2);
+  schedule_maintenance_scan(
+      radio_.calibration().wifi_maintenance_scan_period / 2);
   return EnableResult{Technology::kWifiMulticast,
                       LowLevelAddress{radio_.address()}};
 }
@@ -80,6 +85,7 @@ void WifiMulticastTech::disable() {
   tick_event_.cancel();
   probe_event_.cancel();
   maintenance_event_.cancel();
+  release_radio();
   enabled_ = false;
 }
 
@@ -127,7 +133,7 @@ void WifiMulticastTech::set_engaged(bool engaged) {
 }
 
 void WifiMulticastTech::schedule_probe() {
-  probe_event_ = radio_.simulator().after_global(options_.probe_interval,
+  probe_event_ = radio_.simulator().after_global(kProbeInterval,
                                                  [this] { probe_fired(); });
 }
 
@@ -137,18 +143,18 @@ void WifiMulticastTech::probe_fired() {
   // Open a listen window spanning one beacon interval. The radio is in
   // standby either way (frames reach a joined member for free); the probe
   // pays only a short processing burst.
-  probe_window_until_ = radio_.simulator().now() + options_.probe_window;
+  probe_window_until_ = radio_.simulator().now() + kProbeWindow;
   radio_.meter().charge_for(cal.wifi_probe_listen_burst, cal.wifi_receive_ma);
   schedule_probe();
 }
 
 void WifiMulticastTech::schedule_maintenance_scan(Duration delay) {
-  if (options_.maintenance_scan_period <= Duration::zero()) return;
   maintenance_event_ = radio_.simulator().after(delay, [this] {
     if (!enabled_) return;
     // Track the changing environment (footnote 12); membership is kept.
     radio_.scan([](std::vector<radio::MeshNetwork*>) {});
-    schedule_maintenance_scan(options_.maintenance_scan_period);
+    schedule_maintenance_scan(
+        radio_.calibration().wifi_maintenance_scan_period);
   });
 }
 
@@ -238,7 +244,8 @@ void WifiMulticastTech::process(SendRequest request) {
       if (req->needs_refresh) {
         net::run_discovery_ritual(
             radio_, mesh_, net::RitualOptions{req->refresh_advert_wait},
-            [this, req](Status s) {
+            [this, req, alive = std::weak_ptr<bool>(alive_)](Status s) {
+              if (alive.expired()) return;  // plugin destroyed mid-ritual
               if (!s.is_ok()) {
                 respond(*req, false,
                         "discovery ritual failed: " + s.message());
@@ -304,7 +311,9 @@ void WifiMulticastTech::do_send_data(std::shared_ptr<SendRequest> request) {
   std::uint64_t bytes = request->packed->size();
   Status s = mesh_.multicast_bulk(
       radio_, bytes, std::move(frame),
-      [this, request](std::vector<radio::WifiRadio*> receivers) {
+      [this, request, alive = std::weak_ptr<bool>(alive_)](
+          std::vector<radio::WifiRadio*> receivers) {
+        if (alive.expired()) return;  // plugin destroyed mid-send
         // Multicast is unacknowledged; reaching at least one receiver is the
         // best success signal the technology has.
         if (receivers.empty()) {

@@ -29,21 +29,10 @@ namespace omni {
 
 class WifiMulticastTech final : public CommTechnology {
  public:
-  struct Options {
-    /// Probe cadence while disengaged.
-    Duration probe_interval = Duration::seconds(5);
-    /// Probe listen window (>= one beacon interval, so a probing device
-    /// reliably hears periodic beacons).
-    Duration probe_window = Duration::millis(600);
-    /// Periodic maintenance rescan (footnote 12: the environment cannot be
-    /// assumed static). Zero disables.
-    Duration maintenance_scan_period = Duration::seconds(60);
-  };
-
   WifiMulticastTech(radio::WifiRadio& radio, radio::MeshNetwork& mesh)
-      : WifiMulticastTech(radio, mesh, Options{}) {}
-  WifiMulticastTech(radio::WifiRadio& radio, radio::MeshNetwork& mesh,
-                    Options options);
+      : radio_(radio), mesh_(mesh) {}
+  /// Cancels the plugin's timers and withdraws the radio handlers of a
+  /// plugin destroyed while enabled.
   ~WifiMulticastTech() override;
 
   EnableResult enable(const TechQueues& queues) override;
@@ -68,6 +57,11 @@ class WifiMulticastTech final : public CommTechnology {
   bool joined() const { return joined_; }
 
  private:
+  /// Probe listen window while disengaged, opened every kProbeInterval
+  /// (>= one beacon interval, so a probing device reliably hears periodic
+  /// beacons).
+  static constexpr Duration kProbeWindow = Duration::millis(600);
+
   // Periodic contexts are coalesced: every tick, all transmissions that are
   // due go out as ONE aggregate multicast datagram (beacon aggregation —
   // address beacons and service contexts share a single 500 ms stream, as on
@@ -90,11 +84,14 @@ class WifiMulticastTech final : public CommTechnology {
   void on_multicast(const MeshAddress& from, const SharedBytes& frame);
   void respond(const SendRequest& request, bool success,
                std::string failure = {});
+  /// Remove the datagram and power handlers enable() registered.
+  void release_radio();
 
   radio::WifiRadio& radio_;
   radio::MeshNetwork& mesh_;
-  Options options_;
   TechQueues queues_;
+  radio::WifiRadio::HandlerId datagram_handler_ = 0;
+  radio::WifiRadio::HandlerId power_handler_ = 0;
   bool enabled_ = false;
   bool engaged_ = false;
   bool joined_ = false;
@@ -105,7 +102,8 @@ class WifiMulticastTech final : public CommTechnology {
   radio::PeriodicLoadId aggregate_load_ = 0;
   sim::EventHandle probe_event_;
   sim::EventHandle maintenance_event_;
-  /// Liveness token for engagement syncs that outlive the plugin.
+  /// Liveness token for callbacks that can outlive the plugin: engagement
+  /// syncs, mesh join completions, and ritual and bulk-send completions.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

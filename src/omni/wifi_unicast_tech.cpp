@@ -9,6 +9,15 @@ WifiUnicastTech::WifiUnicastTech(radio::WifiRadio& radio,
                                  radio::MeshNetwork& mesh)
     : radio_(radio), mesh_(mesh) {}
 
+WifiUnicastTech::~WifiUnicastTech() {
+  if (enabled_) release_radio();
+}
+
+void WifiUnicastTech::release_radio() {
+  radio_.remove_handler(datagram_handler_);
+  radio_.remove_handler(power_handler_);
+}
+
 EnableResult WifiUnicastTech::enable(const TechQueues& queues) {
   OMNI_CHECK_MSG(!enabled_, "WifiUnicastTech already enabled");
   OMNI_CHECK(queues.send != nullptr && queues.receive != nullptr &&
@@ -16,33 +25,37 @@ EnableResult WifiUnicastTech::enable(const TechQueues& queues) {
   queues_ = queues;
   enabled_ = true;
   radio_.set_powered(true);
-  radio_.add_datagram_handler([this](const MeshAddress& from,
-                                     const SharedBytes& payload,
-                                     bool multicast) {
-    if (multicast || !enabled_) return;
-    // A unicast flow carries the sender's encoded packet with no link
-    // header: the packet is the whole delivered buffer.
-    queues_.receive->push(ReceivedPacket{
-        Technology::kWifiUnicast, LowLevelAddress{from}, payload, *payload});
-  });
-  radio_.add_power_handler([this](bool powered) {
+  datagram_handler_ = radio_.add_datagram_handler(
+      [this](const MeshAddress& from, const SharedBytes& payload,
+             bool multicast) {
+        if (multicast || !enabled_) return;
+        // A unicast flow carries the sender's encoded packet with no link
+        // header: the packet is the whole delivered buffer.
+        queues_.receive->push(ReceivedPacket{Technology::kWifiUnicast,
+                                             LowLevelAddress{from}, payload,
+                                             *payload});
+      });
+  power_handler_ = radio_.add_power_handler([this](bool powered) {
     if (!enabled_) return;
     if (!powered) {
       joined_ = false;
       queues_.response->push(
           TechResponse::status_change(Technology::kWifiUnicast, false));
     } else {
-      radio_.join(mesh_, [this](Status s) {
-        joined_ = s.is_ok();
-        queues_.response->push(TechResponse::status_change(
-            Technology::kWifiUnicast, joined_));
-      });
+      radio_.join(mesh_,
+                  [this, alive = std::weak_ptr<bool>(alive_)](Status s) {
+                    if (alive.expired()) return;  // destroyed mid-join
+                    joined_ = s.is_ok();
+                    queues_.response->push(TechResponse::status_change(
+                        Technology::kWifiUnicast, joined_));
+                  });
     }
   });
   if (radio_.mesh() == &mesh_) {
     joined_ = true;
   } else {
-    radio_.join(mesh_, [this](Status s) {
+    radio_.join(mesh_, [this, alive = std::weak_ptr<bool>(alive_)](Status s) {
+      if (alive.expired()) return;  // plugin destroyed mid-join
       joined_ = s.is_ok();
       if (!joined_) {
         queues_.response->push(
@@ -82,6 +95,7 @@ void WifiUnicastTech::disable() {
     mesh_.cancel_flow(id);
     respond(*req, false, "technology disabled");
   }
+  release_radio();
   enabled_ = false;
 }
 

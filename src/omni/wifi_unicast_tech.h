@@ -24,6 +24,8 @@ namespace omni {
 class WifiUnicastTech final : public CommTechnology {
  public:
   WifiUnicastTech(radio::WifiRadio& radio, radio::MeshNetwork& mesh);
+  /// Withdraws the radio handlers of a plugin destroyed while enabled.
+  ~WifiUnicastTech() override;
 
   EnableResult enable(const TechQueues& queues) override;
   void disable() override;
@@ -52,10 +54,14 @@ class WifiUnicastTech final : public CommTechnology {
   void do_send(std::shared_ptr<SendRequest> request);
   void respond(const SendRequest& request, bool success,
                std::string failure = {});
+  /// Remove the datagram and power handlers enable() registered.
+  void release_radio();
 
   radio::WifiRadio& radio_;
   radio::MeshNetwork& mesh_;
   TechQueues queues_;
+  radio::WifiRadio::HandlerId datagram_handler_ = 0;
+  radio::WifiRadio::HandlerId power_handler_ = 0;
   bool enabled_ = false;
   bool engaged_ = false;
   bool joined_ = false;
@@ -67,7 +73,8 @@ class WifiUnicastTech final : public CommTechnology {
   /// late callback, finding its token gone, becomes a no-op.
   std::map<std::uint64_t, std::shared_ptr<SendRequest>> in_ritual_;
   std::uint64_t next_ritual_token_ = 1;
-  /// Liveness token for callbacks that can outlive the plugin itself.
+  /// Liveness token for callbacks that can outlive the plugin itself: mesh
+  /// join completions and discovery-ritual completions.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   /// Flows this plugin opened that have not completed. The mesh outlives
   /// the plugin, so disable() must withdraw these flows' completion

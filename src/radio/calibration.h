@@ -81,7 +81,9 @@ struct Calibration {
   /// service itself must also be (re)discovered over WiFi.
   Duration wifi_advert_wait = Duration::millis(436);
   /// Maintenance rescan period for WiFi-multicast-based discovery (footnote
-  /// 12: the environment cannot be assumed static).
+  /// 12: the environment cannot be assumed static). The multicast plugin
+  /// and the SA and SP-WiFi baselines rescan at it, the first time at half
+  /// a period.
   Duration wifi_maintenance_scan_period = Duration::seconds(60);
   /// Processing burst charged per multicast probe window (paper §3.3's
   /// periodic listen on non-engaged technologies): frames already reach a
@@ -119,8 +121,6 @@ struct Calibration {
   /// 25 MB rows draw well above the pure receive current, implying the
   /// radio is substantially busy in both directions during a transfer.
   double tcp_reverse_activity_factor = 0.5;
-  /// MTU used to convert flow bytes into frame counts.
-  std::size_t wifi_mtu = 1448;
 
   // --- WiFi-Aware (Neighbor Awareness Networking).
   //
@@ -145,10 +145,6 @@ struct Calibration {
   double ble_range_m = 40.0;
   double wifi_range_m = 100.0;
   double nan_range_m = 100.0;
-
-  /// Fluid-model bookkeeping window: flow rates are recomputed at least this
-  /// often when multicast load changes.
-  Duration channel_accounting_window = Duration::millis(200);
 
   static const Calibration& defaults();
 };

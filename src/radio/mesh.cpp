@@ -26,10 +26,6 @@ constexpr Duration kFlowValidationPeriod = Duration::millis(500);
 MeshNetwork::MeshNetwork(WifiSystem& system, std::string name)
     : system_(system), name_(std::move(name)) {}
 
-Duration MeshNetwork::min_latency() const {
-  return system_.calibration().wifi_rtt * 0.5;
-}
-
 const sim::FaultPlan* MeshNetwork::fault_plan() const {
   return system_.world().fault_plan();
 }

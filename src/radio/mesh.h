@@ -47,13 +47,6 @@ class MeshNetwork {
 
   const std::string& name() const { return name_; }
 
-  /// Smallest cross-node latency the mesh can produce: half an RTT of
-  /// propagation ahead of any datagram delivery. The mesh runs barrier-
-  /// serialized (global owner) under the parallel engine, so this bounds
-  /// nothing today — exposed for symmetry with the sharded media and for
-  /// lookahead audits.
-  Duration min_latency() const;
-
   // --- Membership (called by WifiRadio::join/leave).
   void add_member(WifiRadio& radio);
   void remove_member(WifiRadio& radio);

@@ -50,12 +50,6 @@ class NanSystem {
   TimePoint next_window_start(TimePoint now) const;
   std::uint64_t window_index(TimePoint at) const;
 
-  /// Smallest cross-node latency NAN can produce: frames transmitted in a
-  /// discovery window are processed after it ends. NAN runs barrier-
-  /// serialized (global owner), so this bounds nothing today — exposed for
-  /// symmetry with the sharded media and for lookahead audits.
-  Duration min_latency() const { return cal_.nan_dw_duration; }
-
   sim::World& world() { return world_; }
   const Calibration& calibration() const { return cal_; }
   std::uint64_t windows_run() const { return windows_run_; }

@@ -50,7 +50,13 @@ void WifiRadio::set_powered(bool on) {
     }
   }
   apply_standby_level();
-  for (const auto& handler : power_handlers_) handler(powered_);
+  for (const auto& handler : power_handlers_) handler.fn(powered_);
+}
+
+void WifiRadio::remove_handler(HandlerId id) {
+  auto named = [id](const auto& handler) { return handler.id == id; };
+  std::erase_if(handlers_, named);
+  std::erase_if(power_handlers_, named);
 }
 
 void WifiRadio::scan(ScanFn done) {
@@ -137,7 +143,7 @@ void WifiRadio::leave() {
 void WifiRadio::deliver_datagram(const MeshAddress& from,
                                  const SharedBytes& payload, bool multicast) {
   if (!powered_) return;
-  for (const auto& handler : handlers_) handler(from, payload, multicast);
+  for (const auto& handler : handlers_) handler.fn(from, payload, multicast);
 }
 
 }  // namespace omni::radio

@@ -8,6 +8,7 @@
 // charge more than real time.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -66,18 +67,29 @@ class WifiRadio {
   MeshNetwork* mesh() const { return mesh_; }
   bool management_busy() const { return op_in_progress_; }
 
+  /// Names one handler registration, for remove_handler(). Never 0.
+  using HandlerId = std::uint64_t;
+
   /// Add a handler for datagrams delivered by the mesh (multiple protocol
   /// layers may listen on one radio).
-  void add_datagram_handler(DatagramFn fn) {
-    handlers_.push_back(std::move(fn));
+  HandlerId add_datagram_handler(DatagramFn fn) {
+    handlers_.push_back({++last_handler_id_, std::move(fn)});
+    return last_handler_id_;
   }
 
   /// Notified after every power-state change.
   using PowerFn = std::function<void(bool powered)>;
-  void add_power_handler(PowerFn fn) {
-    power_handlers_.push_back(std::move(fn));
+  HandlerId add_power_handler(PowerFn fn) {
+    power_handlers_.push_back({++last_handler_id_, std::move(fn)});
+    return last_handler_id_;
   }
-  void clear_datagram_handlers() { handlers_.clear(); }
+
+  /// Withdraw one datagram or power handler registration; the other
+  /// registrations stay. A protocol layer that is going away calls this for
+  /// each handler it added. Not from inside a handler. Unknown ids (and 0)
+  /// are ignored.
+  void remove_handler(HandlerId id);
+
   void deliver_datagram(const MeshAddress& from, const SharedBytes& payload,
                         bool multicast);
 
@@ -112,8 +124,14 @@ class WifiRadio {
   MeshNetwork* mesh_ = nullptr;
   bool op_in_progress_ = false;
   std::deque<PendingOp> pending_ops_;
-  std::vector<DatagramFn> handlers_;
-  std::vector<PowerFn> power_handlers_;
+  template <typename Fn>
+  struct Registered {
+    HandlerId id;
+    Fn fn;
+  };
+  std::vector<Registered<DatagramFn>> handlers_;
+  std::vector<Registered<PowerFn>> power_handlers_;
+  HandlerId last_handler_id_ = 0;
   BusyCharger rx_charger_;
   BusyCharger tx_charger_;
 };

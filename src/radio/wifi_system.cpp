@@ -18,13 +18,6 @@ MeshNetwork& WifiSystem::create_mesh(std::string name) {
   return *meshes_.back();
 }
 
-MeshNetwork* WifiSystem::find_mesh(const std::string& name) const {
-  for (const auto& m : meshes_) {
-    if (m->name() == name) return m.get();
-  }
-  return nullptr;
-}
-
 void WifiSystem::detach(WifiRadio* radio) {
   // Search from the back: a Testbed tears devices down newest-first, so
   // each radio is found and erased at the end.

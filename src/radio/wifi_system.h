@@ -28,7 +28,6 @@ class WifiSystem {
   /// Create a mesh network; the system owns it.
   MeshNetwork& create_mesh(std::string name);
 
-  MeshNetwork* find_mesh(const std::string& name) const;
   const std::vector<std::unique_ptr<MeshNetwork>>& meshes() const {
     return meshes_;
   }

@@ -4,23 +4,6 @@
 
 namespace omni::sim {
 
-ScriptedMobility& ScriptedMobility::teleport_at(TimePoint at, Vec2 position) {
-  world_.simulator().at(at, [this, position] {
-    world_.set_position(node_, position);
-  });
-  ++steps_;
-  return *this;
-}
-
-ScriptedMobility& ScriptedMobility::walk_at(TimePoint at, Vec2 target,
-                                            double speed_mps) {
-  world_.simulator().at(at, [this, target, speed_mps] {
-    world_.move_to(node_, target, speed_mps);
-  });
-  ++steps_;
-  return *this;
-}
-
 namespace {
 
 // splitmix64 finalizer: cheap, stateless draws for the churn driver.
@@ -42,10 +25,6 @@ double churn_unit(std::uint64_t h) {
 CrowdChurn::CrowdChurn(World& world, std::vector<NodeId> pool,
                        Options options, std::uint64_t seed)
     : world_(world), pool_(std::move(pool)), options_(options), seed_(seed) {
-  OMNI_CHECK_MSG(options_.speed_mps > 0, "churn speed must be positive");
-  OMNI_CHECK_MSG(options_.tick > Duration::zero(),
-                 "churn tick must be positive");
-  OMNI_CHECK_MSG(options_.max_step_m > 0, "churn step must be positive");
   OMNI_CHECK_MSG(options_.area_max.x >= options_.area_min.x &&
                      options_.area_max.y >= options_.area_min.y,
                  "invalid area");
@@ -56,8 +35,7 @@ CrowdChurn::~CrowdChurn() { stop(); }
 void CrowdChurn::start() {
   if (running_ || pool_.empty()) return;
   running_ = true;
-  next_event_ = world_.simulator().after_global(options_.tick,
-                                                [this] { run_tick(); });
+  next_event_ = world_.simulator().after_global(kTick, [this] { run_tick(); });
 }
 
 void CrowdChurn::stop() {
@@ -73,63 +51,20 @@ void CrowdChurn::run_tick() {
     std::uint64_t pick = churn_hash(seed_, t, j * 3);
     NodeId node = pool_[pick % pool_.size()];
     // Bounded hop: current position plus a per-axis offset in
-    // [-max_step_m, +max_step_m], clamped to the area (see Options on why
+    // [-kMaxStepM, +kMaxStepM], clamped to the area (see kMaxStepM on why
     // hops must stay local).
     Vec2 pos = world_.position(node);
     Vec2 target{
-        pos.x + options_.max_step_m *
+        pos.x + kMaxStepM *
                     (2.0 * churn_unit(churn_hash(seed_, t, j * 3 + 1)) - 1.0),
-        pos.y + options_.max_step_m *
+        pos.y + kMaxStepM *
                     (2.0 * churn_unit(churn_hash(seed_, t, j * 3 + 2)) - 1.0)};
     target.x = std::clamp(target.x, options_.area_min.x, options_.area_max.x);
     target.y = std::clamp(target.y, options_.area_min.y, options_.area_max.y);
-    world_.move_to(node, target, options_.speed_mps);
+    world_.move_to(node, target, kSpeedMps);
     ++moves_;
   }
-  next_event_ = world_.simulator().after_global(options_.tick,
-                                                [this] { run_tick(); });
-}
-
-RandomWaypointMobility::RandomWaypointMobility(World& world, NodeId node,
-                                               Options options,
-                                               std::uint64_t seed)
-    : world_(world), node_(node), options_(options), rng_(seed) {
-  OMNI_CHECK_MSG(options_.min_speed_mps > 0 &&
-                     options_.max_speed_mps >= options_.min_speed_mps,
-                 "invalid speed range");
-  OMNI_CHECK_MSG(options_.area_max.x >= options_.area_min.x &&
-                     options_.area_max.y >= options_.area_min.y,
-                 "invalid area");
-}
-
-RandomWaypointMobility::~RandomWaypointMobility() { stop(); }
-
-void RandomWaypointMobility::start() {
-  if (running_) return;
-  running_ = true;
-  next_leg();
-}
-
-void RandomWaypointMobility::stop() {
-  running_ = false;
-  next_event_.cancel();
-}
-
-void RandomWaypointMobility::next_leg() {
-  if (!running_) return;
-  Vec2 target{rng_.uniform(options_.area_min.x, options_.area_max.x),
-              rng_.uniform(options_.area_min.y, options_.area_max.y)};
-  double speed =
-      rng_.uniform(options_.min_speed_mps, options_.max_speed_mps);
-  double dist = Vec2::distance(world_.position(node_), target);
-  world_.move_to(node_, target, speed);
-  ++legs_;
-  Duration walk = Duration::seconds(dist / speed);
-  Duration pause = Duration::micros(rng_.uniform_int(
-      options_.min_pause.as_micros(),
-      std::max(options_.min_pause.as_micros(),
-               options_.max_pause.as_micros())));
-  next_event_ = world_.simulator().after(walk + pause, [this] { next_leg(); });
+  next_event_ = world_.simulator().after_global(kTick, [this] { run_tick(); });
 }
 
 }  // namespace omni::sim

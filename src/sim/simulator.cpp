@@ -78,8 +78,9 @@ Rng& Simulator::rng() {
 
 std::uint64_t Simulator::derive_owner_seed(std::uint64_t seed, OwnerId owner) {
   // splitmix64-style finalizer over (seed, owner): statistically independent
-  // streams without consuming draws from any other stream (Rng::fork would
-  // make stream seeds depend on the parent's draw position).
+  // streams without consuming draws from any other stream (seeding a child
+  // from a parent stream's draw would make stream seeds depend on the
+  // parent's draw position).
   std::uint64_t z = seed + (static_cast<std::uint64_t>(owner) + 1) *
                                0x9e3779b97f4a7c15ull;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -178,12 +179,6 @@ bool Simulator::idle() const {
     if (!sh.q.empty()) return false;
   }
   return true;
-}
-
-std::size_t Simulator::pending_events() const {
-  std::size_t n = global_q_.size();
-  for (const Shard& sh : shards_) n += sh.q.size();
-  return n;
 }
 
 std::size_t Simulator::peak_pending_events() const {

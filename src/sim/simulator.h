@@ -202,7 +202,6 @@ class Simulator {
   void stop() { stop_requested_.store(true, std::memory_order_relaxed); }
 
   bool idle() const;
-  std::size_t pending_events() const;
   /// High-water mark of simultaneously pending events, summed per queue.
   std::size_t peak_pending_events() const;
   std::uint64_t executed_events() const { return executed_; }

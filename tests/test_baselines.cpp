@@ -3,7 +3,9 @@
 // contract they share with the OmniStack adapter.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "baselines/directory.h"
 #include "baselines/omni_stack.h"
@@ -11,6 +13,7 @@
 #include "baselines/sp_ble_node.h"
 #include "baselines/sp_wifi_node.h"
 #include "net/testbed.h"
+#include "obs/trace_file.h"
 #include "omni/omni_node.h"
 
 namespace omni::baselines {
@@ -231,6 +234,41 @@ TEST_F(BaselineTest, OmniStackImplementsSameContract) {
   advert_seen.clear();
   bed.simulator().run_for(Duration::seconds(3));
   EXPECT_TRUE(advert_seen.empty());
+}
+
+// The multicast plugin and the SA and SP-WiFi baselines all rescan at the
+// calibrated maintenance period, the first time at half a period: with a
+// 20 s period, scans start at 10, 30, 50, 70 and 90 s and at no other time.
+TEST(MaintenanceScanTest, CalibratedPeriodDrivesEveryRescan) {
+  radio::Calibration cal;
+  cal.wifi_maintenance_scan_period = Duration::seconds(20);
+  net::Testbed bed(38, cal);
+  obs::Omniscope& scope = bed.enable_observability();
+  // Out of each other's radio range: each device only rescans.
+  auto& d_omni = bed.add_device("omni", {0, 0});
+  auto& d_sa = bed.add_device("sa", {300, 0});
+  auto& d_sp = bed.add_device("sp", {600, 0});
+  OmniNodeOptions options;
+  options.wifi_multicast = true;
+  OmniNode omni_node(d_omni, bed.mesh(), options);
+  Directory directory;
+  SaNode sa(d_sa, bed.mesh(), directory);
+  SpWifiNode sp(d_sp, bed.mesh());
+  omni_node.start();
+  sa.start();
+  sp.start();
+  bed.simulator().run_for(Duration::seconds(100));
+
+  std::map<NodeId, std::vector<std::int64_t>> scans_s;
+  for (const obs::TraceRecord& r : obs::capture(scope).records) {
+    if (r.cat == static_cast<std::uint16_t>(obs::Cat::kWifiScan)) {
+      scans_s[r.owner].push_back(r.t_us / 1'000'000);
+    }
+  }
+  const std::vector<std::int64_t> expected{10, 30, 50, 70, 90};
+  EXPECT_EQ(scans_s[d_omni.node()], expected) << "WifiMulticastTech";
+  EXPECT_EQ(scans_s[d_sa.node()], expected) << "SaNode";
+  EXPECT_EQ(scans_s[d_sp.node()], expected) << "SpWifiNode";
 }
 
 }  // namespace

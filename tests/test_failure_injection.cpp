@@ -143,7 +143,7 @@ TEST(SelfHealingTest, SilentlyStalledTechFailsOverByDeadline) {
   EXPECT_EQ(manager.pending_data_count(), 1u);
   EXPECT_EQ(manager.data_attempt_count(), 1u);
 
-  // The deadline (>= min_op_deadline) fires and, with no alternative
+  // The deadline (>= kMinOpDeadline) fires and, with no alternative
   // technology, the application hears a terminal failure. Tables drain.
   sim.run_for(Duration::seconds(5));
   EXPECT_EQ(code, StatusCode::kSendDataFailure);
@@ -208,30 +208,31 @@ TEST(SelfHealingTest, BeaconRearmRetriesAfterBeaconOpFailure) {
 TEST(SelfHealingTest, OverloadShedsBeyondMaxPendingOps) {
   sim::Simulator sim(13);
   StallTech stall;
-  ManagerOptions options;
-  options.self_healing.max_pending_ops = 4;
-  OmniManager manager(sim, OmniAddress{0xA11CE}, options);
+  OmniManager manager(sim, OmniAddress{0xA11CE});
   manager.add_technology(stall);
   manager.start();
   OmniAddress peer{0xB0B};
   stall.inject_beacon(peer, MeshAddress{0xD00D});
   sim.run_for(Duration::millis(10));
 
-  int failures = 0;
-  for (int i = 0; i < 8; ++i) {
+  // Fill every pending slot with an op the stalled technology never
+  // answers, then offer four more.
+  constexpr std::size_t kCap = OmniManager::kMaxPendingOps;
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < kCap + 4; ++i) {
     manager.send_data({peer}, Bytes{0x55},
                       [&](StatusCode c, const ResponseInfo&) {
                         if (c == StatusCode::kSendDataFailure) ++failures;
                       });
   }
   sim.run_for(Duration::millis(10));
-  EXPECT_EQ(manager.pending_data_count(), 4u);
+  EXPECT_EQ(manager.pending_data_count(), kCap);
   EXPECT_EQ(manager.stats().overload_rejections, 4u);
-  EXPECT_EQ(failures, 4);  // the shed ops failed immediately
+  EXPECT_EQ(failures, 4u);  // the shed ops failed immediately
   manager.stop();
   sim.run_for(Duration::seconds(1));
   EXPECT_EQ(manager.pending_data_count(), 0u);
-  EXPECT_EQ(failures, 8);  // stop() failed the queued ops too
+  EXPECT_EQ(failures, kCap + 4);  // stop() failed the queued ops too
 }
 
 TEST_F(FailureInjectionTest, MidTransferRangeLossFailsOverToBle) {

@@ -15,7 +15,8 @@ namespace {
 class TapUnicastTech final : public CommTechnology {
  public:
   TapUnicastTech(net::Device& device, radio::MeshNetwork& mesh)
-      : inner_(device.wifi(), mesh), forward_(device.meter().simulator()) {}
+      : inner_(device.wifi(), mesh),
+        forward_(device.meter().simulator(), sim::kGlobalOwner) {}
 
   EnableResult enable(const TechQueues& queues) override {
     send_ = queues.send;

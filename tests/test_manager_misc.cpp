@@ -1,12 +1,14 @@
 // Manager odds and ends: graceful Developer-API behavior after stop(),
 // beacon-info integrity with a NAN slot present, multi-mesh WiFi
-// environments, and cross-owner posts that outlive their component.
+// environments, and cross-owner posts, radio handlers and radio completions
+// that outlive their component.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "net/testbed.h"
+#include "omni/nan_tech.h"
 #include "omni/omni_node.h"
 #include "omni/wifi_multicast_tech.h"
 
@@ -165,9 +167,9 @@ TEST(LivenessTest, EngageSyncOutlivingItsPluginIsInert) {
   net::Testbed bed(708);
   sim::Simulator& sim = bed.simulator();
   auto& a = bed.add_device("a", {0, 0});
-  SimQueue<SendRequest> send(sim);
-  SimQueue<ReceivedPacket> receive(sim);
-  SimQueue<TechResponse> response(sim);
+  SimQueue<SendRequest> send(sim, sim::kGlobalOwner);
+  SimQueue<ReceivedPacket> receive(sim, sim::kGlobalOwner);
+  SimQueue<TechResponse> response(sim, sim::kGlobalOwner);
   auto tech = std::make_unique<WifiMulticastTech>(a.wifi(), bed.mesh());
   tech->enable(TechQueues{&send, &receive, &response});
   sim.run_for(Duration::seconds(1));
@@ -182,6 +184,145 @@ TEST(LivenessTest, EngageSyncOutlivingItsPluginIsInert) {
   const std::uint64_t executed = sim.executed_events();
   sim.run_for(Duration::seconds(1));
   EXPECT_GT(sim.executed_events(), executed);  // the stale sync ran
+}
+
+// --- A destroyed plugin leaves nothing on its radios that calls into it ---
+//
+// Each case tears device A's node down while the device and its radios live
+// on, then drives the radios. ASan builds check that no handler, join or
+// send completion touches the freed plugins.
+
+std::unique_ptr<OmniNode> started_node(net::Testbed& bed, net::Device& dev,
+                                       OmniNodeOptions options = {}) {
+  auto node = std::make_unique<OmniNode>(dev, bed.mesh(), options);
+  node->start();
+  return node;
+}
+
+OmniNodeOptions multicast_only() {
+  OmniNodeOptions options;
+  options.wifi_unicast = false;
+  options.wifi_multicast = true;
+  return options;
+}
+
+/// Power-cycles A's WiFi radio after A's node (with `options`) is gone: no
+/// plugin is left to hear the power change or to re-join the mesh.
+void power_cycle_after_teardown(OmniNodeOptions options) {
+  net::Testbed bed(709);
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {10, 0});
+  auto node_a = started_node(bed, a, options);
+  auto node_b = started_node(bed, b, options);
+  bed.simulator().run_for(Duration::seconds(2));
+  ASSERT_EQ(a.wifi().mesh(), &bed.mesh());
+
+  node_a.reset();
+  a.wifi().set_powered(false);
+  a.wifi().set_powered(true);
+  bed.simulator().run_for(Duration::seconds(2));
+  EXPECT_TRUE(a.wifi().powered());
+  EXPECT_EQ(a.wifi().mesh(), nullptr);
+}
+
+TEST(LivenessTest, UnicastPowerHandlerOutlivingItsNodeIsInert) {
+  power_cycle_after_teardown(OmniNodeOptions{});
+}
+
+TEST(LivenessTest, MulticastPowerHandlerOutlivingItsNodeIsInert) {
+  power_cycle_after_teardown(multicast_only());
+}
+
+TEST(LivenessTest, BleAddressHandlerOutlivingItsNodeIsInert) {
+  net::Testbed bed(710);
+  auto& a = bed.add_device("a", {0, 0});
+  auto node_a = started_node(bed, a);
+  bed.simulator().run_for(Duration::seconds(1));
+  node_a.reset();
+  const BleAddress before = a.ble().address();
+  a.ble().rotate_address();
+  bed.simulator().run_for(Duration::seconds(1));
+  EXPECT_NE(a.ble().address(), before);
+}
+
+/// Destroys A's node (with `options`) 1 ms after start(), while the plugin's
+/// mesh join is still in flight; the radio then finishes the join alone.
+void teardown_mid_join(OmniNodeOptions options) {
+  net::Testbed bed(711);
+  auto& a = bed.add_device("a", {0, 0});
+  auto node_a = started_node(bed, a, options);
+  bed.simulator().run_for(Duration::millis(1));
+  ASSERT_TRUE(a.wifi().management_busy());
+  node_a.reset();
+  bed.simulator().run_for(Duration::seconds(1));
+  EXPECT_FALSE(a.wifi().management_busy());
+  EXPECT_EQ(a.wifi().mesh(), &bed.mesh());
+}
+
+TEST(LivenessTest, UnicastJoinOutlivingItsNodeIsInert) {
+  teardown_mid_join(OmniNodeOptions{});
+}
+
+TEST(LivenessTest, MulticastJoinOutlivingItsNodeIsInert) {
+  teardown_mid_join(multicast_only());
+}
+
+/// Sends 8 bytes from A to B over the only data technology `options` give
+/// A, and destroys A's node while the send is on the air: the stop fails the
+/// op once, and the radio's late completion does nothing.
+void teardown_mid_send(OmniNodeOptions options) {
+  net::Testbed bed(712);
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {10, 0});
+  auto node_a = started_node(bed, a, options);
+  auto node_b = started_node(bed, b, options);
+  bed.simulator().run_for(Duration::seconds(3));
+  ASSERT_NE(node_a->manager().peer_table().find(node_b->address()), nullptr);
+
+  int outcomes = 0;
+  node_a->manager().send_data({node_b->address()}, Bytes(8, 0x5A),
+                              [&outcomes](StatusCode, const ResponseInfo&) {
+                                ++outcomes;
+                              });
+  bed.simulator().run_for(Duration::millis(1));
+  ASSERT_EQ(outcomes, 0);  // still on the air
+  node_a.reset();
+  bed.simulator().run_for(Duration::seconds(1));
+  EXPECT_EQ(outcomes, 1);
+}
+
+TEST(LivenessTest, BleSendOutlivingItsNodeIsInert) {
+  OmniNodeOptions options;
+  options.wifi_unicast = false;
+  teardown_mid_send(options);
+}
+
+// NanTech::disable() fails its queued follow-ups through the radio, so only
+// a plugin destroyed while enabled leaves one behind: its completion runs at
+// the next discovery window.
+TEST(LivenessTest, NanSendOutlivingItsPluginIsInert) {
+  net::Testbed bed(713);
+  sim::Simulator& sim = bed.simulator();
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {10, 0});
+  b.nan().set_enabled(true);
+  SimQueue<SendRequest> send(sim, sim::kGlobalOwner);
+  SimQueue<ReceivedPacket> receive(sim, sim::kGlobalOwner);
+  SimQueue<TechResponse> response(sim, sim::kGlobalOwner);
+  auto tech = std::make_unique<NanTech>(a.nan());
+  tech->enable(TechQueues{&send, &receive, &response});
+
+  SendRequest req;
+  req.request_id = 1;
+  req.dest = LowLevelAddress{b.nan().address()};
+  req.packed = std::make_shared<const Bytes>(Bytes(8, 0x5A));
+  send.push(std::move(req));
+  sim.run_for(Duration::millis(1));
+  ASSERT_TRUE(response.empty());  // queued for the next window
+
+  tech.reset();
+  sim.run_for(Duration::seconds(2));
+  EXPECT_TRUE(response.empty());
 }
 
 TEST(MultiMeshTest, IndependentCapacities) {

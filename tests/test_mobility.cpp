@@ -1,157 +1,66 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <functional>
 
 #include "net/testbed.h"
 #include "omni/omni_node.h"
-#include "sim/mobility.h"
 
 namespace omni::sim {
 namespace {
 
-TEST(ScriptedMobilityTest, TimetableExecutes) {
-  Simulator sim;
-  World world(sim);
-  NodeId n = world.add_node("n", {0, 0});
-  ScriptedMobility script(world, n);
-  script.teleport_at(TimePoint::origin() + Duration::seconds(5), {100, 0})
-      .walk_at(TimePoint::origin() + Duration::seconds(10), {100, 50}, 5.0);
-  EXPECT_EQ(script.scheduled_steps(), 2u);
-
-  sim.run_until(TimePoint::origin() + Duration::seconds(4));
-  EXPECT_EQ(world.position(n), (Vec2{0, 0}));
-  sim.run_until(TimePoint::origin() + Duration::seconds(6));
-  EXPECT_EQ(world.position(n), (Vec2{100, 0}));
-  sim.run_until(TimePoint::origin() + Duration::seconds(15));
-  EXPECT_NEAR(world.position(n).y, 25.0, 1e-9);  // halfway through the walk
-  sim.run_until(TimePoint::origin() + Duration::seconds(30));
-  EXPECT_NEAR(world.position(n).y, 50.0, 1e-9);
-}
-
-TEST(RandomWaypointTest, StaysInsideArea) {
-  Simulator sim(7);
-  World world(sim);
-  NodeId n = world.add_node("n", {50, 50});
-  RandomWaypointMobility::Options options;
-  options.area_min = {10, 20};
-  options.area_max = {90, 80};
-  options.min_speed_mps = 2.0;
-  options.max_speed_mps = 5.0;
-  options.max_pause = Duration::seconds(2);
-  RandomWaypointMobility rwp(world, n, options, 99);
-  rwp.start();
-  for (int i = 0; i < 200; ++i) {
-    sim.run_for(Duration::seconds(5));
-    Vec2 p = world.position(n);
-    // The node may still be travelling from its (out-of-area) start, but
-    // after the first leg it must remain inside.
-    if (i > 5) {
-      EXPECT_GE(p.x, options.area_min.x - 1e-9);
-      EXPECT_LE(p.x, options.area_max.x + 1e-9);
-      EXPECT_GE(p.y, options.area_min.y - 1e-9);
-      EXPECT_LE(p.y, options.area_max.y + 1e-9);
-    }
-  }
-  EXPECT_GT(rwp.legs_walked(), 10u);
-}
-
-TEST(RandomWaypointTest, StopFreezesNode) {
-  Simulator sim(8);
-  World world(sim);
-  NodeId n = world.add_node("n", {0, 0});
-  RandomWaypointMobility rwp(world, n, {}, 5);
-  rwp.start();
-  sim.run_for(Duration::seconds(30));
-  rwp.stop();
-  // Let any in-progress leg finish, then confirm no new legs start.
-  sim.run_for(Duration::seconds(300));
-  Vec2 before = world.position(n);
-  std::uint64_t legs = rwp.legs_walked();
-  sim.run_for(Duration::seconds(300));
-  EXPECT_EQ(world.position(n), before);
-  EXPECT_EQ(rwp.legs_walked(), legs);
-}
-
-TEST(RandomWaypointTest, DeterministicUnderSeed) {
-  auto run = [](std::uint64_t seed) {
-    Simulator sim(1);
-    World world(sim);
-    NodeId n = world.add_node("n", {0, 0});
-    RandomWaypointMobility rwp(world, n, {}, seed);
-    rwp.start();
-    sim.run_for(Duration::seconds(120));
-    return world.position(n);
-  };
-  Vec2 a = run(42), b = run(42), c = run(43);
-  EXPECT_EQ(a, b);
-  EXPECT_FALSE(a == c);
-}
-
-TEST(RandomWaypointTest, PauseRangeRespected) {
-  // With zero pause the node is essentially always moving; with a long
-  // forced pause it spends most time parked. Compare leg counts.
-  auto legs = [](Duration pause) {
-    Simulator sim(3);
-    World world(sim);
-    NodeId n = world.add_node("n", {0, 0});
-    RandomWaypointMobility::Options options;
-    options.area_min = {0, 0};
-    options.area_max = {20, 20};  // short legs
-    options.min_speed_mps = 5.0;
-    options.max_speed_mps = 5.0;
-    options.min_pause = pause;
-    options.max_pause = pause;
-    RandomWaypointMobility rwp(world, n, options, 11);
-    rwp.start();
-    sim.run_for(Duration::seconds(300));
-    return rwp.legs_walked();
-  };
-  EXPECT_GT(legs(Duration::seconds(0)), 2 * legs(Duration::seconds(30)));
-}
-
+// B walks out of A's BLE range and back, on a scripted World::move_to path
+// (the DSL's walk instruction). A's peer table must forget B within the peer
+// TTL plus one expiry sweep of B leaving, and re-learn B within a few
+// beacons of B's return.
 TEST(MobilityIntegrationTest, RandomWalkersDiscoverAndForget) {
-  // Two random walkers in a 300x300 m field drift in and out of BLE range;
-  // Omni's peer tables must track the churn (discoveries happen, stale
-  // entries expire) without wedging.
   net::Testbed bed(101);
   auto& da = bed.add_device("a", {0, 0});
-  auto& db = bed.add_device("b", {300, 300});
+  auto& db = bed.add_device("b", {10, 0});
   OmniNode a(da, bed.mesh());
   OmniNode b(db, bed.mesh());
   a.start();
   b.start();
+  Simulator& sim = bed.simulator();
+  World& world = bed.world();
+  const double range = bed.calibration().ble_range_m;
+  auto knows_b = [&] {
+    return a.manager().peer_table().find(b.address()) != nullptr;
+  };
+  auto b_in_range = [&] { return world.in_range(da.node(), db.node(), range); };
+  // Advance in 100 ms steps until `done` holds (at most `limit`); returns
+  // the first sampled instant at which it held.
+  auto run_until_true = [&](const std::function<bool()>& done,
+                            Duration limit) {
+    const TimePoint end = sim.now() + limit;
+    while (!done() && sim.now() < end) sim.run_for(Duration::millis(100));
+    return sim.now();
+  };
 
-  RandomWaypointMobility::Options options;
-  options.area_min = {0, 0};
-  options.area_max = {300, 300};
-  options.min_speed_mps = 8.0;  // brisk, to force churn
-  options.max_speed_mps = 15.0;
-  options.max_pause = Duration::seconds(3);
-  RandomWaypointMobility walker_a(bed.world(), da.node(), options, 1);
-  RandomWaypointMobility walker_b(bed.world(), db.node(), options, 2);
-  walker_a.start();
-  walker_b.start();
+  sim.run_for(Duration::seconds(3));
+  ASSERT_TRUE(knows_b());
 
-  int known_samples = 0;
-  int unknown_samples = 0;
-  for (int i = 0; i < 600; ++i) {
-    bed.simulator().run_for(Duration::seconds(2));
-    bool known = a.manager().peer_table().find(b.address()) != nullptr;
-    bool in_range = bed.world().in_range(da.node(), db.node(),
-                                         bed.calibration().ble_range_m);
-    (known ? known_samples : unknown_samples) += 1;
-    // Consistency: a peer *well* out of range for longer than the TTL
-    // cannot still be in the table; being conservative, only check gross
-    // violations (the table may lag by one TTL).
-    if (!in_range && known) {
-      const PeerEntry* e = a.manager().peer_table().find(b.address());
-      EXPECT_LE(bed.simulator().now() - e->last_seen,
-                a.manager().options().peer_ttl + Duration::seconds(6));
-    }
-  }
-  // Over 20 virtual minutes of random walking, both states were observed.
-  EXPECT_GT(known_samples, 5);
-  EXPECT_GT(unknown_samples, 5);
+  // 190 m at 10 m/s: B leaves the 40 m BLE range about 3 s in.
+  world.move_to(db.node(), {200, 0}, 10.0);
+  const TimePoint left =
+      run_until_true([&] { return !b_in_range(); }, Duration::seconds(10));
+  ASSERT_FALSE(b_in_range());
+  EXPECT_TRUE(knows_b()) << "B expired while still in range";
+  const TimePoint forgotten =
+      run_until_true([&] { return !knows_b(); }, Duration::seconds(30));
+  ASSERT_FALSE(knows_b()) << "A never forgot B";
+  EXPECT_LE(forgotten - left, OmniManager::kPeerTtl + kProbeInterval);
+
+  // Let B arrive, stay away a while, then walk back.
+  sim.run_for(Duration::seconds(20));
+  EXPECT_FALSE(knows_b());
+  world.move_to(db.node(), {10, 0}, 10.0);
+  const TimePoint back =
+      run_until_true([&] { return b_in_range(); }, Duration::seconds(30));
+  ASSERT_TRUE(b_in_range());
+  const TimePoint relearned =
+      run_until_true([&] { return knows_b(); }, Duration::seconds(30));
+  ASSERT_TRUE(knows_b()) << "A never re-learned B";
+  EXPECT_LE(relearned - back, a.manager().options().beacon_interval * 4.0);
 }
 
 }  // namespace

@@ -191,7 +191,7 @@ TEST_F(ProphetTest, SummaryFitsBleBudget) {
     a.prophet->seed_predictability(0x1000 + i, 0.5);
   }
   bed.simulator().run_for(Duration::seconds(2));
-  // With 10 entries known but summary_entries = 2, the encoded summary must
+  // With 10 entries known but two entries per summary, the encoded summary must
   // stay within a BLE context payload (<= 21 bytes after Omni's header).
   // Indirectly verified: the advert context is accepted by the BLE tech
   // (an oversized one would fail over or fail, leaving no advertisement).

@@ -12,7 +12,7 @@ namespace {
 
 TEST(SimQueueTest, ConsumerRunsInFreshEvent) {
   sim::Simulator sim;
-  SimQueue<int> q(sim);
+  SimQueue<int> q(sim, sim::kGlobalOwner);
   std::vector<int> got;
   bool in_push_scope = false;
   q.set_consumer([&] {
@@ -30,7 +30,7 @@ TEST(SimQueueTest, ConsumerRunsInFreshEvent) {
 
 TEST(SimQueueTest, WakeupsCoalesce) {
   sim::Simulator sim;
-  SimQueue<int> q(sim);
+  SimQueue<int> q(sim, sim::kGlobalOwner);
   int wakeups = 0;
   q.set_consumer([&] {
     ++wakeups;
@@ -44,7 +44,7 @@ TEST(SimQueueTest, WakeupsCoalesce) {
 
 TEST(SimQueueTest, ConsumerSetAfterPushStillWakes) {
   sim::Simulator sim;
-  SimQueue<int> q(sim);
+  SimQueue<int> q(sim, sim::kGlobalOwner);
   q.push(5);
   sim.run();
   int got = 0;
@@ -57,7 +57,7 @@ TEST(SimQueueTest, ConsumerSetAfterPushStillWakes) {
 
 TEST(SimQueueTest, ClearConsumerStopsDelivery) {
   sim::Simulator sim;
-  SimQueue<int> q(sim);
+  SimQueue<int> q(sim, sim::kGlobalOwner);
   int wakeups = 0;
   q.set_consumer([&] { ++wakeups; });
   q.clear_consumer();
@@ -69,7 +69,7 @@ TEST(SimQueueTest, ClearConsumerStopsDelivery) {
 
 TEST(SimQueueTest, PushFromConsumerSchedulesAnotherWakeup) {
   sim::Simulator sim;
-  SimQueue<int> q(sim);
+  SimQueue<int> q(sim, sim::kGlobalOwner);
   std::vector<int> got;
   q.set_consumer([&] {
     while (auto v = q.try_pop()) {
@@ -84,7 +84,7 @@ TEST(SimQueueTest, PushFromConsumerSchedulesAnotherWakeup) {
 
 TEST(SimQueueTest, DrainReturnsBacklogInOrder) {
   sim::Simulator sim;
-  SimQueue<int> q(sim);
+  SimQueue<int> q(sim, sim::kGlobalOwner);
   for (int i = 0; i < 4; ++i) q.push(i);
   std::vector<int> out;
   ASSERT_EQ(q.drain_into(out), 4u);
@@ -97,7 +97,7 @@ TEST(SimQueueTest, DrainReturnsBacklogInOrder) {
 
 TEST(SimQueueTest, DrainIntoReportsLivePrefixAndRecyclesSlots) {
   sim::Simulator sim;
-  SimQueue<std::vector<int>> q(sim);
+  SimQueue<std::vector<int>> q(sim, sim::kGlobalOwner);
   q.push({1});
   q.push({2});
   q.push({3});
@@ -126,7 +126,7 @@ TEST(SimQueueTest, DrainIntoReportsLivePrefixAndRecyclesSlots) {
 
 TEST(SimQueueTest, TryPopInterleavesWithRecycledSlots) {
   sim::Simulator sim;
-  SimQueue<int> q(sim);
+  SimQueue<int> q(sim, sim::kGlobalOwner);
   q.push(1);
   q.push(2);
   EXPECT_EQ(q.try_pop(), 1);

@@ -20,7 +20,9 @@ namespace {
 class TechHarness {
  public:
   explicit TechHarness(sim::Simulator& sim)
-      : send(sim), receive(sim), response(sim) {}
+      : send(sim, sim::kGlobalOwner),
+        receive(sim, sim::kGlobalOwner),
+        response(sim, sim::kGlobalOwner) {}
 
   TechQueues queues() { return TechQueues{&send, &receive, &response}; }
 
