@@ -30,12 +30,16 @@ void SaNode::start() {
   if (options_.enable_wifi) {
     device_.wifi().set_powered(true);
     directory_.register_node(self(), device_.wifi().address());
-    device_.wifi().add_datagram_handler(
+    datagram_handler_ = device_.wifi().add_datagram_handler(
         [this](const MeshAddress& from, const SharedBytes& frame,
                bool multicast) {
           if (started_) on_wifi_datagram(from, *frame, multicast);
         });
-    device_.wifi().join(mesh_, [this](Status s) { joined_ = s.is_ok(); });
+    device_.wifi().join(mesh_,
+                        [this, alive = std::weak_ptr<bool>(alive_)](Status s) {
+                          if (alive.expired()) return;  // destroyed mid-join
+                          joined_ = s.is_ok();
+                        });
     wifi_advert_load_ =
         mesh_.register_periodic_multicast(options_.overlay_interval);
     schedule_wifi_advert(options_.overlay_interval);
@@ -59,6 +63,11 @@ void SaNode::stop() {
     device_.ble().stop_advertising(ble_advert_);
     ble_advert_ = 0;
   }
+  // Withdraw the [this] handlers: the device may outlive this node, and a
+  // later start() registers them afresh.
+  if (options_.enable_ble) device_.ble().set_receive_handler(nullptr);
+  device_.wifi().remove_handler(datagram_handler_);  // no-op for id 0
+  datagram_handler_ = 0;
 }
 
 void SaNode::schedule_maintenance(Duration delay) {
@@ -153,7 +162,8 @@ void SaNode::send_via_wifi(PeerId dest, Bytes data, SendDoneFn done) {
   net::run_discovery_ritual(
       device_.wifi(), mesh_,
       net::RitualOptions{/*wait_for_advertisement=*/!skip_advert_wait},
-      [this, dest](Status s) {
+      [this, dest, alive = std::weak_ptr<bool>(alive_)](Status s) {
+        if (alive.expired()) return;  // node destroyed mid-resolution
         auto pending_it = pending_resolution_.find(dest);
         std::vector<PendingSend> pending;
         if (pending_it != pending_resolution_.end()) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 
 #include "baselines/d2d_stack.h"
 #include "baselines/directory.h"
@@ -98,6 +99,10 @@ class SaNode final : public D2dStack {
   sim::EventHandle wifi_advert_event_;
   sim::EventHandle maintenance_event_;
   radio::PeriodicLoadId wifi_advert_load_ = 0;
+  /// The WiFi datagram handler registered by start(), withdrawn by stop().
+  radio::WifiRadio::HandlerId datagram_handler_ = 0;
+  /// Expires with the node: join and resolution completions outlive it.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   std::map<PeerId, Peer> peers_;
   /// Sends parked behind an in-flight WiFi resolution, per destination.

@@ -11,12 +11,16 @@ void SpWifiNode::start() {
   started_ = true;
   device_.ble().set_powered(false);  // single-technology app
   device_.wifi().set_powered(true);
-  device_.wifi().add_datagram_handler(
+  datagram_handler_ = device_.wifi().add_datagram_handler(
       [this](const MeshAddress& from, const SharedBytes& frame,
              bool multicast) {
         if (started_) on_datagram(from, *frame, multicast);
       });
-  device_.wifi().join(mesh_, [this](Status s) { joined_ = s.is_ok(); });
+  device_.wifi().join(mesh_,
+                      [this, alive = std::weak_ptr<bool>(alive_)](Status s) {
+                        if (alive.expired()) return;  // destroyed mid-join
+                        joined_ = s.is_ok();
+                      });
   // First rescan at half period, de-phasing it from other periodic work.
   schedule_maintenance(
       device_.wifi().calibration().wifi_maintenance_scan_period / 2);
@@ -27,6 +31,10 @@ void SpWifiNode::stop() {
   stop_advertising();
   advert_event_.cancel();
   maintenance_event_.cancel();
+  // The device may outlive this node, and a later start() registers the
+  // handler afresh.
+  device_.wifi().remove_handler(datagram_handler_);
+  datagram_handler_ = 0;
   started_ = false;
 }
 
@@ -94,7 +102,8 @@ void SpWifiNode::send(PeerId dest, Bytes data, SendDoneFn done) {
   net::run_discovery_ritual(
       device_.wifi(), mesh_,
       net::RitualOptions{/*wait_for_advertisement=*/true},
-      [this, dest](Status s) {
+      [this, dest, alive = std::weak_ptr<bool>(alive_)](Status s) {
+        if (alive.expired()) return;  // node destroyed mid-discovery
         auto pending_it = pending_validation_.find(dest);
         std::vector<PendingSend> pending;
         if (pending_it != pending_validation_.end()) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 
 #include "baselines/d2d_stack.h"
 #include "net/device.h"
@@ -66,6 +67,10 @@ class SpWifiNode final : public D2dStack {
   sim::EventHandle advert_event_;
   sim::EventHandle maintenance_event_;
   radio::PeriodicLoadId advert_load_ = 0;
+  /// The WiFi datagram handler registered by start(), withdrawn by stop().
+  radio::WifiRadio::HandlerId datagram_handler_ = 0;
+  /// Expires with the node: join and discovery completions outlive it.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   std::map<PeerId, Peer> peers_;
   /// Sends parked behind an in-flight validation ritual, per destination.

@@ -99,7 +99,7 @@ struct Section {
 
 /// An ordered set of sections plus the format version that serialized them.
 struct SectionContainer {
-  std::uint32_t version = 2;
+  std::uint32_t version = 3;
   /// Ascending by id (section() maintains the order).
   std::vector<Section> sections;
 

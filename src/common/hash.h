@@ -16,7 +16,8 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> data,
 
 /// splitmix64 finalizer: a fast, high-quality avalanche of one 64-bit word.
 /// Used wherever a single integer key needs uniform bucket spread (the
-/// peer-table open-addressing probe).
+/// peer-table open-addressing probe), and as the output function of the
+/// simulator's random streams (common/rng.h).
 constexpr std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

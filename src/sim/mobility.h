@@ -18,10 +18,8 @@ namespace omni::sim {
 /// pseudo-randomly chosen pool members toward fresh waypoints every kTick.
 ///
 /// Targets and node choices are stateless splitmix64 hashes of (seed, tick
-/// index, draw index), so the driver carries no per-node state at all — an
-/// mt19937_64 engine per node would cost ~2.5 KB each, which is 250 MB of
-/// dead weight at 100k nodes — and consumes nothing from any simulator RNG
-/// stream.
+/// index, draw index), so the driver carries no per-node state at all and
+/// consumes nothing from any simulator RNG stream.
 class CrowdChurn {
  public:
   struct Options {

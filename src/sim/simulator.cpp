@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/assert.h"
 #include "common/hash.h"
@@ -40,7 +39,7 @@ Simulator::Simulator(std::uint64_t seed, unsigned threads)
     : seed_(seed),
       nshards_(std::max(1u, std::min(threads, 64u))),
       shards_(nshards_),
-      rng_(seed) {
+      global_rng_(derive_owner_seed(seed, kGlobalOwner)) {
   for (Shard& sh : shards_) sh.out.resize(nshards_ + 1);
 }
 
@@ -68,24 +67,20 @@ TimePoint Simulator::now() const {
 Rng& Simulator::rng() {
   const ExecCtx& c = tls_ctx_;
   if (c.sim == this && c.owner != kGlobalOwner) {
-    OMNI_CHECK_MSG(c.owner < owner_rngs_.size() &&
-                       owner_rngs_[c.owner] != nullptr,
+    OMNI_CHECK_MSG(c.owner < owner_registered_.size() &&
+                       owner_registered_[c.owner],
                    "event owner has no RNG stream (missing ensure_owner)");
-    return *owner_rngs_[c.owner];
+    return owner_rngs_[c.owner];
   }
-  return rng_;
+  return global_rng_;
 }
 
 std::uint64_t Simulator::derive_owner_seed(std::uint64_t seed, OwnerId owner) {
-  // splitmix64-style finalizer over (seed, owner): statistically independent
+  // splitmix64 finalizer of seed + (owner + 1)·γ: statistically independent
   // streams without consuming draws from any other stream (seeding a child
   // from a parent stream's draw would make stream seeds depend on the
   // parent's draw position).
-  std::uint64_t z = seed + (static_cast<std::uint64_t>(owner) + 1) *
-                               0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return splitmix64(seed + static_cast<std::uint64_t>(owner) * Rng::kGamma);
 }
 
 void Simulator::ensure_owner(OwnerId owner) {
@@ -93,17 +88,18 @@ void Simulator::ensure_owner(OwnerId owner) {
   const ExecCtx& c = tls_ctx_;
   OMNI_CHECK_MSG(c.sim != this || c.shard == nullptr,
                  "ensure_owner must run outside parallel windows");
-  // Holes stay null: with sparse owner ids (city worlds where a handful of
-  // devices live among tens of thousands of crowd nodes) only the owners
-  // actually ensured pay for RNG state. Seeds are a pure function of
-  // (seed_, owner), so allocation order can't perturb any stream.
+  // Holes stay unregistered: with sparse owner ids (city worlds where a
+  // handful of devices live among tens of thousands of crowd nodes) a hole
+  // costs its 8-byte slot and one bit. Seeds are a pure function of
+  // (seed_, owner), so registration order can't perturb any stream.
   if (owner_rngs_.size() <= owner) {
-    owner_rngs_.resize(owner + 1);
+    owner_rngs_.resize(owner + 1, Rng(0));
+    owner_registered_.resize(owner + 1, false);
     owner_seq_.resize(owner + 1, 0);
   }
-  if (owner_rngs_[owner] == nullptr) {
-    owner_rngs_[owner] =
-        std::make_unique<Rng>(derive_owner_seed(seed_, owner));
+  if (!owner_registered_[owner]) {
+    owner_rngs_[owner] = Rng(derive_owner_seed(seed_, owner));
+    owner_registered_[owner] = true;
   }
 }
 
@@ -199,20 +195,15 @@ void Simulator::snapshot_pending(std::vector<PendingEvent>& out) const {
   for (const Shard& sh : shards_) sh.q.for_each_pending(visit);
 }
 
-void Simulator::snapshot_rng_digests(
+void Simulator::snapshot_rng_draws(
     std::vector<std::pair<OwnerId, std::uint64_t>>& out) const {
-  // The mt19937_64 stream serialization (624 words + position) is exact:
-  // equal digests <=> equal future draws. ~2.5 KB of text per owner exists
-  // only transiently here.
-  auto digest = [](const Rng& r) {
-    std::ostringstream os;
-    os << r.engine();
-    return fnv1a64(os.str());
+  auto draws = [this](const Rng& r, OwnerId o) {
+    return r.draws_since(derive_owner_seed(seed_, o));
   };
   for (OwnerId o = 0; o < owner_rngs_.size(); ++o) {
-    if (owner_rngs_[o] != nullptr) out.emplace_back(o, digest(*owner_rngs_[o]));
+    if (owner_registered_[o]) out.emplace_back(o, draws(owner_rngs_[o], o));
   }
-  out.emplace_back(kGlobalOwner, digest(rng_));
+  out.emplace_back(kGlobalOwner, draws(global_rng_, kGlobalOwner));
 }
 
 void Simulator::run_shard_window(Shard& sh, TimePoint window_end) {
@@ -321,8 +312,9 @@ void Simulator::merge_mailboxes() {
     EventQueue& q = dst == nshards_ ? global_q_ : shards_[dst].q;
     mailbox_posts_ += merge_scratch_.size();
     for (Post& p : merge_scratch_) {
-      OMNI_ASSERTF(p.dst == kGlobalOwner || (p.dst < owner_rngs_.size() &&
-                                             owner_rngs_[p.dst] != nullptr),
+      OMNI_ASSERTF(p.dst == kGlobalOwner ||
+                       (p.dst < owner_registered_.size() &&
+                        owner_registered_[p.dst]),
                    "mailbox post to unregistered owner %u",
                    static_cast<unsigned>(p.dst));
       q.schedule(p.at, std::move(p.fn), p.dst);

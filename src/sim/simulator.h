@@ -36,7 +36,8 @@
 //
 // Each owner also draws from its own RNG stream (seeded from the simulation
 // seed and the owner id), so random sequences are independent of how owners'
-// events interleave across shards.
+// events interleave across shards. A stream is an 8-byte counter (see
+// common/rng.h), held inline in one flat vector indexed by owner.
 #pragma once
 
 #include <atomic>
@@ -78,8 +79,8 @@ class Simulator {
   TimePoint now() const;
 
   /// Deterministic random stream of the current execution context: each
-  /// owner draws from its own stream, the global context from the legacy
-  /// seed stream.
+  /// owner draws from its own stream, the global context from the stream
+  /// keyed by kGlobalOwner.
   Rng& rng();
 
   /// Register `owner` so it has an RNG stream and a mailbox sequence
@@ -247,12 +248,11 @@ class Simulator {
   /// are provably drained and all mailboxes merged.
   void snapshot_pending(std::vector<PendingEvent>& out) const;
 
-  /// Per-owner RNG stream digests — fnv1a64 over the serialized mt19937_64
-  /// state — ascending by owner, the global stream last as kGlobalOwner.
-  /// Digests (rather than the ~2.5 KB raw states) are what snapshots store:
-  /// a state comparison only needs to tell streams apart, and digests keep
-  /// a 10k-owner snapshot within its size budget.
-  void snapshot_rng_digests(
+  /// Draws taken from each registered owner's RNG stream, ascending by
+  /// owner, the global stream last as kGlobalOwner. A stream is a pure
+  /// function of (seed, owner) and its draw count, so the count pins its
+  /// position exactly.
+  void snapshot_rng_draws(
       std::vector<std::pair<OwnerId, std::uint64_t>>& out) const;
 
   /// Per-owner mailbox post counters (index = owner id). Part of the
@@ -322,13 +322,13 @@ class Simulator {
   Duration lookahead_ = Duration::millis(10);
   EventQueue global_q_;
   std::vector<Shard> shards_;
-  Rng rng_;                          ///< global-context stream (legacy)
-  /// Per-owner streams, indexed by owner. Slots are lazily allocated by
-  /// ensure_owner so sparse owner ids (a few devices among 100k crowd
-  /// nodes) cost 8 bytes per hole, not a 2.5 KB mt19937_64 state each;
-  /// seeds derive purely from (seed_, owner) so laziness can't change any
-  /// stream.
-  std::vector<std::unique_ptr<Rng>> owner_rngs_;
+  Rng global_rng_;  ///< kGlobalOwner's stream
+  /// Per-owner streams, indexed by owner, 8 bytes each. Sparse owner ids (a
+  /// few devices among 100k crowd nodes) leave holes that ensure_owner never
+  /// seeded; owner_registered_ tells them apart. Seeds derive purely from
+  /// (seed_, owner), so registration order can't change any stream.
+  std::vector<Rng> owner_rngs_;
+  std::vector<bool> owner_registered_;
   std::vector<std::uint64_t> owner_seq_;  ///< per-owner mailbox post counters
   std::vector<std::uint32_t> owner_shard_;  ///< place_owner pins; see above
   std::vector<Post> merge_scratch_;

@@ -117,14 +117,14 @@ void capture_events(const Simulator& sim, TimePoint at, Snapshot& snap) {
 }
 
 void capture_rng(const Simulator& sim, Snapshot& snap) {
-  std::vector<std::pair<OwnerId, std::uint64_t>> digests;
-  sim.snapshot_rng_digests(digests);
+  std::vector<std::pair<OwnerId, std::uint64_t>> draws;
+  sim.snapshot_rng_draws(draws);
   const std::vector<std::uint64_t>& seqs = sim.owner_seqs();
   ByteWriter w;
-  w.var(digests.size());
-  for (const auto& [owner, digest] : digests) {
+  w.var(draws.size());
+  for (const auto& [owner, count] : draws) {
     w.var(owner);
-    w.u64(digest);
+    w.var(count);
     w.var(owner < seqs.size() ? seqs[owner] : 0);
   }
   snap.section(kSecRng).bytes = w.take();

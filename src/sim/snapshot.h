@@ -2,7 +2,7 @@
 //
 // A snapshot freezes the complete *logical* state of a simulation at one
 // global-quiescent instant T: the pending-event set of every owner, per-owner
-// RNG stream digests and mailbox sequence counters, the world's motion rows,
+// RNG draw counts and mailbox sequence counters, the world's motion rows,
 // the fault plan and its injection counters, plus sections contributed by
 // upper layers (OmniManager state, metrics) through the testbed. Together
 // with the manifest (seed, capture time, executed events, scenario
@@ -52,7 +52,7 @@ class World;
 class FaultPlan;
 
 inline constexpr char kSnapshotMagic[4] = {'O', 'S', 'N', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Well-known section ids. Ids are stable across versions; unknown ids are
 /// preserved by parse/serialize round trips (forward compatibility for
@@ -62,7 +62,7 @@ inline constexpr std::uint32_t kSnapshotVersion = 2;
 enum SectionId : std::uint32_t {
   kSecManifest = 1,  ///< seed, capture time, scenario fingerprint
   kSecEvents = 2,    ///< canonical per-owner pending-event lists
-  kSecRng = 3,       ///< per-owner RNG digests + mailbox seq counters
+  kSecRng = 3,       ///< per-owner RNG draw counts + mailbox seq counters
   kSecWorld = 4,     ///< motion rows (full-stack + crowd)
   kSecFaults = 5,    ///< fault plan config + injection counters
   kSecManagers = 6,  ///< OmniManager state (written by the omni layer)
@@ -88,7 +88,7 @@ const ::omni::codec::ContainerSpec& snapshot_spec();
 // SectionContainer's default version must stay in lockstep with the
 // snapshot version, because capture paths rely on `Snapshot{}` already
 // carrying the version they serialize under.
-static_assert(kSnapshotVersion == 2,
+static_assert(kSnapshotVersion == 3,
               "bump SectionContainer's default version alongside this");
 
 // --- Manifest ----------------------------------------------------------------
@@ -118,8 +118,8 @@ Result<SnapshotManifest> read_manifest(const Snapshot& snap);
 /// instant (all pending events fire at or after it).
 void capture_events(const Simulator& sim, TimePoint at, Snapshot& snap);
 
-/// Per-owner RNG stream digests + mailbox sequence counters, plus the
-/// global stream (reported as kGlobalOwner).
+/// Per-owner RNG draw counts + mailbox sequence counters, plus the global
+/// stream (reported as kGlobalOwner).
 void capture_rng(const Simulator& sim, Snapshot& snap);
 
 /// Motion rows for every node, ascending by id, static rows compressed.

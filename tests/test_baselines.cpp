@@ -271,5 +271,127 @@ TEST(MaintenanceScanTest, CalibratedPeriodDrivesEveryRescan) {
   EXPECT_EQ(scans_s[d_sp.node()], expected) << "SpWifiNode";
 }
 
+// Baseline stacks withdraw what start() hands their device's radios: a stack
+// may be stopped and started again, or destroyed while its device lives on.
+// Under ASan the teardown cases fail with heap-use-after-free on any handler
+// or completion left behind.
+
+using MakeStack =
+    std::unique_ptr<D2dStack> (*)(net::Testbed&, net::Device&, Directory&);
+
+std::unique_ptr<D2dStack> make_sp_wifi(net::Testbed& bed, net::Device& d,
+                                       Directory&) {
+  return std::make_unique<SpWifiNode>(d, bed.mesh());
+}
+
+std::unique_ptr<D2dStack> make_sa(net::Testbed& bed, net::Device& d,
+                                  Directory& directory) {
+  return std::make_unique<SaNode>(d, bed.mesh(), directory);
+}
+
+// WiFi only: the multicast advert reaches every member, with no BLE capture
+// trial to make two listeners' counts differ.
+std::unique_ptr<D2dStack> make_sa_wifi(net::Testbed& bed, net::Device& d,
+                                       Directory& directory) {
+  SaNode::Options options;
+  options.enable_ble = false;
+  return std::make_unique<SaNode>(d, bed.mesh(), directory, options);
+}
+
+/// A speaker advertises every second for 20 s to a listener that was
+/// stopped and started again and to one that never was: both must hear each
+/// advert frame once.
+void expect_one_advert_per_frame_after_restart(MakeStack make) {
+  net::Testbed bed(39);
+  Directory directory;
+  auto& d_speaker = bed.add_device("speaker", {0, 0});
+  auto& d_restarted = bed.add_device("restarted", {10, 0});
+  auto& d_control = bed.add_device("control", {0, 10});
+  auto speaker = make(bed, d_speaker, directory);
+  auto restarted = make(bed, d_restarted, directory);
+  auto control = make(bed, d_control, directory);
+  int heard_restarted = 0;
+  int heard_control = 0;
+  const D2dStack::PeerId from_speaker = speaker->self();
+  restarted->set_advert_handler([&](D2dStack::PeerId from, const Bytes&) {
+    if (from == from_speaker) ++heard_restarted;
+  });
+  control->set_advert_handler([&](D2dStack::PeerId from, const Bytes&) {
+    if (from == from_speaker) ++heard_control;
+  });
+  speaker->start();
+  restarted->start();
+  control->start();
+  bed.simulator().run_for(Duration::seconds(2));  // every join has finished
+  restarted->stop();
+  restarted->start();
+  speaker->advertise(Bytes{'s'}, Duration::seconds(1));
+  bed.simulator().run_for(Duration::seconds(20));
+  EXPECT_GE(heard_control, 19);
+  EXPECT_EQ(heard_restarted, heard_control);
+}
+
+TEST(BaselineRestartTest, SpWifiHearsEachAdvertOnce) {
+  expect_one_advert_per_frame_after_restart(&make_sp_wifi);
+}
+
+TEST(BaselineRestartTest, SaHearsEachAdvertOnce) {
+  expect_one_advert_per_frame_after_restart(&make_sa_wifi);
+}
+
+/// Destroys A's stack while A's device lives on, then runs 2 s of B's
+/// adverts (BLE and WiFi multicast) and a B -> A unicast past A's radios.
+void run_traffic_past_destroyed_stack(MakeStack make) {
+  net::Testbed bed(40);
+  Directory directory;
+  auto& da = bed.add_device("a", {0, 0});
+  auto& db = bed.add_device("b", {10, 0});
+  auto a = make(bed, da, directory);
+  auto b = make(bed, db, directory);
+  const D2dStack::PeerId a_id = a->self();
+  a->start();
+  b->start();
+  a->advertise(Bytes{'a'}, Duration::millis(500));
+  b->advertise(Bytes{'b'}, Duration::millis(500));
+  bed.simulator().run_for(Duration::seconds(3));
+  ASSERT_FALSE(b->known_peers().empty());
+  a.reset();
+  b->send(a_id, Bytes{7}, nullptr);
+  bed.simulator().run_for(Duration::seconds(2));
+  EXPECT_EQ(da.wifi().mesh(), &bed.mesh());
+}
+
+TEST(BaselineLivenessTest, SaStackDestroyedBeforeItsDeviceIsInert) {
+  run_traffic_past_destroyed_stack(&make_sa);
+}
+
+TEST(BaselineLivenessTest, SpWifiStackDestroyedBeforeItsDeviceIsInert) {
+  run_traffic_past_destroyed_stack(&make_sp_wifi);
+}
+
+/// Destroys the stack 1 ms after start(), while its mesh join is still in
+/// flight; the radio then finishes the join alone.
+void destroy_mid_join(MakeStack make) {
+  net::Testbed bed(41);
+  Directory directory;
+  auto& da = bed.add_device("a", {0, 0});
+  auto a = make(bed, da, directory);
+  a->start();
+  bed.simulator().run_for(Duration::millis(1));
+  ASSERT_TRUE(da.wifi().management_busy());
+  a.reset();
+  bed.simulator().run_for(Duration::seconds(1));
+  EXPECT_FALSE(da.wifi().management_busy());
+  EXPECT_EQ(da.wifi().mesh(), &bed.mesh());
+}
+
+TEST(BaselineLivenessTest, SaJoinOutlivingItsNodeIsInert) {
+  destroy_mid_join(&make_sa);
+}
+
+TEST(BaselineLivenessTest, SpWifiJoinOutlivingItsNodeIsInert) {
+  destroy_mid_join(&make_sp_wifi);
+}
+
 }  // namespace
 }  // namespace omni::baselines

@@ -86,7 +86,7 @@ TEST_P(FuzzSweep, ChurnPreservesCallbackContract) {
         int id = next_send++;
         callbacks[id] = 0;
         nodes[who]->manager().send_data(
-            {OmniAddress{rng.engine()() | 1}}, Bytes{1},
+            {OmniAddress{rng.next() | 1}}, Bytes{1},
             [&callbacks, id](StatusCode, const ResponseInfo&) {
               ++callbacks[id];
             });

@@ -30,17 +30,17 @@ constexpr const char* kScenarioPath =
 
 constexpr const char* kGoldenReport =
     "=== report t=45s ===\n"
-    "  guide: peers=3 avg_mA=100.201 rx_ctx=224 rx_data=0 sends=0/0\n"
-    "  tourist1: peers=3 avg_mA=100.363 rx_ctx=140 rx_data=0 sends=0/0\n"
-    "  tourist2: peers=3 avg_mA=100.363 rx_ctx=140 rx_data=0 sends=0/0\n"
-    "  townhall: peers=3 avg_mA=108.769 rx_ctx=121 rx_data=0 sends=0/0\n"
+    "  guide: peers=3 avg_mA=100.201 rx_ctx=230 rx_data=0 sends=0/0\n"
+    "  tourist1: peers=3 avg_mA=100.363 rx_ctx=139 rx_data=0 sends=0/0\n"
+    "  tourist2: peers=3 avg_mA=100.363 rx_ctx=134 rx_data=0 sends=0/0\n"
+    "  townhall: peers=3 avg_mA=108.769 rx_ctx=117 rx_data=0 sends=0/0\n"
     "  cathedral: peers=0 avg_mA=108.769 rx_ctx=0 rx_data=0 sends=0/0\n"
     "=== report t=120s ===\n"
-    "  guide: peers=3 avg_mA=99.6154 rx_ctx=632 rx_data=0 sends=0/0\n"
-    "  tourist1: peers=3 avg_mA=100.72 rx_ctx=414 rx_data=1 sends=0/0\n"
-    "  tourist2: peers=3 avg_mA=100.72 rx_ctx=416 rx_data=1 sends=0/0\n"
-    "  townhall: peers=0 avg_mA=107.181 rx_ctx=255 rx_data=0 sends=2/2\n"
-    "  cathedral: peers=3 avg_mA=105.825 rx_ctx=156 rx_data=0 sends=0/0\n";
+    "  guide: peers=3 avg_mA=99.6154 rx_ctx=640 rx_data=0 sends=0/0\n"
+    "  tourist1: peers=3 avg_mA=100.72 rx_ctx=422 rx_data=1 sends=0/0\n"
+    "  tourist2: peers=3 avg_mA=100.72 rx_ctx=410 rx_data=1 sends=0/0\n"
+    "  townhall: peers=0 avg_mA=107.181 rx_ctx=245 rx_data=0 sends=2/2\n"
+    "  cathedral: peers=3 avg_mA=105.825 rx_ctx=150 rx_data=0 sends=0/0\n";
 
 std::string read_scenario() {
   std::ifstream in(kScenarioPath);

@@ -3,6 +3,7 @@
 // count, and (c) be bit-for-bit reproducible under a fixed seed.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "net/testbed.h"

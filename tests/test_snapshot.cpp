@@ -151,15 +151,18 @@ TEST(SnapshotFile, RejectsBadMagic) {
 }
 
 TEST(SnapshotFile, RejectsUnknownVersion) {
-  // 1 is the retired layout whose managers record carried two more fields.
-  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{99}}) {
+  // 1 is the retired layout whose managers record carried two more fields;
+  // 2 held digests of mt19937_64 states where the rng section now holds
+  // draw counts.
+  for (std::uint8_t version :
+       {std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{99}}) {
     std::vector<std::uint8_t> bytes = serialize_snapshot(make_sample());
     bytes[4] = version;  // version field follows the 4-byte magic
     auto parsed = parse_snapshot(bytes);
     ASSERT_FALSE(parsed.is_ok()) << "version " << int{version};
-    EXPECT_NE(parsed.error_message().find("unsupported snapshot version"),
-              std::string::npos)
-        << parsed.error_message();
+    EXPECT_EQ(parsed.error_message(),
+              "unsupported snapshot version " + std::to_string(version) +
+                  " (expected 3)");
   }
 }
 
