@@ -59,14 +59,15 @@ constexpr double kSpacingM = 25.0;
 // RSS budgets policed at scale (documented in README.md / DESIGN.md): a
 // full-stack device — radios, manager, beacon state, event lanes — may cost
 // up to 40 KB of peak RSS amortized; a city node (crowd-dominated mix) up to
-// 1 KB; and the world layer itself ~100 B per idle node, asserted with
-// headroom for allocator slack via World::memory_stats().
+// 1 KB; and the world layer itself, measured by World::memory_stats(), up to
+// 128 B per city node: the city measures ~88 B (an endpoint and a row index
+// per node, a motion row per walker, names, listings and vector slack).
 constexpr double kFullStackRssBudgetKb = 40.0;
 constexpr double kCityRssBudgetKb = 1.0;
-constexpr double kWorldBytesBudget = 192.0;
+constexpr double kWorldBytesBudget = 128.0;
 // Serialized snapshot budgets: a full-stack device (manager record, RNG
 // stream, world row, pending events) may cost up to 1 KB of .osnap; a
-// world-only crowd node up to 64 B (one SoA row plus queue amortization).
+// world-only crowd node up to 64 B (one world row plus queue amortization).
 constexpr double kSnapshotFullStackBudget = 1024.0;
 constexpr double kSnapshotCrowdBudget = 64.0;
 
@@ -303,7 +304,7 @@ ScalePoint run_city(std::size_t n, std::size_t core, unsigned threads,
   sim::CrowdChurn churn(bed.world(), std::move(movers), churn_opts, 4242);
   churn.start();
   // The crowd dominates the capture, so its size measures the per-node cost
-  // of the world SoA rows; manager records are digest-only at this scale.
+  // of the world rows; manager records are digest-only at this scale.
   add_manager_snapshot_source(bed, nodes);
 
   auto t0 = std::chrono::steady_clock::now();

@@ -14,15 +14,23 @@ namespace omni {
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data,
                       std::uint64_t seed = 0xcbf29ce484222325ull);
 
-/// splitmix64 finalizer: a fast, high-quality avalanche of one 64-bit word.
-/// Used wherever a single integer key needs uniform bucket spread (the
-/// peer-table open-addressing probe), and as the output function of the
-/// simulator's random streams (common/rng.h).
-constexpr std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
+/// splitmix64's finalizer alone: two multiply-xorshift rounds, a fast,
+/// high-quality avalanche of one 64-bit word. For keys that are already
+/// spread over the word (the world's packed cell keys, CrowdChurn's
+/// weighted sums).
+constexpr std::uint64_t splitmix64_finalize(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+/// splitmix64: the finalizer of x + γ, γ = 0x9e3779b97f4a7c15. Used wherever
+/// a single integer key needs uniform bucket spread (the peer-table
+/// open-addressing probe), as the output function of the simulator's random
+/// streams (common/rng.h), and for the stateless draws of the manager's
+/// jitter and the fault plan.
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  return splitmix64_finalize(x + 0x9e3779b97f4a7c15ull);
 }
 
 /// 64-bit FNV-1a over a string.

@@ -15,16 +15,6 @@ namespace omni {
 
 namespace {
 constexpr const char* kTag = "omni.manager";
-
-/// splitmix64 finalizer: stateless deterministic jitter for backoff delays
-/// (no simulator RNG draw, so healing never perturbs existing streams).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 OmniManager::OmniManager(sim::Simulator& sim, OmniAddress self,
@@ -121,7 +111,9 @@ Duration OmniManager::backoff_delay(int attempt) {
   Duration d = std::max(kBackoffBase, current_beacon_interval_);
   for (int i = 1; i < attempt && d < kBackoffMax; ++i) d = d + d;
   if (d > kBackoffMax) d = kBackoffMax;
-  std::uint64_t h = mix64(self_.value ^ mix64(++backoff_draws_));
+  // Stateless jitter: no simulator RNG draw, so healing never perturbs the
+  // existing streams.
+  std::uint64_t h = splitmix64(self_.value ^ splitmix64(++backoff_draws_));
   double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
   return d * (1.0 + kBackoffJitter * (2.0 * u - 1.0));
 }
@@ -514,7 +506,8 @@ void OmniManager::push_beacon_interval(Duration interval) {
   const double jitter = options_.discovery.jitter;
   Duration adv = interval;
   if (jitter > 0.0) {
-    const std::uint64_t h = mix64(self_.value ^ mix64(++discovery_draws_));
+    const std::uint64_t h =
+        splitmix64(self_.value ^ splitmix64(++discovery_draws_));
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
     adv = interval * (1.0 + jitter * (2.0 * u - 1.0));
   }

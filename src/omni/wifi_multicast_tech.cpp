@@ -60,7 +60,7 @@ EnableResult WifiMulticastTech::enable(const TechQueues& queues) {
         queues_.response->push(
             TechResponse::status_change(Technology::kWifiMulticast, false));
       }
-      std::deque<SendRequest> waiting;
+      std::vector<SendRequest> waiting;
       waiting.swap(waiting_for_join_);
       for (auto& req : waiting) process(std::move(req));
     });

@@ -15,9 +15,9 @@
 // reception.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "net/discovery_ritual.h"
 #include "omni/comm_tech.h"
@@ -96,7 +96,7 @@ class WifiMulticastTech final : public CommTechnology {
   bool engaged_ = false;
   bool joined_ = false;
   std::map<ContextId, ContextEntry> contexts_;
-  std::deque<SendRequest> waiting_for_join_;
+  std::vector<SendRequest> waiting_for_join_;
   TimePoint probe_window_until_ = TimePoint::origin();
   sim::EventHandle tick_event_;
   radio::PeriodicLoadId aggregate_load_ = 0;

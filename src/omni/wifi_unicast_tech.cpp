@@ -62,7 +62,7 @@ EnableResult WifiUnicastTech::enable(const TechQueues& queues) {
             TechResponse::status_change(Technology::kWifiUnicast, false));
       }
       // Flush sends that queued up during the join.
-      std::deque<SendRequest> waiting;
+      std::vector<SendRequest> waiting;
       waiting.swap(waiting_for_join_);
       for (auto& req : waiting) process(std::move(req));
     });

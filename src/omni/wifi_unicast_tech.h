@@ -10,9 +10,9 @@
 // address beacons.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "net/discovery_ritual.h"
 #include "omni/comm_tech.h"
@@ -66,7 +66,7 @@ class WifiUnicastTech final : public CommTechnology {
   bool engaged_ = false;
   bool joined_ = false;
   /// Requests arriving before the initial mesh join completes.
-  std::deque<SendRequest> waiting_for_join_;
+  std::vector<SendRequest> waiting_for_join_;
   /// Requests parked inside the discovery ritual (scan/join/resolve). The
   /// ritual holds its callback in simulator events that may outlive a
   /// disable(): each entry is answered terminally at disable() and the

@@ -148,13 +148,16 @@ void NanSystem::run_window() {
       }
     }
     // Follow-ups: serviced FIFO; a follow-up whose destination is not awake
-    // or not in range stays queued for a later window (bounded retries are
-    // the caller's concern via timeouts).
-    auto& queue = tx->followups();
-    std::size_t n = queue.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      NanRadio::Followup fu = std::move(queue.front());
-      queue.pop_front();
+    // or not in range is queued again for a later window (bounded retries
+    // are the caller's concern via timeouts), behind any follow-up that a
+    // `done` callback queued while this window ran.
+    std::vector<NanRadio::Followup> batch;
+    batch.swap(tx->followups());
+    for (NanRadio::Followup& fu : batch) {
+      if (!tx->enabled()) {  // a `done` callback disabled the radio
+        if (fu.done) fu.done(Status::error("NAN disabled"));
+        continue;
+      }
       NanRadio* dest = nullptr;
       for (NanRadio* rx : awake) {
         if (rx->address() == fu.dest) {
@@ -172,7 +175,7 @@ void NanSystem::run_window() {
         if (--fu.windows_left <= 0) {
           if (fu.done) fu.done(Status::error("NAN follow-up timed out"));
         } else {
-          queue.push_back(std::move(fu));  // try again next window
+          tx->followups().push_back(std::move(fu));  // next window
         }
         continue;
       }
@@ -191,7 +194,7 @@ void NanSystem::run_window() {
           if (--fu.windows_left <= 0) {
             if (fu.done) fu.done(Status::error("NAN follow-up timed out"));
           } else {
-            queue.push_back(std::move(fu));
+            tx->followups().push_back(std::move(fu));
           }
           continue;
         }
@@ -261,7 +264,7 @@ void NanRadio::set_enabled(bool enabled) {
   enabled_ = enabled;
   if (!enabled_) {
     // Pending follow-ups fail: the radio left the cluster.
-    std::deque<Followup> dropped;
+    std::vector<Followup> dropped;
     dropped.swap(followups_);
     for (auto& fu : dropped) {
       if (fu.done) fu.done(Status::error("NAN disabled"));

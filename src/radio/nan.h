@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <unordered_map>
@@ -127,7 +126,7 @@ class NanRadio {
     /// out of range throughout).
     int windows_left = 10;
   };
-  std::deque<Followup>& followups() { return followups_; }
+  std::vector<Followup>& followups() { return followups_; }
   EnergyMeter& meter() { return meter_; }
   const Calibration& calibration() const { return cal_; }
 
@@ -143,7 +142,7 @@ class NanRadio {
   std::uint32_t attendance_ = 1;
   std::map<PublishId, SharedBytes> publishes_;
   PublishId next_publish_ = 1;
-  std::deque<Followup> followups_;
+  std::vector<Followup> followups_;  ///< FIFO: front goes out first
   ReceiveFn on_receive_;
 };
 

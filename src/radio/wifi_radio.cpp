@@ -38,7 +38,7 @@ void WifiRadio::set_powered(bool on) {
   if (!on) {
     leave();
     // Abort any queued management operations.
-    std::deque<PendingOp> dropped;
+    std::vector<PendingOp> dropped;
     dropped.swap(pending_ops_);
     op_in_progress_ = false;
     for (auto& op : dropped) {
@@ -89,7 +89,7 @@ void WifiRadio::start_next_op() {
   }
   op_in_progress_ = true;
   PendingOp op = std::move(pending_ops_.front());
-  pending_ops_.pop_front();
+  pending_ops_.erase(pending_ops_.begin());
 
   if (op.kind == PendingOp::Kind::kScan) {
     meter_.charge_for(cal_.wifi_scan_duration, cal_.wifi_scan_ma,

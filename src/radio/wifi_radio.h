@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -123,7 +122,7 @@ class WifiRadio {
   bool powered_ = false;
   MeshNetwork* mesh_ = nullptr;
   bool op_in_progress_ = false;
-  std::deque<PendingOp> pending_ops_;
+  std::vector<PendingOp> pending_ops_;  ///< FIFO: front is next to run
   template <typename Fn>
   struct Registered {
     HandlerId id;

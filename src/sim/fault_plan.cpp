@@ -1,21 +1,16 @@
 #include "sim/fault_plan.h"
 
-namespace omni::sim {
+#include "common/hash.h"
 
-std::uint64_t FaultPlan::mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+namespace omni::sim {
 
 double FaultPlan::draw(std::uint64_t stream, NodeId src, NodeId dst,
                        TimePoint at, std::uint64_t salt) const {
-  std::uint64_t h = mix(seed_ ^ stream);
-  h = mix(h ^ ((static_cast<std::uint64_t>(src) << 32) |
-               static_cast<std::uint64_t>(dst)));
-  h = mix(h ^ static_cast<std::uint64_t>(at.as_micros()));
-  h = mix(h ^ salt);
+  std::uint64_t h = splitmix64(seed_ ^ stream);
+  h = splitmix64(h ^ ((static_cast<std::uint64_t>(src) << 32) |
+                      static_cast<std::uint64_t>(dst)));
+  h = splitmix64(h ^ static_cast<std::uint64_t>(at.as_micros()));
+  h = splitmix64(h ^ salt);
   // Top 53 bits -> uniform double in [0, 1).
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
@@ -90,7 +85,7 @@ void FaultPlan::corrupt_in_place(Bytes& frame, std::uint64_t salt) {
   // Flip a salt-chosen byte plus the first byte: packet decoders key on the
   // leading type/version octets, so the frame reliably fails to parse
   // rather than aliasing into a different valid packet.
-  std::uint64_t h = mix(salt ^ 0xc0412u);
+  std::uint64_t h = splitmix64(salt ^ 0xc0412u);
   frame[h % frame.size()] ^= static_cast<std::uint8_t>(0x80u | (h >> 56));
   frame[0] ^= 0xa5u;
 }

@@ -167,8 +167,6 @@ class FaultPlan {
   }
 
  private:
-  /// splitmix64 finalizer: the stateless mixing core of every draw.
-  static std::uint64_t mix(std::uint64_t x);
   /// Uniform [0,1) draw for one (stream, link, instant, frame) tuple.
   double draw(std::uint64_t stream, NodeId src, NodeId dst, TimePoint at,
               std::uint64_t salt) const;

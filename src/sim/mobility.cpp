@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
+
 namespace omni::sim {
 
 namespace {
@@ -9,11 +11,9 @@ namespace {
 // splitmix64 finalizer: cheap, stateless draws for the churn driver.
 std::uint64_t churn_hash(std::uint64_t seed, std::uint64_t tick,
                          std::uint64_t draw) {
-  std::uint64_t z = seed + tick * 0x9e3779b97f4a7c15ull +
-                    draw * 0xd1b54a32d192ed03ull + 0x2545f4914f6cdd1dull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return splitmix64_finalize(seed + tick * 0x9e3779b97f4a7c15ull +
+                             draw * 0xd1b54a32d192ed03ull +
+                             0x2545f4914f6cdd1dull);
 }
 
 double churn_unit(std::uint64_t h) {

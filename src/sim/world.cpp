@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/assert.h"
+#include "common/hash.h"
 
 namespace omni::sim {
 
@@ -20,14 +21,6 @@ std::int64_t World::region_coord(std::int64_t cell) const {
   return cell >= 0 ? cell / k : -((-cell + k - 1) / k);
 }
 
-std::uint64_t World::mix_key(std::uint64_t k) {
-  // splitmix64 finalizer: cell keys pack two coordinates, so low bits alone
-  // would collide across rows.
-  k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ull;
-  k = (k ^ (k >> 27)) * 0x94d049bb133111ebull;
-  return k ^ (k >> 31);
-}
-
 std::uint32_t World::region_index_at(std::int64_t rx, std::int64_t ry) {
   std::uint64_t key = pack_key(rx, ry);
   auto it = region_index_.find(key);
@@ -38,6 +31,10 @@ std::uint32_t World::region_index_at(std::int64_t rx, std::int64_t ry) {
   regions_.back().ry = ry;
   region_index_.emplace(key, index);
   return index;
+}
+
+std::uint64_t World::tile_key(Vec2 p) const {
+  return pack_key(region_coord(cell_coord(p.x)), region_coord(cell_coord(p.y)));
 }
 
 const World::Region* World::find_region(std::int64_t rx,
@@ -51,7 +48,7 @@ const World::Region* World::find_region(std::int64_t rx,
 std::uint32_t World::cell_head(const Region& r, std::uint64_t key) {
   if (r.cells.empty()) return kNil;
   std::size_t mask = r.cells.size() - 1;
-  for (std::size_t i = mix_key(key) & mask;; i = (i + 1) & mask) {
+  for (std::size_t i = splitmix64_finalize(key) & mask;; i = (i + 1) & mask) {
     const Region::CellSlot& s = r.cells[i];
     if (s.head == kNil) return kNil;
     if (s.head != kTomb && s.key == key) return s.head;
@@ -80,7 +77,7 @@ void World::cell_grow(Region& r) {
   std::size_t mask = cap - 1;
   for (const Region::CellSlot& s : old) {
     if (s.head == kNil || s.head == kTomb) continue;
-    std::size_t i = mix_key(s.key) & mask;
+    std::size_t i = splitmix64_finalize(s.key) & mask;
     while (r.cells[i].head != kNil) i = (i + 1) & mask;
     r.cells[i] = s;
   }
@@ -94,7 +91,7 @@ void World::cell_insert(Region& r, std::uint64_t key, NodeId id) {
   }
   std::size_t mask = r.cells.size() - 1;
   std::size_t tomb = SIZE_MAX;
-  std::size_t i = mix_key(key) & mask;
+  std::size_t i = splitmix64_finalize(key) & mask;
   for (;; i = (i + 1) & mask) {
     Region::CellSlot& s = r.cells[i];
     if (s.head == kNil) break;
@@ -117,7 +114,7 @@ void World::cell_insert(Region& r, std::uint64_t key, NodeId id) {
 
 void World::cell_remove(Region& r, std::uint64_t key, NodeId id) {
   std::size_t mask = r.cells.size() - 1;
-  for (std::size_t i = mix_key(key) & mask;; i = (i + 1) & mask) {
+  for (std::size_t i = splitmix64_finalize(key) & mask;; i = (i + 1) & mask) {
     Region::CellSlot& s = r.cells[i];
     OMNI_ASSERTF(s.head != kNil, "grid cell missing on unbucket (node %u)",
                  static_cast<unsigned>(id));
@@ -144,20 +141,11 @@ void World::cell_remove(Region& r, std::uint64_t key, NodeId id) {
 NodeId World::admit(std::string_view name, Vec2 position, bool full_stack) {
   OMNI_CHECK_MSG(sim_.owns_context(kGlobalOwner),
                  "world mutation must be barrier-serialized (global events)");
-  NodeId id = static_cast<NodeId>(node_ref_.size());
+  NodeId id = static_cast<NodeId>(to_.size());
   name_arena_.append(name);
   name_off_.push_back(static_cast<std::uint32_t>(name_arena_.size()));
-  std::uint32_t ri = region_index_at(region_coord(cell_coord(position.x)),
-                                     region_coord(cell_coord(position.y)));
-  Region& r = regions_[ri];
-  node_ref_.push_back(
-      NodeRef{ri, static_cast<std::uint32_t>(r.ids.size())});
-  r.ids.push_back(id);
-  r.from.push_back(position);
-  r.to.push_back(position);
-  r.depart.push_back(sim_.now());
-  r.arrive.push_back(sim_.now());
-  ++r.epoch;
+  to_.push_back(position);
+  motion_of_.push_back(kNil);
   if (full_stack) {
     cache_index_.push_back(static_cast<std::uint32_t>(caches_.size()));
     caches_.emplace_back();
@@ -169,9 +157,9 @@ NodeId World::admit(std::string_view name, Vec2 position, bool full_stack) {
   ++structural_epoch_;
   if (full_stack) {
     // Full-stack nodes own events: RNG stream, mailbox lane, and a shard
-    // pinned to the home region so neighborhood traffic stays shard-local.
+    // pinned to the home tile so neighborhood traffic stays shard-local.
     sim_.ensure_owner(id);
-    sim_.place_owner(id, ri);
+    sim_.place_owner(id, region_of(id));
   }
   return id;
 }
@@ -185,139 +173,107 @@ NodeId World::add_crowd_node(std::string_view name, Vec2 position) {
 }
 
 std::string_view World::name(NodeId id) const {
-  OMNI_CHECK_MSG(id < node_ref_.size(), "unknown node id");
+  OMNI_CHECK_MSG(id < to_.size(), "unknown node id");
   return std::string_view(name_arena_).substr(
       name_off_[id], name_off_[id + 1] - name_off_[id]);
 }
 
 std::uint32_t World::region_of(NodeId id) const {
-  OMNI_ASSERTF(id < node_ref_.size(), "unknown node id %u",
+  OMNI_ASSERTF(id < to_.size(), "unknown node id %u",
                static_cast<unsigned>(id));
-  return node_ref_[id].region;
+  auto it = region_index_.find(tile_key(to_[id]));
+  OMNI_ASSERTF(it != region_index_.end(),
+               "home tile of node %u missing (its endpoint is always listed)",
+               static_cast<unsigned>(id));
+  return it->second;
 }
 
 // --- Motion ------------------------------------------------------------------
 
+World::Segment World::segment(NodeId id) const {
+  const std::uint32_t mi = motion_of_[id];
+  if (mi == kNil) return Segment{to_[id], to_[id], TimePoint{}, TimePoint{}};
+  const Motion& m = motions_[mi];
+  return Segment{m.from, to_[id], m.depart, m.arrive};
+}
+
+void World::set_segment(NodeId id, const Segment& seg) {
+  to_[id] = seg.to;
+  std::uint32_t& mi = motion_of_[id];
+  if (seg.from == seg.to && seg.depart == seg.arrive) {
+    if (mi != kNil) {
+      free_motions_.push_back(mi);
+      mi = kNil;
+    }
+    return;
+  }
+  if (mi == kNil) {
+    if (free_motions_.empty()) {
+      mi = static_cast<std::uint32_t>(motions_.size());
+      motions_.emplace_back();
+    } else {
+      mi = free_motions_.back();
+      free_motions_.pop_back();
+    }
+  }
+  motions_[mi] = Motion{seg.from, seg.depart, seg.arrive};
+}
+
+void World::resegment(NodeId id, const Segment& seg) {
+  unbucket(id);
+  if (tile_key(to_[id]) != tile_key(seg.to)) ++migrations_;
+  set_segment(id, seg);
+  if (seg.arrive > moving_until_) moving_until_ = seg.arrive;
+  bucket(id);
+  ++topo_epoch_;
+}
+
 Vec2 World::position(NodeId id) const {
-  OMNI_ASSERTF(id < node_ref_.size(), "unknown node id %u",
+  OMNI_ASSERTF(id < to_.size(), "unknown node id %u",
                static_cast<unsigned>(id));
-  const NodeRef ref = node_ref_[id];
-  const Region& r = regions_[ref.region];
-  Vec2 to = r.to[ref.slot];
-  TimePoint depart = r.depart[ref.slot];
-  TimePoint arrive = r.arrive[ref.slot];
-  if (arrive == depart) return to;
+  Vec2 to = to_[id];
+  const std::uint32_t mi = motion_of_[id];
+  if (mi == kNil) return to;
+  const Motion& m = motions_[mi];
+  if (m.arrive == m.depart) return to;
   TimePoint now = sim_.now();
-  if (now >= arrive) return to;
-  double total = (arrive - depart).as_seconds();
-  double done = (now - depart).as_seconds();
+  if (now >= m.arrive) return to;
+  double total = (m.arrive - m.depart).as_seconds();
+  double done = (now - m.depart).as_seconds();
   double f = total > 0 ? done / total : 1.0;
-  Vec2 from = r.from[ref.slot];
-  return from + (to - from) * f;
+  return m.from + (to - m.from) * f;
 }
 
 void World::set_position(NodeId id, Vec2 position) {
   OMNI_CHECK_MSG(sim_.owns_context(kGlobalOwner),
                  "world mutation must be barrier-serialized (global events)");
-  OMNI_CHECK_MSG(id < node_ref_.size(), "unknown node id");
-  unbucket(id);
-  std::int64_t rx = region_coord(cell_coord(position.x));
-  std::int64_t ry = region_coord(cell_coord(position.y));
-  NodeRef ref = node_ref_[id];
-  if (regions_[ref.region].rx != rx || regions_[ref.region].ry != ry) {
-    migrate(id, rx, ry);
-    ref = node_ref_[id];
-  }
-  Region& r = regions_[ref.region];
-  r.from[ref.slot] = r.to[ref.slot] = position;
-  r.depart[ref.slot] = r.arrive[ref.slot] = sim_.now();
-  ++r.epoch;
-  bucket(id);
-  ++topo_epoch_;
+  OMNI_CHECK_MSG(id < to_.size(), "unknown node id");
+  resegment(id, Segment{position, position, sim_.now(), sim_.now()});
 }
 
 void World::move_to(NodeId id, Vec2 target, double speed_mps) {
   OMNI_CHECK_MSG(sim_.owns_context(kGlobalOwner),
                  "world mutation must be barrier-serialized (global events)");
   OMNI_CHECK_MSG(speed_mps > 0, "move_to requires positive speed");
-  OMNI_CHECK_MSG(id < node_ref_.size(), "unknown node id");
+  OMNI_CHECK_MSG(id < to_.size(), "unknown node id");
   Vec2 start = position(id);
-  unbucket(id);
-  // Residency follows the segment endpoint: the hot row lands in the region
-  // the node is walking into, so it is already home when it arrives.
-  std::int64_t rx = region_coord(cell_coord(target.x));
-  std::int64_t ry = region_coord(cell_coord(target.y));
-  NodeRef ref = node_ref_[id];
-  if (regions_[ref.region].rx != rx || regions_[ref.region].ry != ry) {
-    migrate(id, rx, ry);
-    ref = node_ref_[id];
-  }
-  Region& r = regions_[ref.region];
   double dist = Vec2::distance(start, target);
-  r.from[ref.slot] = start;
-  r.to[ref.slot] = target;
-  r.depart[ref.slot] = sim_.now();
-  r.arrive[ref.slot] = sim_.now() + Duration::seconds(dist / speed_mps);
-  ++r.epoch;
-  if (r.arrive[ref.slot] > moving_until_) moving_until_ = r.arrive[ref.slot];
-  bucket(id);
-  ++topo_epoch_;
+  resegment(id, Segment{start, target, sim_.now(),
+                        sim_.now() + Duration::seconds(dist / speed_mps)});
 }
 
 double World::distance(NodeId a, NodeId b) const {
   return Vec2::distance(position(a), position(b));
 }
 
-void World::migrate(NodeId id, std::int64_t rx, std::int64_t ry) {
-  NodeRef ref = node_ref_[id];
-  // Handoff record: the motion row leaves the source SoA...
-  Region& src = regions_[ref.region];
-  Vec2 from = src.from[ref.slot];
-  Vec2 to = src.to[ref.slot];
-  TimePoint depart = src.depart[ref.slot];
-  TimePoint arrive = src.arrive[ref.slot];
-  std::uint32_t last = static_cast<std::uint32_t>(src.ids.size() - 1);
-  if (ref.slot != last) {
-    NodeId moved = src.ids[last];
-    src.ids[ref.slot] = moved;
-    src.from[ref.slot] = src.from[last];
-    src.to[ref.slot] = src.to[last];
-    src.depart[ref.slot] = src.depart[last];
-    src.arrive[ref.slot] = src.arrive[last];
-    node_ref_[moved].slot = ref.slot;
-  }
-  src.ids.pop_back();
-  src.from.pop_back();
-  src.to.pop_back();
-  src.depart.pop_back();
-  src.arrive.pop_back();
-  ++src.epoch;
-  // ...and is appended to the destination's (which may not exist yet; the
-  // lookup can reallocate regions_, so `src` is dead past this point).
-  std::uint32_t di = region_index_at(rx, ry);
-  Region& dst = regions_[di];
-  node_ref_[id] = NodeRef{di, static_cast<std::uint32_t>(dst.ids.size())};
-  dst.ids.push_back(id);
-  dst.from.push_back(from);
-  dst.to.push_back(to);
-  dst.depart.push_back(depart);
-  dst.arrive.push_back(arrive);
-  ++dst.epoch;
-  ++migrations_;
-}
-
 // --- Grid maintenance --------------------------------------------------------
 
 void World::bucket(NodeId id) {
-  const NodeRef ref = node_ref_[id];
-  // Copy the segment out first: region_index_at below may reallocate
-  // regions_ when a listing touches a tile with no residents yet.
-  Vec2 a = regions_[ref.region].from[ref.slot];
-  Vec2 b = regions_[ref.region].to[ref.slot];
-  std::int64_t cx0 = cell_coord(std::min(a.x, b.x));
-  std::int64_t cx1 = cell_coord(std::max(a.x, b.x));
-  std::int64_t cy0 = cell_coord(std::min(a.y, b.y));
-  std::int64_t cy1 = cell_coord(std::max(a.y, b.y));
+  const Segment seg = segment(id);
+  std::int64_t cx0 = cell_coord(std::min(seg.from.x, seg.to.x));
+  std::int64_t cx1 = cell_coord(std::max(seg.from.x, seg.to.x));
+  std::int64_t cy0 = cell_coord(std::min(seg.from.y, seg.to.y));
+  std::int64_t cy1 = cell_coord(std::max(seg.from.y, seg.to.y));
   for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
     for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
       Region& r = regions_[region_index_at(region_coord(cx), region_coord(cy))];
@@ -331,13 +287,11 @@ void World::unbucket(NodeId id) {
   // The listed cell set is a pure function of the current segment, so it is
   // recomputed instead of stored per node; every mutator unbuckets before
   // touching the segment.
-  const NodeRef ref = node_ref_[id];
-  Vec2 a = regions_[ref.region].from[ref.slot];
-  Vec2 b = regions_[ref.region].to[ref.slot];
-  std::int64_t cx0 = cell_coord(std::min(a.x, b.x));
-  std::int64_t cx1 = cell_coord(std::max(a.x, b.x));
-  std::int64_t cy0 = cell_coord(std::min(a.y, b.y));
-  std::int64_t cy1 = cell_coord(std::max(a.y, b.y));
+  const Segment seg = segment(id);
+  std::int64_t cx0 = cell_coord(std::min(seg.from.x, seg.to.x));
+  std::int64_t cx1 = cell_coord(std::max(seg.from.x, seg.to.x));
+  std::int64_t cy0 = cell_coord(std::min(seg.from.y, seg.to.y));
+  std::int64_t cy1 = cell_coord(std::max(seg.from.y, seg.to.y));
   for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
     for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
       auto it = region_index_.find(pack_key(region_coord(cx), region_coord(cy)));
@@ -350,31 +304,9 @@ void World::unbucket(NodeId id) {
 }
 
 void World::repartition() {
-  std::size_t n = node_ref_.size();
-  std::vector<Vec2> from(n), to(n);
-  std::vector<TimePoint> depart(n), arrive(n);
-  for (NodeId id = 0; id < n; ++id) {
-    const NodeRef ref = node_ref_[id];
-    const Region& r = regions_[ref.region];
-    from[id] = r.from[ref.slot];
-    to[id] = r.to[ref.slot];
-    depart[id] = r.depart[ref.slot];
-    arrive[id] = r.arrive[ref.slot];
-  }
   regions_.clear();
   region_index_.clear();
-  for (NodeId id = 0; id < n; ++id) {
-    std::uint32_t ri = region_index_at(region_coord(cell_coord(to[id].x)),
-                                       region_coord(cell_coord(to[id].y)));
-    Region& r = regions_[ri];
-    node_ref_[id] = NodeRef{ri, static_cast<std::uint32_t>(r.ids.size())};
-    r.ids.push_back(id);
-    r.from.push_back(from[id]);
-    r.to.push_back(to[id]);
-    r.depart.push_back(depart[id]);
-    r.arrive.push_back(arrive[id]);
-  }
-  for (NodeId id = 0; id < n; ++id) bucket(id);
+  for (NodeId id = 0; id < to_.size(); ++id) bucket(id);
   ++topo_epoch_;
   ++structural_epoch_;
 }
@@ -416,8 +348,8 @@ void World::nodes_in_disc(Vec2 center, double range,
   // more cells than there are nodes.
   std::uint64_t cells = static_cast<std::uint64_t>(cx1 - cx0 + 1) *
                         static_cast<std::uint64_t>(cy1 - cy0 + 1);
-  if (cells >= node_ref_.size()) {
-    for (NodeId id = 0; id < node_ref_.size(); ++id) {
+  if (cells >= to_.size()) {
+    for (NodeId id = 0; id < to_.size(); ++id) {
       if (within(id)) out.push_back(id);
     }
     return;
@@ -470,11 +402,11 @@ std::uint64_t World::neighborhood_epoch(Vec2 center, double range) const {
   // Full-scan regime (disc covers the world) or a pathologically wide disc:
   // fall back to the coarse global epoch — over-invalidation is always
   // correct, unbounded tile walks are not.
-  if (cells >= node_ref_.size() || tiles > 256) {
+  if (cells >= to_.size() || tiles > 256) {
     return structural_epoch_ + topo_epoch_;
   }
   // Each region's epoch only ever grows, so the sum over a fixed tile set is
-  // strictly monotonic; a tile gaining its first resident bumps its epoch
+  // strictly monotonic; a tile gaining its first listing bumps its epoch
   // above the 0 an absent tile contributes. Callers additionally compare the
   // disc center, which pins the tile set itself.
   std::uint64_t e = structural_epoch_;
@@ -498,7 +430,7 @@ void World::nodes_near(NodeId of, double range,
                "nodes_near(%u): concurrent contexts may only query their own "
                "node's neighbor cache",
                static_cast<unsigned>(of));
-  OMNI_ASSERTF(of < node_ref_.size(), "unknown node id %u",
+  OMNI_ASSERTF(of < to_.size(), "unknown node id %u",
                static_cast<unsigned>(of));
   if (sim_.now() < moving_until_) {
     // Some motion segment may still be in flight: positions interpolate, so
@@ -507,8 +439,7 @@ void World::nodes_near(NodeId of, double range,
     return;
   }
   // World static: every node sits at its segment endpoint (`to`).
-  const NodeRef ref = node_ref_[of];
-  Vec2 home = regions_[ref.region].to[ref.slot];
+  Vec2 home = to_[of];
   std::uint32_t ci = cache_index_[of];
   if (ci == kNil) {
     // Crowd nodes carry no cache slot (they own no events, so nothing beacons
@@ -544,13 +475,11 @@ std::vector<NodeId> World::neighbors(NodeId of, double range) const {
 
 void World::snapshot_rows(std::vector<SnapshotRow>& out) const {
   out.clear();
-  out.reserve(node_ref_.size());
-  for (NodeId id = 0; id < node_ref_.size(); ++id) {
-    const NodeRef& ref = node_ref_[id];
-    const Region& r = regions_[ref.region];
-    out.push_back(SnapshotRow{id, cache_index_[id] != kNil, r.from[ref.slot],
-                              r.to[ref.slot], r.depart[ref.slot],
-                              r.arrive[ref.slot]});
+  out.reserve(to_.size());
+  for (NodeId id = 0; id < to_.size(); ++id) {
+    const Segment seg = segment(id);
+    out.push_back(SnapshotRow{id, cache_index_[id] != kNil, seg.from, seg.to,
+                              seg.depart, seg.arrive});
   }
 }
 
@@ -558,11 +487,11 @@ void World::snapshot_rows(std::vector<SnapshotRow>& out) const {
 
 World::MemoryStats World::memory_stats() const {
   MemoryStats m;
+  m.hot_bytes = to_.capacity() * sizeof(Vec2) +
+                motion_of_.capacity() * sizeof(std::uint32_t) +
+                motions_.capacity() * sizeof(Motion) +
+                free_motions_.capacity() * sizeof(std::uint32_t);
   for (const Region& r : regions_) {
-    m.hot_bytes += r.ids.capacity() * sizeof(NodeId) +
-                   (r.from.capacity() + r.to.capacity()) * sizeof(Vec2) +
-                   (r.depart.capacity() + r.arrive.capacity()) *
-                       sizeof(TimePoint);
     m.grid_bytes += r.cells.capacity() * sizeof(Region::CellSlot) +
                     r.links.capacity() * sizeof(Region::Link);
   }
@@ -573,8 +502,7 @@ World::MemoryStats World::memory_stats() const {
   }
   m.cache_bytes += caches_.capacity() * sizeof(NearCache) -
                    caches_.size() * sizeof(NearCache);
-  m.directory_bytes = node_ref_.capacity() * sizeof(NodeRef) +
-                      cache_index_.capacity() * sizeof(std::uint32_t) +
+  m.directory_bytes = cache_index_.capacity() * sizeof(std::uint32_t) +
                       regions_.capacity() * sizeof(Region) +
                       region_index_.size() *
                           (sizeof(std::uint64_t) + sizeof(std::uint32_t) +

@@ -5,38 +5,36 @@
 // world supports static placement, instantaneous teleports, and linear
 // waypoint motion (position is interpolated lazily — no per-tick events).
 //
-// The plane is partitioned into square region tiles (side = region_cells ×
-// grid cells). Each region owns its resident nodes' hot state in dense SoA
-// arrays (motion segments keyed by a small slot index) plus a region-local
-// spatial hash grid: a flat open-addressing cell table whose cells head
-// intrusive chains through a link pool. There is no global per-cell
-// allocation and no per-node std::string/std::vector members — names live in
-// one interned arena, grid listings in the pooled chains — so an idle
-// background node costs ~100 B of RSS instead of the ~150+ B of header
-// overhead the old unordered_map<u64, vector> grid imposed.
+// Per-node state is flat and indexed by NodeId: every node keeps its motion
+// segment's endpoint (`to`), and only a node whose segment is not a point
+// (from != to or depart != arrive: it has walked) keeps a motion row
+// (`from/depart/arrive`) in a recycled side table. A node that never moved,
+// or was teleported, costs its endpoint and a row index. Names live in one
+// interned arena, so there is no per-node std::string or std::vector.
 //
-// A node is resident in the region containing its motion segment's endpoint
-// (`to`); mobility events that cross a tile boundary migrate the node's hot
-// row between regions via a barrier-serialized handoff (swap-pop from the
-// source SoA, append to the destination). Grid listings are conservative
-// over the segment's bounding box and may span several regions; queries
-// intersect the search rectangle with each overlapped region tile and probe
-// only those regions' local tables.
+// The plane is partitioned into square region tiles (side = region_cells ×
+// grid cells). A tile holds only a spatial hash grid and an epoch: a flat
+// open-addressing cell table whose cells head intrusive chains through a
+// link pool. A node is listed in every cell of its segment's bounding box,
+// which may span several tiles; queries intersect the search rectangle with
+// each overlapped tile and probe only that tile's table. A node's home tile
+// is the one containing its endpoint: region_of() resolves it, and
+// migrations() counts the mutations that change it.
 //
 // Nodes come in two flavors:
 //   * add_node — a full-stack device: registered as an event owner (RNG
-//     stream, mailbox lane, region-based shard placement) with an eager
+//     stream, mailbox lane, shard placement by home tile) with an eager
 //     nodes_near cache slot;
-//   * add_crowd_node — background population: world-resident hot state only.
-//     Crowd nodes appear in every range query but own no events, no RNG
-//     stream, and no cache, which is what keeps the idle-node budget ~100 B.
+//   * add_crowd_node — background population: world state only. Crowd
+//     nodes appear in every range query but own no events, no RNG stream,
+//     and no cache, which is what keeps an idle node under 64 B.
 //
 // Concurrency contract (parallel engine): all mutation — add_node, teleports,
-// move_to, regrids, migrations — must run in barrier-serialized global
-// events; const queries (position, distance, nodes_in_disc) may then run
-// concurrently from shard events, since grid chains and motion segments are
-// stable inside a window. nodes_near is the one exception: it lazily writes a
-// per-node cache, so concurrent contexts may only call it for their own node
+// move_to, regrids — must run in barrier-serialized global events; const
+// queries (position, distance, nodes_in_disc) may then run concurrently from
+// shard events, since grid chains and motion segments are stable inside a
+// window. nodes_near is the one exception: it lazily writes a per-node
+// cache, so concurrent contexts may only call it for their own node
 // (single-writer; cache slots are allocated eagerly at admission so a hit or
 // rebuild never reallocates shared storage). Both rules are enforced with
 // checks against the simulator's execution context.
@@ -101,16 +99,16 @@ class World {
 
   /// Register a full-stack node at a position; returns its id. The node
   /// becomes an event owner (ensure_owner) and is placed on the shard of its
-  /// home region (place_owner).
+  /// home tile (place_owner).
   NodeId add_node(std::string_view name, Vec2 position);
 
-  /// Register a background-population node: world-resident hot state only
-  /// (~100 B) — no event ownership, no RNG stream, no neighbor cache. Crowd
-  /// nodes show up in every range query and can be moved like any other
-  /// node; they just cannot own events.
+  /// Register a background-population node: world state only — no event
+  /// ownership, no RNG stream, no neighbor cache. Crowd nodes show up in
+  /// every range query and can be moved like any other node; they just
+  /// cannot own events.
   NodeId add_crowd_node(std::string_view name, Vec2 position);
 
-  std::size_t node_count() const { return node_ref_.size(); }
+  std::size_t node_count() const { return to_.size(); }
   std::string_view name(NodeId id) const;
 
   /// Current (interpolated) position.
@@ -175,19 +173,21 @@ class World {
   bool is_static(TimePoint now) const { return now >= moving_until_; }
 
   /// Region introspection (telemetry; bench_scale reports all three).
+  /// region_of is the index of the node's home tile (the one containing its
+  /// segment endpoint); migrations counts the mutations that changed it.
   std::size_t region_count() const { return regions_.size(); }
   std::uint64_t migrations() const { return migrations_; }
   std::uint32_t region_of(NodeId id) const;
 
   /// Capacity-accounted footprint of the world's own storage (excludes the
   /// simulator, radios, and middleware). The scale bench divides total() by
-  /// node_count() to police the ~100 B/idle-node budget.
+  /// node_count() to police the per-node world budget.
   struct MemoryStats {
-    std::size_t hot_bytes = 0;        ///< region SoA motion rows
+    std::size_t hot_bytes = 0;        ///< endpoints + motion rows
     std::size_t grid_bytes = 0;       ///< cell tables + link pools
     std::size_t name_bytes = 0;       ///< interned name arena + offsets
     std::size_t cache_bytes = 0;      ///< per-device nodes_near caches
-    std::size_t directory_bytes = 0;  ///< node→(region,slot) + region index
+    std::size_t directory_bytes = 0;  ///< cache index + region index
     std::size_t total() const {
       return hot_bytes + grid_bytes + name_bytes + cache_bytes +
              directory_bytes;
@@ -223,23 +223,18 @@ class World {
   static constexpr std::uint32_t kNil = 0xffffffffu;   ///< empty slot / end
   static constexpr std::uint32_t kTomb = 0xfffffffeu;  ///< deleted cell
 
+  /// A region tile: the grid listings of its cells and an epoch. Node state
+  /// lives in the world's flat per-node vectors, not in the tile.
   struct Region {
     std::int64_t rx = 0;  ///< tile coordinate (cell coords / region_cells)
     std::int64_t ry = 0;
-    /// Bumped on every occupancy or position change inside the tile; the
-    /// component of neighborhood_epoch() contributed by this region.
+    /// Bumped whenever a listing in the tile changes (every mutation lists
+    /// and unlists its node); the component of neighborhood_epoch()
+    /// contributed by this region.
     std::uint64_t epoch = 1;
 
-    // Resident hot state, dense SoA keyed by slot. A static node has
-    // depart == arrive and sits at `to`.
-    std::vector<NodeId> ids;
-    std::vector<Vec2> from;
-    std::vector<Vec2> to;
-    std::vector<TimePoint> depart;
-    std::vector<TimePoint> arrive;
-
-    // Region-local grid: open-addressing cell table (power-of-two, linear
-    // probing, tombstones) heading intrusive chains through `links`.
+    // Open-addressing cell table (power-of-two, linear probing, tombstones)
+    // heading intrusive chains through `links`.
     struct CellSlot {
       std::uint64_t key = 0;
       std::uint32_t head = kNil;  ///< link index, kNil (empty), kTomb
@@ -255,10 +250,18 @@ class World {
     std::uint32_t free_link = kNil;
   };
 
-  /// Where a node's hot row lives.
-  struct NodeRef {
-    std::uint32_t region = 0;
-    std::uint32_t slot = 0;
+  /// The part of a motion segment that a point does not need. A node holds
+  /// one only while its segment is not a point (see set_segment).
+  struct Motion {
+    Vec2 from;
+    TimePoint depart;
+    TimePoint arrive;
+  };
+  struct Segment {
+    Vec2 from;
+    Vec2 to;
+    TimePoint depart;
+    TimePoint arrive;
   };
 
   /// nodes_near cache, one eager slot per full-stack node. Valid while the
@@ -270,11 +273,12 @@ class World {
     std::vector<NodeId> ids;
   };
 
+  /// Cell keys pack two coordinates, so the cell tables hash them
+  /// through splitmix64_finalize: low bits alone would collide across rows.
   static std::uint64_t pack_key(std::int64_t a, std::int64_t b) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(b));
   }
-  static std::uint64_t mix_key(std::uint64_t k);
   static std::uint32_t cell_head(const Region& r, std::uint64_t key);
   static std::uint32_t link_alloc(Region& r, NodeId id, std::uint32_t next);
   static void cell_grow(Region& r);
@@ -286,19 +290,25 @@ class World {
   /// Index of the region tile at (rx, ry), creating it if absent. May
   /// reallocate regions_ — never hold a Region& across a call.
   std::uint32_t region_index_at(std::int64_t rx, std::int64_t ry);
+  /// Key (in region_index_) of the tile containing `p`.
+  std::uint64_t tile_key(Vec2 p) const;
   const Region* find_region(std::int64_t rx, std::int64_t ry) const;
 
   NodeId admit(std::string_view name, Vec2 position, bool full_stack);
+  Segment segment(NodeId id) const;
+  /// Store a node's segment: the endpoint always, the motion row only while
+  /// the segment is not a point (from == to and depart == arrive, the test
+  /// the world capture applies); a point releases the node's row for reuse.
+  void set_segment(NodeId id, const Segment& seg);
+  /// Replace a node's segment: unlist it, count a home-tile change, store
+  /// the new segment, relist it.
+  void resegment(NodeId id, const Segment& seg);
   /// List the node under every cell overlapped by the axis-aligned bounding
   /// box of its current motion segment (a point for static nodes). unbucket
   /// recomputes the same cell set from the segment, so it must run before
   /// the segment is mutated.
   void bucket(NodeId id);
   void unbucket(NodeId id);
-  /// Hand the node's hot row from its current region to tile (rx, ry):
-  /// swap-pop out of the source SoA, append to the destination. Grid
-  /// listings are not touched (callers unbucket/bucket around mutation).
-  void migrate(NodeId id, std::int64_t rx, std::int64_t ry);
   /// Rebuild every region from scratch (cell size or region size changed).
   void repartition();
 
@@ -307,7 +317,14 @@ class World {
   std::uint32_t region_cells_;
   std::vector<Region> regions_;  ///< indices are stable (never erased)
   std::unordered_map<std::uint64_t, std::uint32_t> region_index_;
-  std::vector<NodeRef> node_ref_;
+
+  // Per-node segments: to_[node] is the endpoint (the position of a static
+  // node); motion_of_[node] indexes motions_, kNil for a point segment.
+  // Rows released by points are reused from free_motions_.
+  std::vector<Vec2> to_;
+  std::vector<std::uint32_t> motion_of_;
+  std::vector<Motion> motions_;
+  std::vector<std::uint32_t> free_motions_;
 
   // Interned names: one arena, offsets per node (name i spans
   // [name_off_[i], name_off_[i+1])).

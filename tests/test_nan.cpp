@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "net/testbed.h"
 #include "omni/omni_node.h"
@@ -94,6 +96,91 @@ TEST_F(NanRadioTest, FollowupToAbsentPeerTimesOut) {
                         [&](Status s) { failed = !s.is_ok(); });
   bed.simulator().run_for(Duration::seconds(10));
   EXPECT_TRUE(failed);
+}
+
+// A window services the follow-ups queued when it starts, in order. One that
+// cannot go out is queued again behind anything a `done` callback queued
+// while the window ran; the new one waits for the next window.
+TEST_F(NanRadioTest, FollowupQueuedByDoneCallbackKeepsFifoOrder) {
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {50, 0});
+  a.nan().set_enabled(true);
+  b.nan().set_enabled(true);
+  std::vector<Bytes> got;
+  b.nan().set_receive_handler([&](const NanAddress&, const SharedBytes& p) {
+    got.push_back(*p);
+  });
+  const NanAddress absent{0x999};
+  const NanAddress away{0x998};
+  std::vector<std::string> outcomes;
+  auto note = [&](const char* name) {
+    return [&outcomes, name](Status s) {
+      outcomes.push_back(std::string(name) + (s.is_ok() ? ":ok" : ":fail"));
+    };
+  };
+  // `first` gives up in the first window; its callback queues `late`.
+  ASSERT_TRUE(a.nan()
+                  .send_followup(absent, Bytes{1},
+                                 [&](Status s) {
+                                   note("first")(s);
+                                   ASSERT_TRUE(a.nan()
+                                                   .send_followup(
+                                                       b.nan().address(),
+                                                       Bytes{4}, note("late"))
+                                                   .is_ok());
+                                 })
+                  .is_ok());
+  a.nan().followups().back().windows_left = 1;
+  ASSERT_TRUE(a.nan().send_followup(away, Bytes{2}, note("away")).is_ok());
+  ASSERT_TRUE(
+      a.nan().send_followup(b.nan().address(), Bytes{3}, note("near")).is_ok());
+
+  const TimePoint w1 = bed.nan_system().next_window_start(
+      bed.simulator().now() + Duration::micros(1));
+  bed.simulator().run_until(w1 + Duration::millis(1));
+  EXPECT_EQ(outcomes, (std::vector<std::string>{"first:fail"}));
+  ASSERT_EQ(a.nan().followups().size(), 2u);
+  EXPECT_EQ(a.nan().followups()[0].dest, b.nan().address());  // late
+  EXPECT_EQ(a.nan().followups()[1].dest, away);
+
+  const TimePoint w2 =
+      bed.nan_system().next_window_start(w1 + Duration::micros(1));
+  bed.simulator().run_until(w2 + bed.calibration().nan_dw_duration +
+                            Duration::millis(1));
+  EXPECT_EQ(got, (std::vector<Bytes>{{3}, {4}}));
+  EXPECT_EQ(outcomes, (std::vector<std::string>{"first:fail", "near:ok",
+                                                "late:ok"}));
+  ASSERT_EQ(a.nan().followups().size(), 1u);
+  EXPECT_EQ(a.nan().followups()[0].dest, away);
+  // Fail the last one while `outcomes` is still alive.
+  a.nan().set_enabled(false);
+  EXPECT_EQ(outcomes.back(), "away:fail");
+}
+
+// A `done` callback that disables the radio mid-window fails the follow-ups
+// the window has not reached yet, as disabling does between windows.
+TEST_F(NanRadioTest, DisableInsideDoneCallbackFailsRestOfWindow) {
+  auto& a = bed.add_device("a", {0, 0});
+  auto& b = bed.add_device("b", {50, 0});
+  a.nan().set_enabled(true);
+  b.nan().set_enabled(true);
+  int received = 0;
+  b.nan().set_receive_handler(
+      [&](const NanAddress&, const SharedBytes&) { ++received; });
+  ASSERT_TRUE(a.nan()
+                  .send_followup(NanAddress{0x999}, Bytes{1},
+                                 [&](Status) { a.nan().set_enabled(false); })
+                  .is_ok());
+  a.nan().followups().back().windows_left = 1;
+  std::string failure;
+  ASSERT_TRUE(a.nan()
+                  .send_followup(b.nan().address(), Bytes{2},
+                                 [&](Status s) { failure = s.message(); })
+                  .is_ok());
+  bed.simulator().run_for(Duration::seconds(2));
+  EXPECT_EQ(failure, "NAN disabled");
+  EXPECT_EQ(received, 0);
+  EXPECT_TRUE(a.nan().followups().empty());
 }
 
 TEST_F(NanRadioTest, DutyCycleEnergyIsLow) {
