@@ -34,6 +34,10 @@ class D2dStack {
   virtual ~D2dStack() = default;
 
   virtual void start() = 0;
+  /// Stop advertising and scanning and withdraw every handler start() gave
+  /// the device's radios. A stack that powered WiFi leaves it powered and in
+  /// the mesh, as OmniNode::stop() does, so a stopped device sits at the
+  /// WiFi-standby floor that the paper's energy figures are reported against.
   virtual void stop() {}
   virtual PeerId self() const = 0;
 

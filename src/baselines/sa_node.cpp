@@ -64,8 +64,12 @@ void SaNode::stop() {
     ble_advert_ = 0;
   }
   // Withdraw the [this] handlers: the device may outlive this node, and a
-  // later start() registers them afresh.
-  if (options_.enable_ble) device_.ble().set_receive_handler(nullptr);
+  // later start() registers them afresh. The overlay's scan stops with it;
+  // WiFi stays powered and joined (D2dStack::stop()).
+  if (options_.enable_ble) {
+    device_.ble().set_scanning(false);
+    device_.ble().set_receive_handler(nullptr);
+  }
   device_.wifi().remove_handler(datagram_handler_);  // no-op for id 0
   datagram_handler_ = 0;
 }

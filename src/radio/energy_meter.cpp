@@ -3,21 +3,41 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/codec.h"
 #include "common/result.h"
 #include "obs/omniscope.h"
 
 namespace omni::radio {
+
+struct EnergyMeter::Sealed {
+  /// Per run, in seal order: var(index into `tags`), svar(t0 minus the
+  /// previous sealed run's t0; charges may arrive out of order), var(dur),
+  /// var(count), and var(period) when count >= 2.
+  codec::ByteWriter stream;
+  struct Tag {
+    double ma;
+    obs::EnergyRail rail;
+  };
+  /// Each (current, rail) pair a sealed run draws, in first-seal order.
+  std::vector<Tag> tags;
+  /// t0 of the newest sealed run: the base of the next delta.
+  std::int64_t last_t0 = 0;
+  std::size_t runs = 0;
+};
+
+EnergyMeter::EnergyMeter(sim::Simulator& sim, NodeId node)
+    : sim_(sim), node_(node) {}
+
+EnergyMeter::~EnergyMeter() = default;
 
 void EnergyMeter::charge(TimePoint t0, TimePoint t1, double ma,
                          obs::EnergyRail rail) {
   if (t1 <= t0 || ma == 0.0) return;
   const std::int64_t start = t0.as_micros();
   const std::int64_t d = (t1 - t0).as_micros();
-  // Extend one of the newest runs when this charge continues it. A miss
+  // Extend one of the open runs when this charge continues it. A miss
   // only costs a record: integration is exact either way.
-  const std::size_t lo =
-      runs_.size() > kRecentRuns ? runs_.size() - kRecentRuns : 0;
-  for (std::size_t i = runs_.size(); i-- > lo;) {
+  for (std::size_t i = runs_.size(); i-- > 0;) {
     Run& r = runs_[i];
     if (r.ma != ma || r.rail != rail) continue;
     if (r.count >= 2) {
@@ -34,7 +54,41 @@ void EnergyMeter::charge(TimePoint t0, TimePoint t1, double ma,
       return;
     }
   }
+  if (runs_.size() == kRecentRuns) seal_oldest();
   runs_.push_back(Run{start, d, 0, 1, rail, ma});
+}
+
+void EnergyMeter::seal_oldest() {
+  if (!sealed_) sealed_ = std::make_unique<Sealed>();
+  Sealed& s = *sealed_;
+  const Run& r = runs_.front();
+  std::size_t tag = 0;
+  while (tag < s.tags.size() &&
+         (s.tags[tag].ma != r.ma || s.tags[tag].rail != r.rail)) {
+    ++tag;
+  }
+  if (tag == s.tags.size()) s.tags.push_back(Sealed::Tag{r.ma, r.rail});
+  s.stream.var(tag);
+  s.stream.svar(r.t0 - s.last_t0);
+  s.stream.var(static_cast<std::uint64_t>(r.dur));
+  s.stream.var(r.count);
+  if (r.count >= 2) s.stream.var(static_cast<std::uint64_t>(r.period));
+  s.last_t0 = r.t0;
+  ++s.runs;
+  runs_.erase(runs_.begin());
+}
+
+std::size_t EnergyMeter::run_count() const {
+  return runs_.size() + (sealed_ ? sealed_->runs : 0);
+}
+
+std::size_t EnergyMeter::record_bytes() const {
+  std::size_t bytes = runs_.size() * sizeof(Run);
+  if (sealed_) {
+    bytes += sealed_->stream.bytes().size() +
+             sealed_->tags.size() * sizeof(Sealed::Tag);
+  }
+  return bytes;
 }
 
 bool EnergyMeter::ledger_active() const {
@@ -109,11 +163,26 @@ double EnergyMeter::integrate(TimePoint t0, TimePoint t1, Keep keep) const {
   const std::int64_t a = t0.as_micros();
   const std::int64_t b = t1.as_micros();
   double total = 0;
-  for (const Run& r : runs_) {
-    if (!keep(r.rail)) continue;
+  auto add = [&](const Run& r) {
+    if (!keep(r.rail)) return;
     const std::int64_t us = r.covered_before(b) - r.covered_before(a);
     total += static_cast<double>(us) / 1e6 * r.ma;
+  };
+  if (sealed_) {
+    codec::ByteReader in(sealed_->stream.bytes());
+    Run r{};
+    for (std::size_t i = 0; i < sealed_->runs; ++i) {
+      const Sealed::Tag& tag = sealed_->tags[in.var()];
+      r.t0 += in.svar();
+      r.dur = static_cast<std::int64_t>(in.var());
+      r.count = static_cast<std::uint32_t>(in.var());
+      r.period = r.count >= 2 ? static_cast<std::int64_t>(in.var()) : 0;
+      r.rail = tag.rail;
+      r.ma = tag.ma;
+      add(r);
+    }
   }
+  for (const Run& r : runs_) add(r);
   for (const auto& [tag, lvl] : levels_) {
     if (!keep(lvl.rail)) continue;
     const TimePoint lo = std::max(lvl.since, t0);

@@ -18,6 +18,13 @@
 // pulse, and a lone charge is a run of one. Any window is integrated
 // exactly, in O(1) per run.
 //
+// Only the kRecentRuns newest runs stay open as 40-byte records, because
+// charge() extends no other. Appending past them seals the oldest into a
+// per-meter varint stream (a lone pulse takes a few bytes), allocated at the
+// first seal. Integration reads the sealed runs, then the open ones, in the
+// order they were appended, so every total is the same double whether or
+// not a run was sealed.
+//
 // Every charge carries an obs::EnergyRail (which radio the draw belongs to).
 // When an Omniscope is attached to the simulator and the meter knows its
 // node, flush_levels() (Testbed calls it at every report or export) mirrors
@@ -28,6 +35,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,8 +52,8 @@ namespace omni::radio {
 
 class EnergyMeter {
  public:
-  explicit EnergyMeter(sim::Simulator& sim, NodeId node = kInvalidNode)
-      : sim_(sim), node_(node) {}
+  explicit EnergyMeter(sim::Simulator& sim, NodeId node = kInvalidNode);
+  ~EnergyMeter();
   EnergyMeter(const EnergyMeter&) = delete;
   EnergyMeter& operator=(const EnergyMeter&) = delete;
 
@@ -90,8 +98,12 @@ class EnergyMeter {
   /// Average current over [t0, t1] in mA.
   double average_ma(TimePoint t0, TimePoint t1) const;
 
-  /// Interval-charge records held (for tests).
-  std::size_t run_count() const { return runs_.size(); }
+  /// Interval-charge records held, open and sealed (for tests).
+  std::size_t run_count() const;
+
+  /// Bytes those records take: 40 per open run, plus the sealed stream and
+  /// its table of (current, rail) pairs (for tests and memory probes).
+  std::size_t record_bytes() const;
 
   sim::Simulator& simulator() { return sim_; }
   NodeId node() const { return node_; }
@@ -112,8 +124,11 @@ class EnergyMeter {
     std::int64_t covered_before(std::int64_t x) const;
   };
   static_assert(sizeof(Run) <= 40, "one run must stay within 40 bytes");
-  /// How many of the newest runs charge() tries to extend before appending.
+  /// How many of the newest runs stay open for charge() to extend.
   static constexpr std::size_t kRecentRuns = 8;
+  /// The runs sealed so far; defined in the .cpp, which keeps the codec
+  /// out of this header.
+  struct Sealed;
 
   struct Level {
     double ma = 0;
@@ -122,13 +137,18 @@ class EnergyMeter {
   };
 
   bool ledger_active() const;
+  /// Move the oldest open run into the sealed stream.
+  void seal_oldest();
   /// Sum over the runs and open levels `keep(rail)` accepts, in record order.
   template <typename Keep>
   double integrate(TimePoint t0, TimePoint t1, Keep keep) const;
 
   sim::Simulator& sim_;
   NodeId node_;
+  /// The open runs, oldest first; at most kRecentRuns.
   std::vector<Run> runs_;
+  /// Null until the first seal.
+  std::unique_ptr<Sealed> sealed_;
   std::map<std::string, Level> levels_;
   /// Per-rail micro-amp-seconds already added to the ledger.
   std::int64_t mirrored_uAs_[obs::kEnergyRailCount] = {};

@@ -544,14 +544,24 @@ void MeshNetwork::service_bulk_queue() {
         // loss per receiver (a partitioned or lossy receiver misses it).
         const TimePoint now = system_.simulator().now();
         const std::uint64_t salt = ++fault_salt_;
+        obs::Omniscope* sc = OMNI_SCOPE(system_.simulator());
+        const NodeId src = item.src->node();
         auto gone = [&](WifiRadio* r) {
           if (fault_partitioned(*item.src, *r, now)) {
             plan->note_partition_drop();
+            if (sc != nullptr) {
+              sc->count_on(src, sc->core().fault_partition_drops);
+              sc->instant_on(src, obs::Cat::kFaultPartition, r->node());
+            }
             return true;
           }
-          if (plan->dropped(item.src->node(), r->node(),
-                            sim::FaultRadio::kWifi, now, salt)) {
+          if (plan->dropped(src, r->node(), sim::FaultRadio::kWifi, now,
+                            salt)) {
             plan->note_drop();
+            if (sc != nullptr) {
+              sc->count_on(src, sc->core().fault_drops);
+              sc->instant_on(src, obs::Cat::kFaultDrop, r->node());
+            }
             return true;
           }
           return false;

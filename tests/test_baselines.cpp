@@ -393,5 +393,27 @@ TEST(BaselineLivenessTest, SpWifiJoinOutlivingItsNodeIsInert) {
   destroy_mid_join(&make_sp_wifi);
 }
 
+// A stopped SA stack stops its overlay's BLE scan, as SP-BLE's does; WiFi
+// stays powered and in the mesh (D2dStack::stop()).
+TEST(BaselineStopTest, SaStopTurnsItsBleScanOff) {
+  net::Testbed bed(42);
+  Directory directory;
+  auto& d = bed.add_device("sa", {0, 0});
+  SaNode sa(d, bed.mesh(), directory);
+  sa.start();
+  bed.simulator().run_for(Duration::seconds(10));
+  const TimePoint stopped = bed.simulator().now();
+  sa.stop();
+  bed.simulator().run_for(Duration::seconds(10));
+  const TimePoint end = bed.simulator().now();
+  EXPECT_GT(d.meter().total_mAs(TimePoint::origin(), stopped,
+                                obs::EnergyRail::kBleScan),
+            0.0);
+  EXPECT_EQ(d.meter().total_mAs(stopped, end, obs::EnergyRail::kBleScan),
+            0.0);
+  EXPECT_TRUE(d.wifi().powered());
+  EXPECT_EQ(d.wifi().mesh(), &bed.mesh());
+}
+
 }  // namespace
 }  // namespace omni::baselines

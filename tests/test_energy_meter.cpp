@@ -54,6 +54,76 @@ class SegmentList {
   std::vector<Segment> segments_;
 };
 
+/// The meter's run list before runs were sealed: every run a 40-byte record
+/// in one vector, charge() extending one of the eight newest, integration in
+/// record order. A meter that seals must hold as many runs and integrate to
+/// the same doubles.
+class OpenRunList {
+ public:
+  void charge(std::int64_t start, std::int64_t end, double ma,
+              obs::EnergyRail rail) {
+    if (end <= start || ma == 0.0) return;
+    const std::int64_t d = end - start;
+    const std::size_t lo = runs_.size() > 8 ? runs_.size() - 8 : 0;
+    for (std::size_t i = runs_.size(); i-- > lo;) {
+      Run& r = runs_[i];
+      if (r.ma != ma || r.rail != rail) continue;
+      if (r.count >= 2) {
+        if (r.dur == d && start == r.t0 + r.count * r.period) {
+          ++r.count;
+          return;
+        }
+      } else if (start == r.t0 + r.dur) {
+        r.dur += d;
+        return;
+      } else if (r.dur == d && start - r.t0 >= d) {
+        r.period = start - r.t0;
+        r.count = 2;
+        return;
+      }
+    }
+    runs_.push_back(Run{start, d, 0, 1, rail, ma});
+  }
+  double total_mAs(std::int64_t a, std::int64_t b) const {
+    return integrate(a, b, [](obs::EnergyRail) { return true; });
+  }
+  double total_mAs(std::int64_t a, std::int64_t b,
+                   obs::EnergyRail rail) const {
+    return integrate(a, b, [rail](obs::EnergyRail r) { return r == rail; });
+  }
+  std::size_t run_count() const { return runs_.size(); }
+
+ private:
+  struct Run {
+    std::int64_t t0;
+    std::int64_t dur;
+    std::int64_t period;
+    std::uint32_t count;
+    obs::EnergyRail rail;
+    double ma;
+
+    std::int64_t covered_before(std::int64_t x) const {
+      const std::int64_t rel = x - t0;
+      if (rel <= 0) return 0;
+      if (count == 1) return std::min(rel, dur);
+      const std::int64_t k = rel / period;
+      if (k >= count) return count * dur;
+      return k * dur + std::min(rel - k * period, dur);
+    }
+  };
+  template <typename Keep>
+  double integrate(std::int64_t a, std::int64_t b, Keep keep) const {
+    double total = 0;
+    for (const Run& r : runs_) {
+      if (!keep(r.rail)) continue;
+      const std::int64_t us = r.covered_before(b) - r.covered_before(a);
+      total += static_cast<double>(us) / 1e6 * r.ma;
+    }
+    return total;
+  }
+  std::vector<Run> runs_;
+};
+
 struct Charge {
   std::int64_t issued;  ///< when the charge is made (feed order)
   std::int64_t t0;
@@ -306,6 +376,158 @@ TEST(EnergyMeterTest, RunsMatchSegmentListOnAnyWindow) {
     }
   }
   EXPECT_GE(windows, 1000u);
+}
+
+/// Irregular busy spans as a BusyCharger leaves them: each settle step
+/// charges part of the interval since the previous one, starting at the
+/// watermark, so spans are lone pulses of every length, a few back to back.
+/// `spans` such spans at 40 mA on the WiFi rail, in charge order.
+std::vector<Charge> busy_spans(std::uint64_t seed, int spans) {
+  std::mt19937_64 rng(seed);
+  auto uniform = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  std::vector<Charge> out;
+  std::int64_t settled = 0;
+  std::int64_t busy_until = 0;
+  while (static_cast<int>(out.size()) < spans) {
+    const std::int64_t now = settled + uniform(1, 20'000);
+    const std::int64_t start = std::max(settled, busy_until);
+    const std::int64_t end = std::min(now, start + uniform(1, 6'000));
+    if (end > start) {
+      out.push_back(Charge{now, start, end, 40.0, obs::EnergyRail::kWifi});
+      busy_until = end;
+    }
+    settled = now;
+  }
+  return out;
+}
+
+/// A traffic-like feed: busy spans on two WiFi currents, a beacon train
+/// and a scan train whose pulses are now and then skipped (broken trains),
+/// and charges back-dated by up to 2 s (a level closed late, a flow settled
+/// after later charges), so sealed start times step backwards.
+std::vector<Charge> traffic_mix(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto uniform = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  std::vector<Charge> out = busy_spans(seed, 2'000);
+  const std::int64_t horizon = out.back().t1;
+  for (Charge& c : out) {
+    if (uniform(0, 3) == 0) c.ma = 160.0;  // the receive side of a flow
+  }
+  const struct {
+    std::int64_t period;
+    std::int64_t dur;
+    double ma;
+    obs::EnergyRail rail;
+  } trains[] = {{100'000, 10'000, 12.5, obs::EnergyRail::kBle},
+                {250'000, 25'000, 7.0, obs::EnergyRail::kBleScan}};
+  for (const auto& train : trains) {
+    for (std::int64_t t = uniform(0, train.period); t + train.dur <= horizon;
+         t += train.period) {
+      if (uniform(0, 9) == 0) continue;  // a gap breaks the train
+      out.push_back(Charge{t + train.dur, t, t + train.dur, train.ma,
+                           train.rail});
+    }
+  }
+  for (int i = 0; i < 400; ++i) {
+    const std::int64_t t0 = uniform(0, horizon);
+    const std::int64_t lag = uniform(1, 2'000'000);
+    out.push_back(Charge{t0 + lag, t0, t0 + uniform(1, 30'000),
+                         i % 2 == 0 ? 95.0 : 160.0,
+                         i % 3 == 0 ? obs::EnergyRail::kBle
+                                    : obs::EnergyRail::kWifi});
+  }
+  std::stable_sort(out.begin(), out.end(), [](const Charge& x,
+                                              const Charge& y) {
+    return x.issued < y.issued;
+  });
+  return out;
+}
+
+TEST(EnergyMeterTest, SealedRunsIntegrateExactlyLikeOpenRuns) {
+  const obs::EnergyRail rails[] = {
+      obs::EnergyRail::kOther, obs::EnergyRail::kBle,
+      obs::EnergyRail::kWifi, obs::EnergyRail::kNan,
+      obs::EnergyRail::kBleScan};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    sim::Simulator sim;
+    EnergyMeter meter(sim);
+    OpenRunList open;
+    const std::vector<Charge> mix = traffic_mix(seed);
+    ASSERT_GE(mix.size(), 2'000u);
+    for (const Charge& c : mix) {
+      meter.charge(at_us(c.t0), at_us(c.t1), c.ma, c.rail);
+      open.charge(c.t0, c.t1, c.ma, c.rail);
+    }
+    ASSERT_EQ(meter.run_count(), open.run_count()) << "seed " << seed;
+    ASSERT_GT(meter.run_count(), 1'000u) << "most runs are sealed";
+
+    std::int64_t first = INT64_MAX;
+    std::int64_t last = 0;
+    for (const Charge& c : mix) {
+      first = std::min(first, c.t0);
+      last = std::max(last, c.t1);
+    }
+    std::mt19937_64 rng(seed * 7919);
+    auto uniform = [&](std::int64_t lo, std::int64_t hi) {
+      return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+    };
+    // A point strictly inside one of the first charges made: those runs
+    // were sealed long before the feed ended.
+    auto inside_early_pulse = [&] {
+      for (;;) {
+        const Charge& c = mix[static_cast<std::size_t>(uniform(0, 499))];
+        if (c.t1 - c.t0 >= 2) return uniform(c.t0 + 1, c.t1 - 1);
+      }
+    };
+    std::vector<std::pair<std::int64_t, std::int64_t>> qs = {
+        {0, last},
+        {0, first},
+        {last, last + 10'000},
+        {last + 1, last + 2'000'000},
+    };
+    for (int i = 0; i < 60; ++i) {
+      const std::int64_t a = inside_early_pulse();
+      const std::int64_t b =
+          i % 2 == 0 ? inside_early_pulse() : a + uniform(0, 5'000);
+      qs.emplace_back(std::min(a, b), std::max(a, b));
+      const std::int64_t c = uniform(0, last + 10'000);
+      const std::int64_t d = uniform(0, last + 10'000);
+      qs.emplace_back(std::min(c, d), std::max(c, d));
+    }
+    for (const auto& [a, b] : qs) {
+      EXPECT_EQ(meter.total_mAs(at_us(a), at_us(b)), open.total_mAs(a, b))
+          << "seed " << seed << " window [" << a << ", " << b << "]";
+      for (obs::EnergyRail rail : rails) {
+        EXPECT_EQ(meter.total_mAs(at_us(a), at_us(b), rail),
+                  open.total_mAs(a, b, rail))
+            << "seed " << seed << " rail " << obs::rail_name(rail)
+            << " window [" << a << ", " << b << "]";
+      }
+    }
+    EXPECT_EQ(meter.total_mAs(at_us(0), at_us(first)), 0.0);
+    EXPECT_EQ(meter.total_mAs(at_us(last), at_us(last + 10'000)), 0.0);
+  }
+}
+
+TEST(EnergyMeterTest, SealedRunsTakeAtMostTwelveBytes) {
+  sim::Simulator sim;
+  EnergyMeter meter(sim);
+  OpenRunList open;
+  for (const Charge& c : busy_spans(42, 10'000)) {
+    meter.charge(at_us(c.t0), at_us(c.t1), c.ma, c.rail);
+    open.charge(c.t0, c.t1, c.ma, c.rail);
+  }
+  ASSERT_EQ(meter.run_count(), open.run_count());
+  ASSERT_GT(meter.run_count(), 8'000u) << "few spans merge";
+  // Eight runs stay open at 40 bytes each; every older one is sealed.
+  constexpr std::size_t kOpenRuns = 8;
+  constexpr std::size_t kOpenRunBytes = 40;
+  const std::size_t sealed = meter.run_count() - kOpenRuns;
+  EXPECT_LE(meter.record_bytes(), kOpenRuns * kOpenRunBytes + 12 * sealed);
 }
 
 TEST(EnergyMeterTest, LoneChargeIntegratesLikeOneSegment) {

@@ -3,7 +3,11 @@
 // mechanism behind the paper's Table 5 "multicast impedes TCP" effect).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "net/testbed.h"
+#include "obs/omniscope.h"
 #include "radio/mesh.h"
 #include "radio/wifi_radio.h"
 
@@ -94,6 +98,46 @@ TEST_F(MeshMulticastTest, BulkItemsAreServedInOrder) {
                             [&](auto) { order.push_back(2); });
   bed.simulator().run_for(Duration::seconds(30));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// A bulk item is lost whole per receiver. Each loss is counted in the fault
+// plan and in the Omniscope, and both counts equal the deliveries that did
+// not happen.
+TEST_F(MeshMulticastTest, BulkFaultDropsCountInPlanAndScope) {
+  obs::Omniscope& scope = bed.enable_observability();
+  sim::FaultPlan& plan = bed.fault_plan();
+  sim::FaultPlan::LinkFault lossy;
+  lossy.radio = sim::FaultRadio::kWifi;
+  lossy.loss = 0.5;
+  plan.add_link_fault(lossy);
+  auto& a = joined_device("a", {0, 0});
+  std::vector<net::Device*> receivers;
+  for (int i = 0; i < 6; ++i) {
+    receivers.push_back(
+        &joined_device("r" + std::to_string(i), {5.0 + i, 0}));
+  }
+  settle();
+  std::uint64_t delivered = 0;
+  for (net::Device* d : receivers) {
+    d->wifi().add_datagram_handler(
+        [&](const MeshAddress&, const SharedBytes&, bool multicast) {
+          if (multicast) ++delivered;
+        });
+  }
+  constexpr std::uint64_t kItems = 20;
+  for (std::uint64_t i = 0; i < kItems; ++i) {
+    ASSERT_TRUE(bed.mesh()
+                    .multicast_bulk(a.wifi(), 1'400,
+                                    Bytes{static_cast<std::uint8_t>(i)},
+                                    nullptr)
+                    .is_ok());
+  }
+  bed.simulator().run_for(Duration::seconds(10));
+  const std::uint64_t lost = kItems * receivers.size() - delivered;
+  EXPECT_GT(lost, 0u);
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(plan.stats().drops, lost);
+  EXPECT_EQ(scope.metrics().counter_total(scope.core().fault_drops), lost);
 }
 
 TEST_F(MeshMulticastTest, PeriodicLoadReducesTcpCapacity) {
