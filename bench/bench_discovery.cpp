@@ -31,7 +31,6 @@
 
 #include "bench_util.h"
 #include "net/testbed.h"
-#include "obs/omniscope.h"
 #include "omni/manager_snapshot.h"
 #include "omni/omni_node.h"
 #include "sim/snapshot.h"
@@ -78,8 +77,9 @@ RunResult run_regime(const Regime& regime, const DiscoveryPolicy& policy,
                      unsigned threads) {
   net::Testbed bed(7, radio::Calibration::defaults(), threads);
   bed.set_discovery_policy(policy);
-  obs::Omniscope& scope =
-      bed.enable_observability(/*ring_capacity=*/1 << 12, /*detail=*/false);
+  // The scope puts the metrics section into each state capture, so the
+  // cross-thread comparison covers it too.
+  bed.enable_observability(/*ring_capacity=*/1 << 12, /*detail=*/false);
 
   OmniNodeOptions opts;
   opts.manager.discovery = bed.discovery_policy();
@@ -146,20 +146,19 @@ RunResult run_regime(const Regime& regime, const DiscoveryPolicy& policy,
   r.events = bed.simulator().executed_events();
   r.latency_ms = latency_ms;
   r.state = bed.capture_snapshot();
-  scope.flush();
+  const TimePoint end = bed.simulator().now();
   double ma_sum = 0.0;
   double interval_sum_ms = 0.0;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    ma_sum += devices[i]->meter().average_ma(TimePoint::origin(),
-                                             bed.simulator().now());
+    ma_sum += devices[i]->meter().average_ma(TimePoint::origin(), end);
     const ManagerStats& st = nodes[i]->manager().stats();
     r.beacons_suppressed += st.beacons_suppressed;
     r.scan_windows_skipped += st.scan_windows_skipped;
     r.beacons_received += st.beacons_received;
     interval_sum_ms +=
         nodes[i]->manager().current_beacon_interval().as_millis();
-    r.ble_scan_mAs +=
-        scope.energy().rail_mAs(devices[i]->node(), obs::EnergyRail::kBleScan);
+    r.ble_scan_mAs += devices[i]->meter().total_mAs(
+        TimePoint::origin(), end, obs::EnergyRail::kBleScan);
   }
   r.mean_resident_ma = ma_sum / static_cast<double>(nodes.size());
   r.mean_beacon_interval_ms =

@@ -5,12 +5,10 @@
 // measured by the energy meter over exactly the operation window — the
 // virtual equivalent of reading the paper's inline USB power meter during
 // one operation.
-#include <cmath>
 #include <cstdio>
 
 #include "bench_util.h"
 #include "net/testbed.h"
-#include "obs/omniscope.h"
 #include "radio/mesh.h"
 
 namespace omni {
@@ -129,37 +127,13 @@ int main() {
       {"BLE-scan", 7.0, measure_ble_scan},
       {"BLE-advertise", 8.2, measure_ble_advertise},
   };
-  // Every run also cross-checks the Omniscope energy ledger (fixed-point
-  // rail counters fed by the radios) against the meter's own float
-  // integrals: per-node totals must agree within 1%.
-  int ledger_mismatches = 0;
   for (const Row& row : rows) {
     net::Testbed bed(7);
-    obs::Omniscope& scope = bed.enable_observability();
-    double measured = row.measure(bed);
-    bench::print_compare(row.label, row.paper, measured, "mA");
-    scope.flush();  // close open standby levels into the ledger
-    const TimePoint now = bed.simulator().now();
-    for (std::size_t i = 0; i < bed.device_count(); ++i) {
-      net::Device& dev = bed.device(i);
-      const double meter = dev.meter().total_mAs(TimePoint::origin(), now);
-      const double ledger = scope.energy().total_mAs(dev.node());
-      if (meter > 1e-9 && std::abs(ledger - meter) > meter * 0.01) {
-        std::fprintf(stderr,
-                     "  LEDGER MISMATCH (%s, node %u): ledger %.4f mAs vs "
-                     "meter %.4f mAs\n",
-                     row.label, dev.node(), ledger, meter);
-        ++ledger_mismatches;
-      }
-    }
-  }
-  if (ledger_mismatches == 0) {
-    std::printf("\nenergy ledger: per-node totals match the meter within "
-                "1%% on every operation\n");
+    bench::print_compare(row.label, row.paper, row.measure(bed), "mA");
   }
   std::printf(
       "\nNote: operation currents are calibrated from the paper's own Table "
       "3 (see src/radio/calibration.h); this bench verifies the energy-"
       "metering path reproduces them end-to-end through the radio models.\n");
-  return ledger_mismatches == 0 ? 0 : 1;
+  return 0;
 }

@@ -24,7 +24,7 @@ class Device {
          NodeId node)
       : node_(node),
         world_(world),
-        meter_(world.simulator(), node),
+        meter_(world.simulator()),
         ble_(ble_medium, world.simulator(), meter_, node,
              ble_medium.calibration()),
         wifi_(wifi_system, meter_, node),

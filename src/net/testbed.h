@@ -6,6 +6,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -91,8 +93,9 @@ class Testbed {
     return world_.add_crowd_node(name, position);
   }
 
-  /// Attach an Omniscope to the simulator: metrics, flight recorder, and
-  /// energy ledger all come alive. Idempotent; call any time during setup
+  /// Attach an Omniscope to the simulator: metrics and flight recorder
+  /// come alive, and each device's energy meter shows up as per-rail
+  /// `energy.<rail>.uAs` gauges. Idempotent; call any time during setup
   /// (devices added before or after are both covered). Costs one predicted
   /// branch per instrumentation site when off — see obs/omniscope.h.
   /// `detail` gates per-frame trace records (counters are unconditional);
@@ -103,10 +106,28 @@ class Testbed {
       scope_ = std::make_unique<obs::Omniscope>();
       scope_->attach(sim_, ring_capacity);
       scope_->set_detail(detail);
-      // Open energy levels (standby draws) only reach the ledger when
-      // closed; flush them whenever aggregates are read or exported.
-      scope_->add_flush_hook([this] {
-        for (auto& d : devices_) d->meter().flush_levels();
+      // The meters keep the only energy count. Each flush reads every
+      // rail's total over [origin, now], in micro-amp-seconds, so the
+      // integer gauges aggregate the same at any thread count.
+      std::array<obs::MetricId, obs::kEnergyRailCount> rails;
+      for (std::size_t r = 0; r < rails.size(); ++r) {
+        rails[r] = scope_->metrics().gauge(
+            std::string("energy.") +
+            obs::rail_name(static_cast<obs::EnergyRail>(r)) + ".uAs");
+      }
+      scope_->add_flush_hook([this, rails] {
+        const TimePoint now = sim_.now();
+        const std::size_t lane = scope_->lane();
+        for (auto& d : devices_) {
+          for (std::size_t r = 0; r < rails.size(); ++r) {
+            const double mAs = d->meter().total_mAs(
+                TimePoint::origin(), now, static_cast<obs::EnergyRail>(r));
+            scope_->metrics().set_gauge(
+                lane, rails[r], d->node(),
+                static_cast<std::uint64_t>(std::llround(1000.0 * mAs)),
+                now.as_micros());
+          }
+        }
       });
       scope_->ensure_owner_capacity(world_.node_count());
       for (auto& d : devices_) {
@@ -275,9 +296,8 @@ class Testbed {
   /// Capture the complete logical run state at the current instant. Must be
   /// called from a quiescent context: setup/teardown code or a
   /// barrier-serialized global event (the engine-state walkers assert this).
-  /// Metrics are captured from the registry directly — deliberately without
-  /// running flush hooks, which would perturb in-progress energy-level
-  /// accounting relative to a run that never checkpointed.
+  /// The metrics section is a flushed dump, so it holds energy at the
+  /// capture instant; a flush only reads model state.
   ///
   /// This capture, compared by sim::diff_snapshots with `ignore_threads`
   /// set, is the one cross-thread determinism check: runs of one seed at
@@ -302,7 +322,7 @@ class Testbed {
     sim::capture_faults(fault_plan_, snap);
     if (scope_) {
       sim::ByteWriter w;
-      w.str(scope_->metrics().dump());
+      w.str(scope_->metrics_dump());
       snap.section(sim::kSecMetrics).bytes = w.take();
     }
     for (auto& source : snapshot_sources_) source(snap);

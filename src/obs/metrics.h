@@ -16,7 +16,7 @@
 //
 // Determinism. Aggregation sums lane arrays cell-wise. All cells are
 // unsigned 64-bit integers (fractional quantities are stored fixed-point,
-// e.g. the energy ledger's micro-amp-seconds), so the sum is independent of
+// e.g. the energy gauges' micro-amp-seconds), so the sum is independent of
 // how owners were partitioned into lanes — aggregates are bit-equal for any
 // --threads value. Metrics are written from simulation state but never read
 // back by it, so instrumentation cannot perturb the simulation itself.

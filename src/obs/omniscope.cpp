@@ -24,25 +24,12 @@ void Omniscope::attach(sim::Simulator& sim, std::size_t ring_capacity) {
   // Core metrics, registered once (registration is idempotent by name).
   static constexpr std::array<double, 10> kLatencyBoundsMs = {
       1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000};
-  core_.data_ops = metrics_.counter("mgr.data_ops");
   core_.data_ok = metrics_.counter("mgr.data_ok");
   core_.data_failed = metrics_.counter("mgr.data_failed");
-  core_.data_failovers = metrics_.counter("mgr.data_failovers");
-  core_.deadline_failovers = metrics_.counter("mgr.deadline_failovers");
-  core_.quarantines = metrics_.counter("mgr.quarantines");
-  core_.beacon_rx = metrics_.counter("mgr.beacon_rx");
-  core_.context_rx = metrics_.counter("mgr.context_rx");
-  core_.data_rx = metrics_.counter("mgr.data_rx");
-  core_.engagements = metrics_.counter("mgr.engagements");
   core_.data_latency_ms =
       metrics_.histogram("mgr.data_latency_ms", kLatencyBoundsMs);
-  core_.beacon_encodes = metrics_.counter("mgr.beacon_encodes");
-  core_.beacon_frames_cached = metrics_.counter("mgr.beacon_frames_cached");
-  core_.peer_expire_sweeps = metrics_.counter("mgr.peer_expire_sweeps");
   static constexpr std::array<double, 7> kIntervalBoundsMs = {
       250, 500, 1000, 2000, 4000, 8000, 16000};
-  core_.beacons_suppressed = metrics_.counter("mgr.beacons_suppressed");
-  core_.scan_windows_skipped = metrics_.counter("mgr.scan_windows_skipped");
   core_.beacon_interval_ms =
       metrics_.histogram("mgr.beacon_interval_ms", kIntervalBoundsMs);
   core_.tech_send[0] = metrics_.counter("tech.ble.sends");
@@ -54,15 +41,10 @@ void Omniscope::attach(sim::Simulator& sim, std::size_t ring_capacity) {
   core_.wifi_scans = metrics_.counter("radio.wifi.scans");
   core_.mesh_tx = metrics_.counter("radio.mesh.tx");
   core_.nan_dw = metrics_.counter("radio.nan.dw");
-  core_.fault_drops = metrics_.counter("fault.drops");
-  core_.fault_corruptions = metrics_.counter("fault.corruptions");
-  core_.fault_delays = metrics_.counter("fault.delays");
-  core_.fault_partition_drops = metrics_.counter("fault.partition_drops");
   core_.engine_events = metrics_.gauge("engine.events");
   core_.engine_windows = metrics_.gauge("engine.windows");
   core_.engine_global_events = metrics_.gauge("engine.global_events");
   core_.engine_mailbox_posts = metrics_.gauge("engine.mailbox_posts");
-  energy_.bind(metrics_);
 
   metrics_.shape(std::max<std::size_t>(metrics_.owner_capacity(), 1), lanes);
   sim.set_scope(this);

@@ -6,15 +6,17 @@
 //     per-lane sharded storage (obs/metrics.h);
 //   * a FlightRecorder — per-lane binary trace rings of 32-byte POD records
 //     (obs/flight_recorder.h);
-//   * an EnergyLedger — per-node per-technology charge counters fed by the
-//     radio models' EnergyMeters (obs/energy_ledger.h);
 //   * a StringTable for dynamic labels and owner (node) names.
 //
-// Instrumented components reach the scope through their Simulator reference:
+// A fact that a component already counts (ManagerStats, FaultPlan::stats(),
+// an EnergyMeter's rails) is counted there only: the scope reads it through
+// a flush hook or not at all. Sites push trace records and histogram
+// samples, which need a timestamp or a distribution, and bump counters only
+// for facts no component counts. They reach the scope through their
+// Simulator:
 //
 //     if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-//       sc->count(sc->core().beacon_rx);
-//       sc->instant(obs::Cat::kBeaconRx, sender.value);
+//       sc->instant_on(owner, obs::Cat::kFailover, op_id);
 //     }
 //
 // A null scope (the default — observability is opt-in per Testbed) costs one
@@ -32,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/energy_ledger.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/strings.h"
@@ -44,26 +45,11 @@ namespace omni::obs {
 /// Well-known metric ids, registered at attach() so hot paths never look a
 /// metric up by name.
 struct CoreMetrics {
-  // Manager.
-  MetricId data_ops = kInvalidMetric;
+  // Manager: data-op outcomes (ManagerStats counts sends and failovers).
   MetricId data_ok = kInvalidMetric;
   MetricId data_failed = kInvalidMetric;
-  MetricId data_failovers = kInvalidMetric;
-  MetricId deadline_failovers = kInvalidMetric;
-  MetricId quarantines = kInvalidMetric;
-  MetricId beacon_rx = kInvalidMetric;
-  MetricId context_rx = kInvalidMetric;
-  MetricId data_rx = kInvalidMetric;
-  MetricId engagements = kInvalidMetric;
-  MetricId data_latency_ms = kInvalidMetric;  ///< histogram, ok ops only
-  // Beacon fast path (manager frame cache and expiry sweep; see DESIGN.md).
-  MetricId beacon_encodes = kInvalidMetric;        ///< wire-frame (re)encodes
-  MetricId beacon_frames_cached = kInvalidMetric;  ///< sends from the cache
-  MetricId peer_expire_sweeps = kInvalidMetric;    ///< periodic expiry sweeps
-  // Adaptive discovery scheduler (DiscoveryPolicy; see DESIGN.md).
-  MetricId beacons_suppressed = kInvalidMetric;    ///< beacons saved vs floor
-  MetricId scan_windows_skipped = kInvalidMetric;  ///< probe duty below default
-  MetricId beacon_interval_ms = kInvalidMetric;    ///< histogram, per tick
+  MetricId data_latency_ms = kInvalidMetric;     ///< histogram, ok ops only
+  MetricId beacon_interval_ms = kInvalidMetric;  ///< histogram, per tick
   // Technology plugins (one send counter per technology).
   MetricId tech_send[4] = {kInvalidMetric, kInvalidMetric, kInvalidMetric,
                            kInvalidMetric};
@@ -73,11 +59,6 @@ struct CoreMetrics {
   MetricId wifi_scans = kInvalidMetric;
   MetricId mesh_tx = kInvalidMetric;
   MetricId nan_dw = kInvalidMetric;
-  // Fault engine.
-  MetricId fault_drops = kInvalidMetric;
-  MetricId fault_corruptions = kInvalidMetric;
-  MetricId fault_delays = kInvalidMetric;
-  MetricId fault_partition_drops = kInvalidMetric;
   // Parallel engine (gauges, refreshed by flush()).
   MetricId engine_events = kInvalidMetric;
   MetricId engine_windows = kInvalidMetric;
@@ -113,10 +94,11 @@ class Omniscope {
   void ensure_owner_capacity(std::size_t owner_count);
 
   /// Per-frame verbosity. At detail (the default — right for testbeds up to
-  /// a few dozen nodes), every mark_frame site writes a trace record. With
-  /// detail off — the always-on profile bench_scale's obs_overhead rows
-  /// measure at 1000 nodes — per-frame sites still bump their counters but
-  /// skip the ring, keeping instrumented runs within a few percent of bare.
+  /// a few dozen nodes), every per-frame site (mark_frame, and the manager's
+  /// beacon and context receptions) writes a trace record. With detail off —
+  /// the always-on profile bench_scale's obs_overhead rows measure at 1000
+  /// nodes — per-frame sites skip the ring (mark_frame still bumps its
+  /// counter), keeping instrumented runs within a few percent of bare.
   bool detail() const { return detail_; }
   void set_detail(bool on) { detail_ = on; }
 
@@ -126,24 +108,15 @@ class Omniscope {
   std::size_t lane() const { return sim_->current_shard_index(); }
 
   /// Counter bump + instant record in one call, attributed to the current
-  /// event's owner. One thread-local context fetch instead of the five that
-  /// separate count() + instant() calls would make — use this on per-frame
-  /// hot paths (BLE delivery, beacon decode).
+  /// event's owner, with one thread-local context fetch.
   void mark(MetricId m, Cat c, std::uint64_t a0 = 0, std::uint64_t a1 = 0,
             std::uint8_t tech = 0xff) {
     const sim::Simulator::ObsCtx x = sim_->obs_ctx();
     metrics_.add(x.lane, m, x.owner, 1);
     write_at(x, x.owner, c, Phase::kInstant, a0, a1, tech);
   }
-  /// mark(), attributed to a specific node.
-  void mark_on(sim::OwnerId owner, MetricId m, Cat c, std::uint64_t a0 = 0,
-               std::uint64_t a1 = 0, std::uint8_t tech = 0xff) {
-    const sim::Simulator::ObsCtx x = sim_->obs_ctx();
-    metrics_.add(x.lane, m, owner, 1);
-    write_at(x, owner, c, Phase::kInstant, a0, a1, tech);
-  }
 
-  /// mark() for per-frame events (one BLE delivery, one decoded beacon):
+  /// mark() for per-frame events (one BLE advertising event or delivery):
   /// the counter is unconditional, the trace record only lands at detail
   /// verbosity (see set_detail).
   void mark_frame(MetricId m, Cat c, std::uint64_t a0 = 0,
@@ -152,21 +125,7 @@ class Omniscope {
     metrics_.add(x.lane, m, x.owner, 1);
     if (detail_) write_at(x, x.owner, c, Phase::kInstant, a0, a1, tech);
   }
-  /// mark_frame(), attributed to a specific node.
-  void mark_frame_on(sim::OwnerId owner, MetricId m, Cat c,
-                     std::uint64_t a0 = 0, std::uint64_t a1 = 0,
-                     std::uint8_t tech = 0xff) {
-    const sim::Simulator::ObsCtx x = sim_->obs_ctx();
-    metrics_.add(x.lane, m, owner, 1);
-    if (detail_) write_at(x, owner, c, Phase::kInstant, a0, a1, tech);
-  }
 
-  /// Append a trace record attributed to the current event's owner.
-  void instant(Cat c, std::uint64_t a0 = 0, std::uint64_t a1 = 0,
-               std::uint8_t tech = 0xff) {
-    const sim::Simulator::ObsCtx x = sim_->obs_ctx();
-    write_at(x, x.owner, c, Phase::kInstant, a0, a1, tech);
-  }
   /// Append a trace record attributed to a specific node.
   void instant_on(sim::OwnerId owner, Cat c, std::uint64_t a0 = 0,
                   std::uint64_t a1 = 0, std::uint8_t tech = 0xff) {
@@ -188,11 +147,6 @@ class Omniscope {
     write(owner, c, Phase::kAsyncEnd, id, a1, tech);
   }
 
-  /// Bump a counter attributed to the current event's owner.
-  void count(MetricId m, std::uint64_t delta = 1) {
-    const sim::Simulator::ObsCtx x = sim_->obs_ctx();
-    metrics_.add(x.lane, m, x.owner, delta);
-  }
   /// Bump a counter attributed to a specific node.
   void count_on(sim::OwnerId owner, MetricId m, std::uint64_t delta = 1) {
     metrics_.add(lane(), m, owner, delta);
@@ -220,8 +174,6 @@ class Omniscope {
   const MetricsRegistry& metrics() const { return metrics_; }
   FlightRecorder& recorder() { return recorder_; }
   const FlightRecorder& recorder() const { return recorder_; }
-  EnergyLedger& energy() { return energy_; }
-  const EnergyLedger& energy() const { return energy_; }
   StringTable& labels() { return labels_; }
   const CoreMetrics& core() const { return core_; }
 
@@ -234,8 +186,9 @@ class Omniscope {
 
   // --- Snapshot / export (outside parallel windows only) --------------------
 
-  /// Register work to run at flush() time (e.g. closing open energy-meter
-  /// levels into the ledger so totals are current).
+  /// Register work to run at flush() time: reading a count a component
+  /// owns (an energy meter's rails) into a gauge. A hook only reads model
+  /// state, so flushing never changes a run.
   void add_flush_hook(std::function<void()> hook) {
     flush_hooks_.push_back(std::move(hook));
   }
@@ -273,7 +226,6 @@ class Omniscope {
   bool detail_ = true;
   MetricsRegistry metrics_;
   FlightRecorder recorder_;
-  EnergyLedger energy_;
   StringTable labels_{kCatCount};
   CoreMetrics core_;
   std::vector<std::pair<std::uint32_t, std::string>> owner_names_;

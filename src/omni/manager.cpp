@@ -132,7 +132,6 @@ void OmniManager::on_attempt_deadline(std::uint64_t request_id) {
   if (auto it = data_attempts_.find(request_id); it != data_attempts_.end()) {
     ++stats_.deadline_failovers;
     if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-      sc->count_on(options_.owner, sc->core().deadline_failovers);
       sc->instant_on(options_.owner, obs::Cat::kDeadline, request_id, 0,
                      static_cast<std::uint8_t>(it->second.tech));
     }
@@ -149,7 +148,6 @@ void OmniManager::on_attempt_deadline(std::uint64_t request_id) {
   if (it == context_attempts_.end()) return;
   ++stats_.deadline_failovers;
   if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-    sc->count_on(options_.owner, sc->core().deadline_failovers);
     sc->instant_on(options_.owner, obs::Cat::kDeadline, request_id, 0,
                    static_cast<std::uint8_t>(it->second.tech));
   }
@@ -180,7 +178,6 @@ void OmniManager::note_status_flap(TechSlot& s) {
   Duration hold = backoff_delay(s.quarantine_count);
   s.quarantined_until = now + hold;
   if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-    sc->count_on(options_.owner, sc->core().quarantines);
     sc->instant_on(options_.owner, obs::Cat::kQuarantine,
                    static_cast<std::uint64_t>(hold.as_micros()), 0,
                    static_cast<std::uint8_t>(s.type));
@@ -356,14 +353,8 @@ const SharedBytes& OmniManager::beacon_wire() {
     beacon_wire_gen_ = beacon_gen_;
     beacon_wire_ctx_gen_ = contexts_.generation();
     ++stats_.beacon_encodes;
-    if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-      sc->count_on(options_.owner, sc->core().beacon_encodes);
-    }
   } else {
     ++stats_.beacon_frames_cached;
-    if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-      sc->count_on(options_.owner, sc->core().beacon_frames_cached);
-    }
   }
   return beacon_packed_;
 }
@@ -407,7 +398,6 @@ void OmniManager::engage(Technology tech) {
   OMNI_DEBUG(sim_.now(), kTag, "engaging %s", to_string(tech).c_str());
   ++stats_.engagements;
   if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-    sc->count_on(options_.owner, sc->core().engagements);
     sc->instant_on(options_.owner, obs::Cat::kEngage, 0, 0,
                    static_cast<std::uint8_t>(tech));
   }
@@ -604,12 +594,7 @@ void OmniManager::discovery_tick() {
     const double saved =
         kProbeInterval / floor - kProbeInterval / current_beacon_interval_;
     const auto n = static_cast<std::uint64_t>(saved > 0.0 ? saved + 0.5 : 0.0);
-    if (n > 0) {
-      stats_.beacons_suppressed += n;
-      if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-        sc->count_on(options_.owner, sc->core().beacons_suppressed, n);
-      }
-    }
+    stats_.beacons_suppressed += n;
   }
 
   // Karowski-Miller listen scheduling: once the neighborhood is saturated
@@ -628,12 +613,7 @@ void OmniManager::discovery_tick() {
     discovery_scan_duty_ = duty;
     for (auto& s : slots_) s.tech->set_discovery_scan_duty(duty);
   }
-  if (duty > 0.0) {
-    ++stats_.scan_windows_skipped;
-    if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-      sc->count_on(options_.owner, sc->core().scan_windows_skipped);
-    }
-  }
+  if (duty > 0.0) ++stats_.scan_windows_skipped;
 }
 
 void OmniManager::schedule_peer_sweep() {
@@ -662,9 +642,6 @@ void OmniManager::peer_sweep_fired() {
           : 0.0;
   peers_.expire(sim_.now(), kPeerTtl, hint_scale);
   ++stats_.peer_expire_sweeps;
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-    sc->count_on(options_.owner, sc->core().peer_expire_sweeps);
-  }
 }
 
 void OmniManager::maintenance_tick() {
@@ -782,9 +759,8 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
   switch (p.kind) {
     case PacketKind::kAddressBeacon: {
       ++stats_.beacons_received;
-      if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-        sc->mark_frame_on(options_.owner, sc->core().beacon_rx,
-                          obs::Cat::kBeaconRx, p.source.value);
+      if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc && sc->detail()) {
+        sc->instant_on(options_.owner, obs::Cat::kBeaconRx, p.source.value);
       }
       // The beacon carries the peer's full address map: record the direct
       // mapping plus reachability for every technology it names, in one
@@ -821,8 +797,8 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
     case PacketKind::kData:
       ++stats_.data_received;
       if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-        sc->mark_on(options_.owner, sc->core().data_rx,
-                    obs::Cat::kDataRx, p.source.value, p.payload.size());
+        sc->instant_on(options_.owner, obs::Cat::kDataRx, p.source.value,
+                       p.payload.size());
       }
       // The callbacks view the sender's encoded buffer itself.
       for (const auto& cb : on_data_) cb(p.source, p.payload);
@@ -835,9 +811,9 @@ void OmniManager::handle_packet(Technology tech, const LowLevelAddress& from,
 
 void OmniManager::deliver_context(const PackedView& p) {
   ++stats_.context_received;
-  if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-    sc->mark_frame_on(options_.owner, sc->core().context_rx,
-                      obs::Cat::kContextRx, p.source.value, p.payload.size());
+  if (obs::Omniscope* sc = OMNI_SCOPE(sim_); sc && sc->detail()) {
+    sc->instant_on(options_.owner, obs::Cat::kContextRx, p.source.value,
+                   p.payload.size());
   }
   context_scratch_.assign(p.payload.begin(), p.payload.end());
   for (const auto& cb : on_context_) cb(p.source, context_scratch_);
@@ -1038,7 +1014,6 @@ void OmniManager::handle_data_response(const TechResponse& response) {
              response.failure_reason.c_str());
   ++stats_.data_failovers;
   if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-    sc->count_on(options_.owner, sc->core().data_failovers);
     sc->instant_on(options_.owner, obs::Cat::kFailover, op_id, 0,
                    static_cast<std::uint8_t>(response.tech));
   }
@@ -1472,7 +1447,6 @@ void OmniManager::send_data(const std::vector<OmniAddress>& destinations,
     op.callback = callback;
     op.started = sim_.now();
     if (obs::Omniscope* sc = OMNI_SCOPE(sim_)) {
-      sc->count_on(options_.owner, sc->core().data_ops);
       sc->async_begin_on(options_.owner, obs::Cat::kOpData, op_id,
                          packed->size());
     }

@@ -99,6 +99,9 @@ struct ManagerOptions {
   sim::OwnerId owner = sim::kGlobalOwner;
 };
 
+/// The manager's event counts. These are the only counts of these events:
+/// the Omniscope keeps no copy, so they are live whether or not a scope is
+/// attached, and benches and tests read them here.
 struct ManagerStats {
   std::uint64_t packets_received = 0;
   /// Sealed packets dropped (no key, wrong key, or tampering).
@@ -111,9 +114,7 @@ struct ManagerStats {
   std::uint64_t context_failovers = 0;
   std::uint64_t engagements = 0;
   std::uint64_t disengagements = 0;
-  // Beacon fast path (the Omniscope mirrors these as mgr.* counters; the
-  // ManagerStats copies stay live with observability off, so benches can
-  // read them without paying for a scope).
+  // Beacon fast path.
   std::uint64_t beacon_encodes = 0;        ///< beacon wire-frame (re)encodes
   std::uint64_t beacon_frames_cached = 0;  ///< beacon ops served from cache
   /// Always 0: the receiver-side beacon memo it counted is gone. Kept

@@ -88,7 +88,7 @@ void BleRadio::rotate_address() {
 
 void BleRadio::apply_scan_level() {
   double ma = (powered_ && scanning_) ? cal_.ble_scan_ma * scan_duty_ : 0.0;
-  // Passive listen cost rides its own ledger rail so discovery-policy scan
+  // Passive listen cost rides its own meter rail so discovery-policy scan
   // savings are separable from advertise/rx charges.
   meter_.set_level("ble.scan", ma, obs::EnergyRail::kBleScan);
 }
@@ -434,9 +434,8 @@ void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
     if (fault_delay > Duration::zero()) {
       plan->note_delay();
       if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
-        sc->mark_on(from.node(), sc->core().fault_delays,
-                    obs::Cat::kFaultDelay,
-                    static_cast<std::uint64_t>(fault_delay.as_micros()));
+        sc->instant_on(from.node(), obs::Cat::kFaultDelay,
+                       static_cast<std::uint64_t>(fault_delay.as_micros()));
       }
     }
     src_pos = world_.position(from.node());
@@ -458,8 +457,7 @@ void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
           plan->partitioned(src_pos, world_.position(node), now)) {
         plan->note_partition_drop();
         if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
-          sc->mark_on(from.node(), sc->core().fault_partition_drops,
-                      obs::Cat::kFaultPartition, node);
+          sc->instant_on(from.node(), obs::Cat::kFaultPartition, node);
         }
         continue;
       }
@@ -467,8 +465,7 @@ void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
                         salt)) {
         plan->note_drop();
         if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
-          sc->mark_on(from.node(), sc->core().fault_drops,
-                      obs::Cat::kFaultDrop, node);
+          sc->instant_on(from.node(), obs::Cat::kFaultDrop, node);
         }
         continue;
       }
@@ -494,8 +491,7 @@ void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
       if (corrupt_here) {
         plan->note_corruption();
         if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
-          sc->mark_on(from.node(), sc->core().fault_corruptions,
-                      obs::Cat::kFaultCorrupt, node);
+          sc->instant_on(from.node(), obs::Cat::kFaultCorrupt, node);
         }
       }
       if (in_window) {

@@ -1,11 +1,24 @@
 #include "radio/energy_meter.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/codec.h"
 #include "common/result.h"
-#include "obs/omniscope.h"
+
+namespace omni::obs {
+
+const char* rail_name(EnergyRail r) {
+  switch (r) {
+    case EnergyRail::kOther: return "other";
+    case EnergyRail::kBle: return "ble";
+    case EnergyRail::kWifi: return "wifi";
+    case EnergyRail::kNan: return "nan";
+    case EnergyRail::kBleScan: return "ble_scan";
+  }
+  return "other";
+}
+
+}  // namespace omni::obs
 
 namespace omni::radio {
 
@@ -25,8 +38,7 @@ struct EnergyMeter::Sealed {
   std::size_t runs = 0;
 };
 
-EnergyMeter::EnergyMeter(sim::Simulator& sim, NodeId node)
-    : sim_(sim), node_(node) {}
+EnergyMeter::EnergyMeter(sim::Simulator& sim) : sim_(sim) {}
 
 EnergyMeter::~EnergyMeter() = default;
 
@@ -91,11 +103,6 @@ std::size_t EnergyMeter::record_bytes() const {
   return bytes;
 }
 
-bool EnergyMeter::ledger_active() const {
-  if (node_ == kInvalidNode) return false;
-  return OMNI_SCOPE(sim_) != nullptr;
-}
-
 void EnergyMeter::set_level(const std::string& tag, double ma,
                             obs::EnergyRail rail) {
   TimePoint now = sim_.now();
@@ -123,28 +130,6 @@ double EnergyMeter::current_level_total() const {
   double total = 0;
   for (const auto& [tag, lvl] : levels_) total += lvl.ma;
   return total;
-}
-
-void EnergyMeter::flush_levels() {
-  TimePoint now = sim_.now();
-  for (auto& [tag, lvl] : levels_) {
-    if (now <= lvl.since) continue;
-    charge(lvl.since, now, lvl.ma, lvl.rail);
-    lvl.since = now;
-  }
-  if (!ledger_active()) return;
-  // Runs grow in place, so mirror totals rather than records: each rail
-  // gets the change in its rounded total since the last flush, and the
-  // ledger equals the meter to the micro-amp-second at every flush.
-  obs::Omniscope& sc = *OMNI_SCOPE(sim_);
-  const std::size_t lane = sc.lane();
-  for (std::size_t r = 0; r < obs::kEnergyRailCount; ++r) {
-    const auto rail = static_cast<obs::EnergyRail>(r);
-    const std::int64_t uAs =
-        std::llround(1000.0 * total_mAs(TimePoint::origin(), now, rail));
-    sc.energy().add(lane, node_, rail, uAs - mirrored_uAs_[r]);
-    mirrored_uAs_[r] = uAs;
-  }
 }
 
 std::int64_t EnergyMeter::Run::covered_before(std::int64_t x) const {

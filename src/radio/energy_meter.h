@@ -25,12 +25,10 @@
 // order they were appended, so every total is the same double whether or
 // not a run was sealed.
 //
-// Every charge carries an obs::EnergyRail (which radio the draw belongs to).
-// When an Omniscope is attached to the simulator and the meter knows its
-// node, flush_levels() (Testbed calls it at every report or export) mirrors
-// each rail's total over [origin, now], rounded to micro-amp-seconds, into
-// the scope's energy ledger as a delta against what it mirrored before. The
-// charge() hot path never touches the ledger.
+// Every charge carries an obs::EnergyRail (which radio the draw belongs to),
+// so total_mAs can answer per rail. The meter holds the only energy count:
+// an attached Omniscope reads each rail's total when it flushes (see
+// Testbed::enable_observability) and keeps no copy.
 #pragma once
 
 #include <cstdint>
@@ -40,19 +38,27 @@
 #include <vector>
 
 #include "common/time.h"
-#include "common/types.h"
-#include "obs/energy_ledger.h"
 #include "sim/simulator.h"
 
 namespace omni::obs {
-class Omniscope;
-}
+
+/// Which radio rail a charge belongs to. The paper's Table 3 calibration
+/// currents are all attributable to exactly one of these.
+/// kBleScan splits passive listen cost out of the BLE rail so the adaptive
+/// discovery scheduler's scan-duty savings are directly visible.
+enum class EnergyRail : std::uint8_t { kOther = 0, kBle = 1, kWifi = 2,
+                                       kNan = 3, kBleScan = 4 };
+inline constexpr std::size_t kEnergyRailCount = 5;
+
+const char* rail_name(EnergyRail r);
+
+}  // namespace omni::obs
 
 namespace omni::radio {
 
 class EnergyMeter {
  public:
-  explicit EnergyMeter(sim::Simulator& sim, NodeId node = kInvalidNode);
+  explicit EnergyMeter(sim::Simulator& sim);
   ~EnergyMeter();
   EnergyMeter(const EnergyMeter&) = delete;
   EnergyMeter& operator=(const EnergyMeter&) = delete;
@@ -82,12 +88,6 @@ class EnergyMeter {
   /// Sum of all open levels right now.
   double current_level_total() const;
 
-  /// Close every open level at the current instant and immediately reopen
-  /// it. The meter's integrals are unchanged. Then bring the attached energy
-  /// ledger up to now: each rail's ledger total becomes
-  /// llround(1000 * total_mAs(origin, now, rail)) micro-amp-seconds.
-  void flush_levels();
-
   /// Total charge (mA*s) accrued in [t0, t1]; open levels are integrated up
   /// to t1 (t1 should not exceed the simulator's current time).
   double total_mAs(TimePoint t0, TimePoint t1) const;
@@ -106,7 +106,6 @@ class EnergyMeter {
   std::size_t record_bytes() const;
 
   sim::Simulator& simulator() { return sim_; }
-  NodeId node() const { return node_; }
 
  private:
   /// `count` pulses [t0 + k*period, t0 + k*period + dur), k < count, drawing
@@ -136,7 +135,6 @@ class EnergyMeter {
     obs::EnergyRail rail = obs::EnergyRail::kOther;
   };
 
-  bool ledger_active() const;
   /// Move the oldest open run into the sealed stream.
   void seal_oldest();
   /// Sum over the runs and open levels `keep(rail)` accepts, in record order.
@@ -144,14 +142,11 @@ class EnergyMeter {
   double integrate(TimePoint t0, TimePoint t1, Keep keep) const;
 
   sim::Simulator& sim_;
-  NodeId node_;
   /// The open runs, oldest first; at most kRecentRuns.
   std::vector<Run> runs_;
   /// Null until the first seal.
   std::unique_ptr<Sealed> sealed_;
   std::map<std::string, Level> levels_;
-  /// Per-rail micro-amp-seconds already added to the ledger.
-  std::int64_t mirrored_uAs_[obs::kEnergyRailCount] = {};
 };
 
 /// Converts bulk traffic into capped radio-active time.

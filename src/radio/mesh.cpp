@@ -333,7 +333,6 @@ Status MeshNetwork::send_datagram(WifiRadio& src, const MeshAddress& dst,
     if (fault_partitioned(src, *peer, now)) {
       plan->note_partition_drop();
       if (sc != nullptr) {
-        sc->count_on(src.node(), sc->core().fault_partition_drops);
         sc->instant_on(src.node(), obs::Cat::kFaultPartition, peer->node());
       }
       return Status::ok();
@@ -342,7 +341,6 @@ Status MeshNetwork::send_datagram(WifiRadio& src, const MeshAddress& dst,
                       salt)) {
       plan->note_drop();
       if (sc != nullptr) {
-        sc->count_on(src.node(), sc->core().fault_drops);
         sc->instant_on(src.node(), obs::Cat::kFaultDrop, peer->node());
       }
       return Status::ok();
@@ -351,7 +349,6 @@ Status MeshNetwork::send_datagram(WifiRadio& src, const MeshAddress& dst,
                         salt)) {
       plan->note_corruption();
       if (sc != nullptr) {
-        sc->count_on(src.node(), sc->core().fault_corruptions);
         sc->instant_on(src.node(), obs::Cat::kFaultCorrupt, peer->node());
       }
       sim::FaultPlan::corrupt_in_place(payload, salt);
@@ -361,7 +358,6 @@ Status MeshNetwork::send_datagram(WifiRadio& src, const MeshAddress& dst,
     if (extra > Duration::zero()) {
       plan->note_delay();
       if (sc != nullptr) {
-        sc->count_on(src.node(), sc->core().fault_delays);
         sc->instant_on(src.node(), obs::Cat::kFaultDelay,
                        static_cast<std::uint64_t>(extra.as_micros()));
       }
@@ -432,7 +428,6 @@ Status MeshNetwork::multicast_datagram(WifiRadio& src, Bytes payload) {
         if (fault_partitioned(src, *rx, now)) {
           plan->note_partition_drop();
           if (sc != nullptr) {
-            sc->count_on(src.node(), sc->core().fault_partition_drops);
             sc->instant_on(src.node(), obs::Cat::kFaultPartition, rx->node());
           }
           continue;
@@ -441,7 +436,6 @@ Status MeshNetwork::multicast_datagram(WifiRadio& src, Bytes payload) {
                           salt)) {
           plan->note_drop();
           if (sc != nullptr) {
-            sc->count_on(src.node(), sc->core().fault_drops);
             sc->instant_on(src.node(), obs::Cat::kFaultDrop, rx->node());
           }
           continue;
@@ -450,7 +444,6 @@ Status MeshNetwork::multicast_datagram(WifiRadio& src, Bytes payload) {
                             now, salt)) {
           plan->note_corruption();
           if (sc != nullptr) {
-            sc->count_on(src.node(), sc->core().fault_corruptions);
             sc->instant_on(src.node(), obs::Cat::kFaultCorrupt, rx->node());
           }
           auto mangled = std::make_shared<Bytes>(*frame);
@@ -550,7 +543,6 @@ void MeshNetwork::service_bulk_queue() {
           if (fault_partitioned(*item.src, *r, now)) {
             plan->note_partition_drop();
             if (sc != nullptr) {
-              sc->count_on(src, sc->core().fault_partition_drops);
               sc->instant_on(src, obs::Cat::kFaultPartition, r->node());
             }
             return true;
@@ -559,7 +551,6 @@ void MeshNetwork::service_bulk_queue() {
                             salt)) {
             plan->note_drop();
             if (sc != nullptr) {
-              sc->count_on(src, sc->core().fault_drops);
               sc->instant_on(src, obs::Cat::kFaultDrop, r->node());
             }
             return true;

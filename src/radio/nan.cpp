@@ -91,7 +91,6 @@ void NanSystem::run_window() {
       if (tx_extra > Duration::zero()) {
         plan->note_delay();
         if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
-          sc->count_on(tx->node(), sc->core().fault_delays);
           sc->instant_on(tx->node(), obs::Cat::kFaultDelay,
                          static_cast<std::uint64_t>(tx_extra.as_micros()));
         }
@@ -112,7 +111,6 @@ void NanSystem::run_window() {
                                   world_.position(rx->node()), start)) {
               plan->note_partition_drop();
               if (sc != nullptr) {
-                sc->count_on(tx->node(), sc->core().fault_partition_drops);
                 sc->instant_on(tx->node(), obs::Cat::kFaultPartition,
                                rx->node());
               }
@@ -122,7 +120,6 @@ void NanSystem::run_window() {
                               start, salt)) {
               plan->note_drop();
               if (sc != nullptr) {
-                sc->count_on(tx->node(), sc->core().fault_drops);
                 sc->instant_on(tx->node(), obs::Cat::kFaultDrop, rx->node());
               }
               continue;
@@ -131,7 +128,6 @@ void NanSystem::run_window() {
                                 start, salt)) {
               plan->note_corruption();
               if (sc != nullptr) {
-                sc->count_on(tx->node(), sc->core().fault_corruptions);
                 sc->instant_on(tx->node(), obs::Cat::kFaultCorrupt,
                                rx->node());
               }
@@ -188,7 +184,6 @@ void NanSystem::run_window() {
           // an unreachable destination.
           plan->note_drop();
           if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
-            sc->count_on(tx->node(), sc->core().fault_drops);
             sc->instant_on(tx->node(), obs::Cat::kFaultDrop, dest->node());
           }
           if (--fu.windows_left <= 0) {
@@ -202,7 +197,6 @@ void NanSystem::run_window() {
                             start, salt)) {
           plan->note_corruption();
           if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
-            sc->count_on(tx->node(), sc->core().fault_corruptions);
             sc->instant_on(tx->node(), obs::Cat::kFaultCorrupt,
                            dest->node());
           }

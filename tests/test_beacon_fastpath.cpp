@@ -66,25 +66,18 @@ TEST(BeaconFastPathTest, PerfOracle250Nodes) {
   EXPECT_LT(encodes * 8, beacons)
       << "the sender frame cache should re-encode rarely, not per beacon";
   EXPECT_GT(sweeps, 0u) << "the amortized peer-expiry sweep never ran";
-
-  // The Omniscope mirrors of the same counters must agree with the
-  // ManagerStats sums (both stay live in this configuration).
-  std::string dump = f.bed->observability()->metrics_dump();
-  EXPECT_NE(dump.find("mgr.beacon_encodes"), std::string::npos);
-  EXPECT_NE(dump.find("mgr.peer_expire_sweeps"), std::string::npos);
 }
 
 TEST(BeaconFastPathTest, MetricsDigestInvariantAcrossThreadCounts) {
   // The fast path must not perturb cross-thread determinism: the full
-  // metrics dump (every counter on every owner, fast-path counters
-  // included) is byte-identical at any thread count.
+  // metrics dump (every counter on every owner) is byte-identical at any
+  // thread count.
   auto digest = [](unsigned threads) {
     Fleet f = make_grid(100, threads, /*observability=*/true);
     f.bed->simulator().run_for(Duration::seconds(6));
     return f.bed->observability()->metrics_dump();
   };
   std::string sequential = digest(1);
-  EXPECT_NE(sequential.find("mgr.beacon_encodes"), std::string::npos);
   EXPECT_EQ(sequential, digest(2));
   EXPECT_EQ(sequential, digest(8));
 }

@@ -56,7 +56,7 @@ TEST(GoldenTraceTest, TouristScenarioMatchesGoldenReport) {
 }
 
 // Observability must be a pure observer: attaching an Omniscope (metrics,
-// flight recorder, energy ledger all live) cannot move a single event,
+// flight recorder, energy gauges all live) cannot move a single event,
 // RNG draw, or float, so the report stays byte-identical to the golden.
 TEST(GoldenTraceTest, InstrumentedRunMatchesGoldenReport) {
   std::string report =

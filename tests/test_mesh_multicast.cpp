@@ -3,11 +3,13 @@
 // mechanism behind the paper's Table 5 "multicast impedes TCP" effect).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "net/testbed.h"
 #include "obs/omniscope.h"
+#include "obs/trace_file.h"
 #include "radio/mesh.h"
 #include "radio/wifi_radio.h"
 
@@ -100,9 +102,9 @@ TEST_F(MeshMulticastTest, BulkItemsAreServedInOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-// A bulk item is lost whole per receiver. Each loss is counted in the fault
-// plan and in the Omniscope, and both counts equal the deliveries that did
-// not happen.
+// A bulk item is lost whole per receiver. Each loss is counted once, in the
+// fault plan, and traced as one fault.drop instant in the Omniscope; both
+// equal the deliveries that did not happen.
 TEST_F(MeshMulticastTest, BulkFaultDropsCountInPlanAndScope) {
   obs::Omniscope& scope = bed.enable_observability();
   sim::FaultPlan& plan = bed.fault_plan();
@@ -137,7 +139,13 @@ TEST_F(MeshMulticastTest, BulkFaultDropsCountInPlanAndScope) {
   EXPECT_GT(lost, 0u);
   EXPECT_GT(delivered, 0u);
   EXPECT_EQ(plan.stats().drops, lost);
-  EXPECT_EQ(scope.metrics().counter_total(scope.core().fault_drops), lost);
+  const obs::TraceCapture cap = obs::capture(scope);
+  ASSERT_EQ(cap.dropped, 0u);
+  const auto traced = std::count_if(
+      cap.records.begin(), cap.records.end(), [](const obs::TraceRecord& r) {
+        return r.cat == static_cast<std::uint16_t>(obs::Cat::kFaultDrop);
+      });
+  EXPECT_EQ(static_cast<std::uint64_t>(traced), lost);
 }
 
 TEST_F(MeshMulticastTest, PeriodicLoadReducesTcpCapacity) {

@@ -1,7 +1,7 @@
 // Omniscope observability layer: metrics registry sharding, flight-recorder
 // ring semantics, trace-file round trips, Perfetto export structure, the
-// scenario `dump trace` directive, and the energy ledger's agreement with
-// the float-integral EnergyMeter it mirrors.
+// scenario `dump trace` directive, and the energy gauges' agreement with
+// the float-integral EnergyMeter they read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -263,7 +263,7 @@ TEST(OmniscopeTest, BleBeaconingProducesRecordsAndCounters) {
   EXPECT_TRUE(saw_adv);
 }
 
-TEST(OmniscopeTest, EnergyLedgerEqualsMeterPerRailAtEveryFlush) {
+TEST(OmniscopeTest, EnergyGaugesEqualMeterPerRailAtEveryFlush) {
   net::Testbed bed(1);
   Omniscope& sc = bed.enable_observability();
   net::Device& a = bed.add_device("a", {0, 0});
@@ -272,47 +272,70 @@ TEST(OmniscopeTest, EnergyLedgerEqualsMeterPerRailAtEveryFlush) {
   ASSERT_TRUE(adv.is_ok());
   b.wifi().set_powered(true);
   sim::Simulator& sim = bed.simulator();
-
-  // After each flush every rail's ledger cell holds the meter's total over
-  // [origin, now] on that rail, rounded to the micro-amp-second.
-  auto expect_ledger_equals_meter = [&](const char* when) {
-    sc.flush();
-    const TimePoint now = sim.now();
-    for (std::size_t i = 0; i < bed.device_count(); ++i) {
-      net::Device& dev = bed.device(i);
-      for (std::size_t r = 0; r < kEnergyRailCount; ++r) {
-        const auto rail = static_cast<EnergyRail>(r);
-        const std::int64_t meter = std::llround(
-            1000.0 * dev.meter().total_mAs(TimePoint::origin(), now, rail));
-        const auto ledger = static_cast<std::int64_t>(
-            sc.metrics().counter_value(sc.energy().rail_metric(rail),
-                                       dev.node()));
-        EXPECT_EQ(ledger, meter) << when << ": node " << dev.node()
-                                 << " rail " << rail_name(rail);
-      }
-    }
+  auto gauge = [&](EnergyRail rail) {
+    return sc.metrics().find(std::string("energy.") + rail_name(rail) +
+                             ".uAs");
   };
 
-  // A BLE pulse straddling the flush: only its elapsed part is mirrored.
+  // At every flush each rail's gauge holds the meter's total over
+  // [origin, now] on that rail, rounded to the micro-amp-second. A capture
+  // flushes, and its metrics section carries the same values.
+  auto expect_gauges_equal_meter = [&](const char* when) {
+    const sim::Snapshot snap = bed.capture_snapshot();
+    const sim::SnapshotSection* sec = snap.find(sim::kSecMetrics);
+    ASSERT_NE(sec, nullptr);
+    sim::ByteReader in(sec->bytes);
+    const std::string captured = in.str();
+    const TimePoint now = sim.now();
+    // The five gauges are registered one after another, so the dump shows
+    // them as one block.
+    std::string expected;
+    for (std::size_t r = 0; r < kEnergyRailCount; ++r) {
+      const auto rail = static_cast<EnergyRail>(r);
+      expected += std::string("gauge energy.") + rail_name(rail) + ".uAs\n";
+      for (std::size_t i = 0; i < bed.device_count(); ++i) {
+        net::Device& dev = bed.device(i);
+        const std::int64_t meter = std::llround(
+            1000.0 * dev.meter().total_mAs(TimePoint::origin(), now, rail));
+        const auto shown = static_cast<std::int64_t>(
+            sc.metrics().gauge_value(gauge(rail), dev.node()));
+        EXPECT_EQ(shown, meter) << when << ": node " << dev.node()
+                                << " rail " << rail_name(rail);
+        if (meter != 0) {
+          expected += "  owner " + std::to_string(dev.node()) + " = " +
+                      std::to_string(meter) + "\n";
+        }
+      }
+    }
+    const std::size_t at = captured.find(expected);
+    ASSERT_NE(at, std::string::npos) << when << ": capture lacks\n"
+                                     << expected;
+    const std::size_t after = at + expected.size();
+    EXPECT_TRUE(after == captured.size() ||
+                captured.compare(after, 2, "  ") != 0)
+        << when << ": capture has more energy owners than the meters";
+  };
+
+  // A BLE pulse straddling the flush: only its elapsed part counts.
   sim.run_for(Duration::seconds(10));
   TimePoint now = sim.now();
   a.meter().charge(now - Duration::millis(2), now + Duration::millis(3), 8.2,
                    EnergyRail::kBle);
-  expect_ledger_equals_meter("straddling pulse");
+  expect_gauges_equal_meter("straddling pulse");
 
   // A busy span back-dated to before the previous flush.
   sim.run_for(Duration::seconds(5));
   ASSERT_GT(b.wifi().tx_charger().charge_active(
                 sim.now() - Duration::seconds(8), sim.now(), 1.5),
             0.0);
-  expect_ledger_equals_meter("back-dated busy span");
+  expect_gauges_equal_meter("back-dated busy span");
 
   // Levels that change between flushes.
   sim.run_for(Duration::seconds(5));
   b.wifi().set_powered(false);
   b.ble().set_scanning(true, 0.5);
   sim.run_for(Duration::seconds(5));
-  expect_ledger_equals_meter("level change");
+  expect_gauges_equal_meter("level change");
 
   // 20,000 pulses of 1e-4 uAs each: none is worth a micro-amp-second on its
   // own, together they are 2.
@@ -323,12 +346,61 @@ TEST(OmniscopeTest, EnergyLedgerEqualsMeterPerRailAtEveryFlush) {
                      EnergyRail::kNan);
   }
   sim.run_for(Duration::seconds(1));
-  expect_ledger_equals_meter("sub-uAs pulses");
-  EXPECT_EQ(sc.metrics().counter_value(
-                sc.energy().rail_metric(EnergyRail::kNan), b.node()),
-            2u);
+  expect_gauges_equal_meter("sub-uAs pulses");
+  EXPECT_EQ(sc.metrics().gauge_value(gauge(EnergyRail::kNan), b.node()), 2u);
   // BLE charge lands on the BLE rail, not the catch-all.
-  EXPECT_GT(sc.energy().rail_mAs(a.node(), EnergyRail::kBle), 0.0);
+  EXPECT_GT(sc.metrics().gauge_value(gauge(EnergyRail::kBle), a.node()), 0u);
+}
+
+TEST(OmniscopeTest, ReadingTheScopeNeverTouchesAMeter) {
+  // One fleet run twice: never read, and read (dump + trace capture) every
+  // simulated second. Reads must leave every meter's records and per-rail
+  // totals exactly as the unread run has them.
+  struct MeterState {
+    std::size_t runs;
+    std::array<double, kEnergyRailCount> mAs;
+  };
+  auto run = [](bool read) {
+    net::Testbed bed(3);
+    std::vector<std::unique_ptr<OmniNode>> nodes;
+    for (int i = 0; i < 6; ++i) {
+      net::Device& dev = bed.add_device("n" + std::to_string(i),
+                                        {static_cast<double>(i) * 4.0, 0});
+      nodes.push_back(std::make_unique<OmniNode>(dev, bed.mesh()));
+    }
+    Omniscope& sc = bed.enable_observability();
+    for (auto& node : nodes) node->start();
+    for (int s = 0; s < 20; ++s) {
+      bed.simulator().run_for(Duration::seconds(1));
+      if (read) {
+        EXPECT_FALSE(sc.metrics_dump().empty());
+        EXPECT_FALSE(capture(sc).records.empty());
+      }
+    }
+    const TimePoint end = bed.simulator().now();
+    std::vector<MeterState> out;
+    for (std::size_t i = 0; i < bed.device_count(); ++i) {
+      const radio::EnergyMeter& m = bed.device(i).meter();
+      MeterState st{m.run_count(), {}};
+      for (std::size_t r = 0; r < kEnergyRailCount; ++r) {
+        st.mAs[r] = m.total_mAs(TimePoint::origin(), end,
+                                static_cast<EnergyRail>(r));
+      }
+      out.push_back(st);
+    }
+    return out;
+  };
+  const std::vector<MeterState> unread = run(false);
+  const std::vector<MeterState> read = run(true);
+  ASSERT_EQ(unread.size(), read.size());
+  for (std::size_t i = 0; i < unread.size(); ++i) {
+    EXPECT_EQ(read[i].runs, unread[i].runs) << "device " << i;
+    for (std::size_t r = 0; r < kEnergyRailCount; ++r) {
+      // Bit-equal, not near: a read must not reorder the meter's sums.
+      EXPECT_EQ(read[i].mAs[r], unread[i].mAs[r])
+          << "device " << i << " rail " << rail_name(static_cast<EnergyRail>(r));
+    }
+  }
 }
 
 TEST(OmniscopeTest, MetricsDumpIsStableAcrossCaptures) {
