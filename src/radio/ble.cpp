@@ -249,12 +249,8 @@ BleMedium::BleMedium(sim::World& world, const Calibration& cal)
   world_.simulator().add_barrier_hook([this] { flush_pending(); });
 }
 
-BleRadio* BleMedium::find_radio(NodeId node, std::uint32_t uid) {
-  if (node >= radios_by_node_.size()) return nullptr;
-  for (const RadioState& st : radios_by_node_[node]) {
-    if (st.uid == uid) return st.radio;
-  }
-  return nullptr;
+BleRadio* BleMedium::find_radio(NodeId node) const {
+  return node < radios_.size() ? radios_[node].radio : nullptr;
 }
 
 std::uint64_t BleMedium::delivered_count() const {
@@ -264,41 +260,25 @@ std::uint64_t BleMedium::delivered_count() const {
 }
 
 void BleMedium::attach(BleRadio* radio) {
-  if (radio->node() >= radios_by_node_.size()) {
-    radios_by_node_.resize(radio->node() + 1);
+  const NodeId node = radio->node();
+  if (node >= radios_.size()) {
+    radios_.resize(node + 1);
+    fault_salts_.resize(node + 1, 0);
   }
-  if (radio->node() >= fault_salts_.size()) {
-    fault_salts_.resize(radio->node() + 1, 0);
-  }
-  const std::uint32_t uid = next_uid_++;
-  radio->uid_ = uid;
-  radios_by_node_[radio->node()].push_back(
-      RadioState{radio, uid, radio->powered() && radio->scanning(),
-                 radio->scan_duty(), radio->scan_slotted()});
-  fanout_by_uid_.resize(next_uid_);
-  ++medium_epoch_;
+  OMNI_CHECK_MSG(radios_[node].radio == nullptr,
+                 "a node hosts at most one BLE radio");
+  radios_[node] = RadioState{radio, radio->scan_duty(),
+                             radio->powered() && radio->scanning(),
+                             radio->scan_slotted()};
 }
 
-void BleMedium::detach(BleRadio* radio) {
-  if (radio->node() >= radios_by_node_.size()) return;
-  auto& on_node = radios_by_node_[radio->node()];
-  on_node.erase(std::remove_if(on_node.begin(), on_node.end(),
-                               [radio](const RadioState& st) {
-                                 return st.radio == radio;
-                               }),
-                on_node.end());
-  ++medium_epoch_;
-}
+void BleMedium::detach(BleRadio* radio) { radios_[radio->node()] = {}; }
 
 void BleMedium::apply_scan_state(BleRadio* radio) {
-  if (radio->node() >= radios_by_node_.size()) return;
-  for (RadioState& st : radios_by_node_[radio->node()]) {
-    if (st.radio != radio) continue;
-    st.scanning = radio->powered() && radio->scanning();
-    st.duty = radio->scan_duty();
-    st.slotted = radio->scan_slotted();
-    ++medium_epoch_;
-  }
+  RadioState& row = radios_[radio->node()];
+  row.scanning = radio->powered() && radio->scanning();
+  row.duty = radio->scan_duty();
+  row.slotted = radio->scan_slotted();
 }
 
 void BleMedium::update_scan_state(BleRadio* radio) {
@@ -311,23 +291,22 @@ void BleMedium::update_scan_state(BleRadio* radio) {
   // write to the barrier so concurrent senders keep reading a stable table.
   // Until then the radio keeps its old *eligibility* for capture trials;
   // actual delivery always revalidates against the receiver's live state.
-  // The post names the radio by (node, uid), not by pointer: its handle is
-  // inert, and a radio destroyed before the barrier is skipped.
-  sim.after_global(Duration::zero(),
-                   [this, node = radio->node(), uid = radio->uid_] {
-                     if (BleRadio* r = find_radio(node, uid)) {
-                       apply_scan_state(r);
-                     }
-                   });
+  // The post names the radio by node, not by pointer: its handle is inert,
+  // and a radio destroyed before the barrier leaves an empty row, skipped.
+  sim.after_global(Duration::zero(), [this, node = radio->node()] {
+    if (BleRadio* r = find_radio(node)) apply_scan_state(r);
+  });
 }
 
 void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
                           bool reliable_burst) {
   // Candidate nodes come from the world's spatial grid (exact-range
-  // filtered, ascending by node id, including the sender's own node so
-  // co-located radios still hear each other). thread_local scratch: each
-  // shard broadcasts concurrently, and broadcast never re-enters itself
-  // (receive handlers run in posted delivery events, not inline).
+  // filtered, ascending by node id, including the sender's own node),
+  // served from the sender's nodes_near cache while the world is static.
+  // Each candidate's radio row is one flat-table read. thread_local
+  // scratch: each shard broadcasts concurrently, and broadcast never
+  // re-enters itself (receive handlers run in posted delivery events, not
+  // inline).
   sim::Simulator& sim = world_.simulator();
   Rng& rng = sim.rng();
   const double capture_p = cal_.ble_capture_probability;
@@ -335,83 +314,6 @@ void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
   const BleAddress src_addr = from.address();
   const std::size_t lane_idx = sim.current_shard_index();
   const bool in_window = lane_idx < static_cast<std::size_t>(sim.threads());
-
-  // Fan-out fast path: with a static world and no fault plan, the sender's
-  // flattened candidate list (see FanoutCache) replaces the grid query and
-  // the per-node RadioState walk — the steady-state fire touches one
-  // contiguous array. Candidate order matches the uncached walk exactly, so
-  // the capture-trial draw sequence (and with it every downstream event) is
-  // identical whichever path runs.
-  if (world_.fault_plan() == nullptr && world_.is_static(sim.now())) {
-    std::uint32_t self_uid = 0;
-    if (from.node() < radios_by_node_.size()) {
-      for (const RadioState& st : radios_by_node_[from.node()]) {
-        if (st.radio == &from) {
-          self_uid = st.uid;
-          break;
-        }
-      }
-    }
-    if (self_uid != 0) {
-      FanoutCache& fc = fanout_by_uid_[self_uid];
-      // Per-region validation: the fingerprint folds only the epochs of the
-      // regions the sender's disc overlaps, so a topology change across town
-      // leaves this sender's cache hot. The center pins the overlapped
-      // region set itself (the sender may have moved since the build).
-      const sim::Vec2 center = world_.position(from.node());
-      const std::uint64_t nb =
-          world_.neighborhood_epoch(center, cal_.ble_range_m);
-      if (fc.nb_epoch != nb || fc.medium_epoch != medium_epoch_ ||
-          !(fc.center == center)) {
-        thread_local std::vector<NodeId> rebuild_nodes;
-        world_.nodes_near(from.node(), cal_.ble_range_m, rebuild_nodes);
-        fc.cands.clear();
-        for (NodeId node : rebuild_nodes) {
-          if (node >= radios_by_node_.size()) continue;
-          for (const RadioState& st : radios_by_node_[node]) {
-            if (st.radio == &from || !st.scanning) continue;
-            fc.cands.push_back(
-                FanoutCandidate{st.radio, st.uid, node, st.duty, st.slotted});
-          }
-        }
-        fc.nb_epoch = nb;
-        fc.medium_epoch = medium_epoch_;
-        fc.center = center;
-      }
-      const TimePoint at = sim.now() + latency;
-      constexpr std::uint32_t kNoTxIdx = 0xffffffffu;
-      std::uint32_t tx_idx = kNoTxIdx;
-      for (const FanoutCandidate& c : fc.cands) {
-        if (!reliable_burst) {
-          // Slotted scanners take the radio capture trial at full strength
-          // and realize the duty as a deterministic slot filter; plain duty
-          // keeps the historical single Bernoulli(capture * duty) draw.
-          if (c.slotted) {
-            if (capture_p < 1.0 && !rng.chance(capture_p)) continue;
-            if (c.duty < 1.0 && !listen_slot_open(c.node, at, c.duty)) {
-              continue;
-            }
-          } else {
-            const double p = capture_p * c.duty;
-            if (p < 1.0 && !rng.chance(p)) continue;
-          }
-        }
-        if (in_window) {
-          Lane& lane = lanes_[lane_idx];
-          if (tx_idx == kNoTxIdx) {
-            tx_idx = static_cast<std::uint32_t>(lane.txs.size());
-            lane.txs.push_back(PendingTx{at, from.node(), src_addr, payload});
-          }
-          lane.winners.push_back(PendingWinner{c.node, c.uid, tx_idx});
-        } else {
-          sim.after_on(c.node, latency,
-                       [this, node = c.node, rx_uid = c.uid, src_addr,
-                        pl = payload] { deliver(node, rx_uid, src_addr, pl); });
-        }
-      }
-      return;
-    }
-  }
 
   thread_local std::vector<NodeId> scratch_nodes;
   std::vector<NodeId>& nodes = scratch_nodes;
@@ -450,7 +352,7 @@ void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
   std::uint32_t tx_idx = kNoTx;
   std::uint32_t mangled_tx_idx = kNoTx;
   for (NodeId node : nodes) {
-    if (node >= radios_by_node_.size()) continue;
+    if (node >= radios_.size()) continue;
     bool corrupt_here = false;
     if (plan != nullptr && node != from.node()) {
       if (partitions_now &&
@@ -477,45 +379,48 @@ void BleMedium::broadcast(const BleRadio& from, const SharedBytes& payload,
         mangled = std::move(copy);
       }
     }
-    for (const RadioState& st : radios_by_node_[node]) {
-      if (st.radio == &from || !st.scanning) continue;
-      if (!reliable_burst) {
-        if (st.slotted) {
-          if (capture_p < 1.0 && !rng.chance(capture_p)) continue;
-          if (st.duty < 1.0 && !listen_slot_open(node, at, st.duty)) continue;
-        } else {
-          double p = capture_p * st.duty;
-          if (p < 1.0 && !rng.chance(p)) continue;
-        }
-      }
-      if (corrupt_here) {
-        plan->note_corruption();
-        if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
-          sc->instant_on(from.node(), obs::Cat::kFaultCorrupt, node);
-        }
-      }
-      if (in_window) {
-        // Record the winner in this shard's lane; the barrier hook batches
-        // the window's winners into one sweep event per (instant, receiver).
-        // The delivery instant (transmission + min_latency >= the engine's
-        // lookahead) always lands past the window end.
-        Lane& lane = lanes_[lane_idx];
-        std::uint32_t& idx = corrupt_here ? mangled_tx_idx : tx_idx;
-        if (idx == kNoTx) {
-          idx = static_cast<std::uint32_t>(lane.txs.size());
-          lane.txs.push_back(PendingTx{at, from.node(), src_addr,
-                                       corrupt_here ? mangled : payload});
-        }
-        lane.winners.push_back(PendingWinner{node, st.uid, idx});
+    // The sender's own row is the sender itself: a node hosts one radio.
+    const RadioState& st = radios_[node];
+    if (!st.scanning || st.radio == &from) continue;
+    if (!reliable_burst) {
+      // Slotted scanners take the radio capture trial at full strength and
+      // realize the duty as a deterministic slot filter; plain duty keeps
+      // the historical single Bernoulli(capture * duty) draw.
+      if (st.slotted) {
+        if (capture_p < 1.0 && !rng.chance(capture_p)) continue;
+        if (st.duty < 1.0 && !listen_slot_open(node, at, st.duty)) continue;
       } else {
-        // Setup code or a global event: every queue is quiescent, schedule
-        // the delivery on the receiver's owner directly.
-        sim.after_on(node, latency + fault_delay,
-                     [this, node, rx_uid = st.uid, src_addr,
-                      pl = corrupt_here ? mangled : payload] {
-                       deliver(node, rx_uid, src_addr, pl);
-                     });
+        const double p = capture_p * st.duty;
+        if (p < 1.0 && !rng.chance(p)) continue;
       }
+    }
+    if (corrupt_here) {
+      plan->note_corruption();
+      if (obs::Omniscope* sc = OMNI_SCOPE(sim)) {
+        sc->instant_on(from.node(), obs::Cat::kFaultCorrupt, node);
+      }
+    }
+    if (in_window) {
+      // Record the winner in this shard's lane; the barrier hook batches the
+      // window's winners into one sweep event per (instant, receiver). The
+      // delivery instant (transmission + min_latency >= the engine's
+      // lookahead) always lands past the window end.
+      Lane& lane = lanes_[lane_idx];
+      std::uint32_t& idx = corrupt_here ? mangled_tx_idx : tx_idx;
+      if (idx == kNoTx) {
+        idx = static_cast<std::uint32_t>(lane.txs.size());
+        lane.txs.push_back(PendingTx{at, from.node(), src_addr,
+                                     corrupt_here ? mangled : payload});
+      }
+      lane.winners.push_back(PendingWinner{node, idx});
+    } else {
+      // Setup code or a global event: every queue is quiescent, schedule the
+      // delivery on the receiver's owner directly.
+      sim.after_on(node, latency + fault_delay,
+                   [this, node, src_addr,
+                    pl = corrupt_here ? mangled : payload] {
+                     deliver(node, src_addr, pl);
+                   });
     }
   }
 }
@@ -556,7 +461,7 @@ void BleMedium::flush_pending() {
   // sender, several same-instant frames) sit in a single lane in
   // transmission order, and the scatter preserves lane order, so the result
   // is identical at any thread count.
-  const std::size_t nbuckets = radios_by_node_.size();
+  const std::size_t nbuckets = radios_.size();
   bucket_starts_.assign(nbuckets + 1, 0);
   for (const Lane& lane : lanes_) {
     for (const PendingWinner& rec : lane.winners) {
@@ -575,7 +480,7 @@ void BleMedium::flush_pending() {
     lane.txs.clear();
     for (const PendingWinner& rec : lane.winners) {
       (*batch)[bucket_fill_[rec.dst]++] =
-          PendingWinner{rec.dst, rec.rx_uid, rec.tx + base};
+          PendingWinner{rec.dst, rec.tx + base};
     }
     lane.winners.clear();
   }
@@ -644,30 +549,26 @@ void BleMedium::deliver_batch(const std::vector<PendingTx>& txs,
   for (std::size_t k = begin; k < end; ++k) {
     const PendingWinner& rec = batch[k];
     const PendingTx& tx = txs[rec.tx];
-    delivered += deliver_uncounted(rec.dst, rec.rx_uid, tx.from, tx.payload);
+    delivered += deliver_uncounted(rec.dst, tx.from, tx.payload);
   }
   if (delivered != 0) {
     lanes_[world_.simulator().current_shard_index()].delivered += delivered;
   }
 }
 
-void BleMedium::deliver(NodeId node, std::uint32_t rx_uid,
-                        const BleAddress& from, const SharedBytes& payload) {
-  if (deliver_uncounted(node, rx_uid, from, payload)) {
+void BleMedium::deliver(NodeId node, const BleAddress& from,
+                        const SharedBytes& payload) {
+  if (deliver_uncounted(node, from, payload)) {
     ++lanes_[world_.simulator().current_shard_index()].delivered;
   }
 }
 
-bool BleMedium::deliver_uncounted(NodeId node, std::uint32_t rx_uid,
-                                  const BleAddress& from,
+bool BleMedium::deliver_uncounted(NodeId node, const BleAddress& from,
                                   const SharedBytes& payload) {
-  if (node >= radios_by_node_.size()) return false;
-  for (const RadioState& st : radios_by_node_[node]) {
-    if (st.uid != rx_uid) continue;  // radio detached since the broadcast
-    st.radio->deliver(from, payload);
-    return true;
-  }
-  return false;
+  BleRadio* radio = find_radio(node);
+  if (radio == nullptr) return false;  // destroyed since the broadcast
+  radio->deliver(from, payload);
+  return true;
 }
 
 }  // namespace omni::radio

@@ -134,10 +134,6 @@ class BleRadio {
   void apply_scan_level();
   Advertisement* find_adv(AdvertisementId id);
 
-  /// The medium assigns uid_ at attach; a deferred scan-state apply names
-  /// this radio by (node, uid) and resolves it through the medium's table.
-  friend class BleMedium;
-
   BleMedium& medium_;
   sim::Simulator& sim_;
   EnergyMeter& meter_;
@@ -153,7 +149,6 @@ class BleRadio {
   PowerFn on_power_;
   AddressFn on_address_;
   std::uint32_t rotation_count_ = 0;
-  std::uint32_t uid_ = 0;  ///< medium-stable id, set by BleMedium::attach
   AdvertisementId next_adv_id_ = 1;
   // A device runs a handful of advertisements (address beacon + a few
   // contexts): a flat vector with linear lookup beats hashing on the
@@ -169,6 +164,7 @@ class BleMedium {
   BleMedium(const BleMedium&) = delete;
   BleMedium& operator=(const BleMedium&) = delete;
 
+  /// Give the radio its node's row; a node may host one radio at a time.
   void attach(BleRadio* radio);
   void detach(BleRadio* radio);
 
@@ -201,18 +197,19 @@ class BleMedium {
   std::uint64_t delivered_count() const;
 
  private:
-  /// Per-radio snapshot entry, mutated only at epoch barriers (attach,
-  /// detach, scan-state applies) and read concurrently by senders.
+  /// One node's row of the scan-state snapshot, mutated only from
+  /// barrier-serialized contexts (attach, detach, scan-state applies) and
+  /// read concurrently by senders. An empty row (radio == nullptr) has
+  /// scanning == false, so the fan-out skips it on that field alone.
   struct RadioState {
-    BleRadio* radio;
-    std::uint32_t uid;  ///< stable id; delivery events revalidate against it
-    bool scanning;      ///< powered && scanner enabled, at last barrier
-    double duty;
-    bool slotted;  ///< duty realized as a deterministic slot schedule
+    BleRadio* radio = nullptr;  ///< nullptr: no radio attached to the node
+    double duty = 1.0;
+    bool scanning = false;  ///< powered && scanner enabled, at last barrier
+    bool slotted = false;   ///< duty realized as a deterministic slot schedule
   };
 
   /// One frame on the air during the current window: the fields every
-  /// winner shares. Splitting these out keeps the per-winner record at 12
+  /// winner shares. Splitting these out keeps the per-winner record at 8
   /// bytes and takes one payload refcount per transmission instead of one
   /// per receiver.
   struct PendingTx {
@@ -223,13 +220,15 @@ class BleMedium {
   };
   /// A capture-trial winner awaiting delivery. Produced on the sender's
   /// shard during a window (one lane per shard, so recording is contention-
-  /// free), flushed at the barrier by flush_pending().
+  /// free), flushed at the barrier by flush_pending(). The receiver is named
+  /// by node alone: the sweep delivers to whatever radio the node's row
+  /// holds then, and skips the node if its radio was destroyed meanwhile.
   struct PendingWinner {
-    NodeId dst;  ///< receiving node (sweep events group on this)
-    std::uint32_t rx_uid;
+    NodeId dst;        ///< receiving node (sweep events group on this)
     std::uint32_t tx;  ///< PendingTx index: lane-local until the flush
                        ///< concatenation rebases it
   };
+  static_assert(sizeof(PendingWinner) == 8);
 
   /// One flushed window's delivery working set (the concatenated
   /// transmissions and the canonically sorted winners), recycled across
@@ -245,42 +244,19 @@ class BleMedium {
     std::atomic<std::uint32_t> remaining{0};
   };
 
-  /// Flattened broadcast fan-out for one sender: every scanning radio in
-  /// range minus the sender itself, in the exact order the uncached walk
-  /// visits them (ascending node id, attach order within a node), so the
-  /// capture-trial RNG draw sequence is identical either way. Rebuilt when
-  /// the sender's neighborhood fingerprint (per-region epochs — churn in
-  /// distant regions leaves it untouched), its home position, or the medium
-  /// snapshot epoch move; only consulted while the world is static and no
-  /// fault plan is armed (fault draws are per-node, which the flattened walk
-  /// cannot reproduce).
-  struct FanoutCandidate {
-    BleRadio* radio;
-    std::uint32_t uid;
-    NodeId node;
-    double duty;
-    bool slotted;
-  };
-  struct FanoutCache {
-    std::uint64_t nb_epoch = 0;  // 0 = never built
-    std::uint64_t medium_epoch = 0;
-    sim::Vec2 center;
-    std::vector<FanoutCandidate> cands;
-  };
-
   void apply_scan_state(BleRadio* radio);
-  /// Resolve a (node, uid) reference back to a live radio; nullptr if it
-  /// detached since the reference was taken.
-  BleRadio* find_radio(NodeId node, std::uint32_t uid);
-  void deliver(NodeId node, std::uint32_t rx_uid, const BleAddress& from,
+  /// The radio attached to `node`, or nullptr if it has none (never had
+  /// one, or it was destroyed since a delivery or apply named the node).
+  BleRadio* find_radio(NodeId node) const;
+  void deliver(NodeId node, const BleAddress& from,
                const SharedBytes& payload);
   /// Run one sweep event: slot(16) | begin(24) | end(24), see flush_pending.
   void run_sweep(std::uint64_t packed);
   /// deliver() minus the per-reception shard-lane counter bump; returns
   /// whether the radio was still attached. deliver_batch counts locally and
   /// settles its lane counter once per sweep event.
-  bool deliver_uncounted(NodeId node, std::uint32_t rx_uid,
-                         const BleAddress& from, const SharedBytes& payload);
+  bool deliver_uncounted(NodeId node, const BleAddress& from,
+                         const SharedBytes& payload);
   /// Barrier hook: sort this window's recorded winners into canonical
   /// (receiver, time, sender) order and schedule one sweep event per
   /// (delivery instant, receiver) run of the sorted batch.
@@ -302,10 +278,10 @@ class BleMedium {
 
   sim::World& world_;
   const Calibration& cal_;
-  /// Snapshot table indexed by NodeId (ids are dense); a node may host
-  /// several radios (kept in attach order).
-  std::vector<std::vector<RadioState>> radios_by_node_;
-  std::uint32_t next_uid_ = 1;
+  /// Scan-state snapshot indexed by NodeId (ids are dense). A node hosts
+  /// at most one radio: only a Device constructs one, each on a fresh world
+  /// node, and world ids are never reused; attach() checks it.
+  std::vector<RadioState> radios_;
   /// Index nshards_ is the barrier-serialized global lane.
   std::vector<Lane> lanes_;
   /// Recycled flush batches (see SweepBatch). Sweeps fire up to one
@@ -323,13 +299,6 @@ class BleMedium {
   /// the sequence — and with it every fault draw — is thread-count
   /// independent. Sized in attach() (barrier-serialized).
   std::vector<std::uint64_t> fault_salts_;
-  /// Fan-out caches indexed by sender radio uid (see FanoutCache), plus the
-  /// medium's snapshot epoch, bumped whenever the RadioState table changes
-  /// (attach/detach/apply_scan_state — all barrier-serialized). A sender's
-  /// broadcasts all run on its own shard, so each cache slot stays
-  /// single-writer during windows.
-  std::vector<FanoutCache> fanout_by_uid_;
-  std::uint64_t medium_epoch_ = 1;
 };
 
 }  // namespace omni::radio

@@ -12,7 +12,7 @@
 // so a snapshot records each pending event by owner, firing time and queue
 // (heap or zero-delay FIFO), not by what its closure captured; a snapshot
 // is an oracle to compare runs against, not a run to load. Anything derivable by
-// construction — radio-medium fan-out caches, nodes_near caches, beacon
+// construction — radio-medium scan-state rows, nodes_near caches, beacon
 // frame caches, observability rings — is deliberately *not* serialized.
 //
 // Canonical encoding: every section is byte-identical regardless of the

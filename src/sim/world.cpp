@@ -423,8 +423,9 @@ void World::nodes_near(NodeId of, double range,
                        std::vector<NodeId>& out) const {
   // The per-node cache below is written through a const method. That is safe
   // under the parallel engine only because each node's cache has a single
-  // writer: shard events may consult *their own* node's cache (radio fan-out
-  // is always queried from the transmitting node), and everything else runs
+  // writer: shard events may consult *their own* node's cache (a BLE
+  // broadcast queries the transmitting node's cache on that node's shard),
+  // and everything else, the WiFi and NAN fan-outs included, runs
   // barrier-serialized. Enforce the contract rather than document it.
   OMNI_ASSERTF(sim_.owns_context(of),
                "nodes_near(%u): concurrent contexts may only query their own "

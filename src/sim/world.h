@@ -149,24 +149,17 @@ class World {
   /// while the world is static — no motion segment still in flight — the
   /// result is served from a per-node cache invalidated by changes to the
   /// overlapped regions only, so periodic fan-out (beacons every 500 ms)
-  /// skips the grid walk and survives churn in distant regions.
+  /// skips the grid walk and survives churn in distant regions. It is the
+  /// stack's one neighbor cache: the radio media keep none of their own.
   void nodes_near(NodeId of, double range, std::vector<NodeId>& out) const;
-
-  /// Topology epoch: bumped on every structural or positional change
-  /// (add/teleport/move/regrid). Callers caching neighbor-derived data (a
-  /// medium's fan-out lists) invalidate on mismatch; an epoch match pins
-  /// positions only together with is_static() — a motion segment in flight
-  /// moves positions continuously without epoch bumps. Prefer
-  /// neighborhood_epoch() for spatially local caches.
-  std::uint64_t topo_epoch() const { return topo_epoch_; }
 
   /// Epoch fingerprint of the neighborhood of `center` within `range`:
   /// changes whenever the occupancy or positions of any overlapped region
   /// change (or on any structural change — admissions, regrids,
-  /// repartitions), and is stable under churn elsewhere. Callers caching
-  /// results of a disc query revalidate with (center, range, fingerprint);
-  /// as with topo_epoch, positions are pinned only together with
-  /// is_static().
+  /// repartitions), and is stable under churn elsewhere. nodes_near's
+  /// per-node cache revalidates with (center, range, fingerprint). A match
+  /// pins positions only together with is_static(): a motion segment in
+  /// flight moves positions continuously without epoch bumps.
   std::uint64_t neighborhood_epoch(Vec2 center, double range) const;
 
   /// True when every position() is time-invariant (no motion in flight).
@@ -337,8 +330,9 @@ class World {
   std::vector<std::uint32_t> cache_index_;
   mutable std::vector<NearCache> caches_;
 
-  // Bumped on every topology change (add/teleport/move/regrid); coarse
-  // invalidation for callers without a spatial anchor.
+  // Bumped on every topology change (add/teleport/move/regrid); the
+  // fingerprint neighborhood_epoch() falls back to for a disc too wide to
+  // fold tile by tile.
   std::uint64_t topo_epoch_ = 1;
   // Bumped on admissions, regrids, and repartitions only — the
   // region-set-independent component of neighborhood_epoch().

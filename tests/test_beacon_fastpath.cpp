@@ -1,7 +1,8 @@
 // Beacon fast path: deterministic perf oracles (counter-based, never
 // wall-clock) for the sender-side frame cache and the amortized peer-expiry
-// sweep, plus cross-thread determinism and crash/rotation relearning over
-// the one receive path. See DESIGN.md "Beacon fast path".
+// sweep, plus cross-thread determinism, an armed-but-empty fault plan, and
+// crash/rotation relearning over the one receive path. See DESIGN.md
+// "Beacon fast path".
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -29,13 +30,15 @@ struct Fleet {
 
 /// Constant-density grid (the bench_scale layout): 25 m spacing gives every
 /// node BLE neighbors without anyone hearing the whole field.
-Fleet make_grid(std::size_t n, unsigned threads, bool observability) {
+Fleet make_grid(std::size_t n, unsigned threads, bool observability,
+                bool arm_empty_fault_plan = false) {
   Fleet f;
   f.bed = std::make_unique<net::Testbed>(42, radio::Calibration::defaults(),
                                          threads);
   if (observability) {
     f.bed->enable_observability(/*ring_capacity=*/1 << 14, /*detail=*/false);
   }
+  if (arm_empty_fault_plan) f.bed->fault_plan();
   const auto side = static_cast<std::size_t>(
       std::ceil(std::sqrt(static_cast<double>(n))));
   OmniNodeOptions options;
@@ -80,6 +83,35 @@ TEST(BeaconFastPathTest, MetricsDigestInvariantAcrossThreadCounts) {
   std::string sequential = digest(1);
   EXPECT_EQ(sequential, digest(2));
   EXPECT_EQ(sequential, digest(8));
+}
+
+TEST(BeaconFastPathTest, ArmedEmptyFaultPlanChangesNothing) {
+  // An armed plan sends every BLE fan-out through its fault checks (a
+  // per-sender salt, partition, drop and corruption draws). With no fault
+  // in the plan, every draw misses and the run must be byte-identical to
+  // one with no plan armed (DESIGN.md "Fault injection & self-healing").
+  struct Outcome {
+    std::string dump;
+    std::uint64_t delivered = 0;
+    std::vector<std::uint64_t> beacons;
+  };
+  auto run = [](bool armed) {
+    Fleet f = make_grid(100, /*threads=*/2, /*observability=*/true, armed);
+    f.bed->simulator().run_for(Duration::seconds(6));
+    Outcome out;
+    out.dump = f.bed->observability()->metrics_dump();
+    out.delivered = f.bed->ble_medium().delivered_count();
+    for (const auto& n : f.nodes) {
+      out.beacons.push_back(n->manager().stats().beacons_received);
+    }
+    return out;
+  };
+  const Outcome plain = run(false);
+  const Outcome armed = run(true);
+  ASSERT_GT(plain.delivered, 0u);
+  EXPECT_EQ(plain.dump, armed.dump);
+  EXPECT_EQ(plain.delivered, armed.delivered);
+  EXPECT_EQ(plain.beacons, armed.beacons);
 }
 
 TEST(BeaconFastPathTest, RotatedAddressAfterCrashIsRelearned) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "net/testbed.h"
 #include "radio/ble.h"
 
@@ -196,6 +198,60 @@ TEST_F(BleRadioTest, LowDutyScannerMissesSomeBeacons) {
   // Expect roughly 9% captures, certainly far fewer than a full-duty scan.
   EXPECT_GT(received, 2);
   EXPECT_LT(received, 60);
+}
+
+TEST(BleMediumTest, ReceiverDestroyedBeforeItsSweepIsSkipped) {
+  // Two threads: the datagram goes on the air inside a window, so its one
+  // winner is recorded in a shard lane and delivered by a sweep event the
+  // barrier schedules one advertising event later. A global event between
+  // the two destroys the receiving radio; the sweep must find the node's
+  // row empty and skip it instead of reaching the freed radio.
+  const Calibration cal = Calibration::defaults();
+  // The burst goes on the air at half the fast-advertising interval and is
+  // delivered one advertising event later; destroy halfway in between.
+  const Duration destroy_after =
+      Duration::micros(cal.ble_fast_adv_interval.as_micros() / 2) +
+      cal.ble_adv_event / 2;
+  for (const bool destroy : {false, true}) {
+    SCOPED_TRACE(destroy ? "receiver destroyed" : "receiver kept");
+    sim::Simulator sim(5, /*threads=*/2);
+    sim::World world(sim, cal.ble_range_m);
+    BleMedium medium(world, cal);
+    sim.set_lookahead(medium.min_latency());
+    const NodeId a = world.add_node("a", {0, 0});
+    const NodeId b = world.add_node("b", {10, 0});
+    EnergyMeter meter_a(sim);
+    EnergyMeter meter_b(sim);
+    BleRadio tx(medium, sim, meter_a, a, cal);
+    auto rx = std::make_unique<BleRadio>(medium, sim, meter_b, b, cal);
+    rx->set_scanning(true, 1.0);
+    int heard = 0;
+    rx->set_receive_handler(
+        [&](const BleAddress&, const SharedBytes&) { ++heard; });
+    ASSERT_TRUE(tx.send_datagram(Bytes{7}, nullptr).is_ok());
+    std::uint64_t delivered_before_sweep = 0;
+    sim.after_global(destroy_after, [&] {
+      delivered_before_sweep = medium.delivered_count();
+      if (destroy) rx.reset();
+    });
+    sim.run_for(Duration::millis(200));
+    EXPECT_GT(sim.windows_run(), 0u);
+    EXPECT_EQ(delivered_before_sweep, 0u);
+    EXPECT_EQ(heard, destroy ? 0 : 1);
+    EXPECT_EQ(medium.delivered_count(), destroy ? 0u : 1u);
+  }
+}
+
+TEST(BleMediumDeathTest, SecondRadioOnANodeIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        net::Testbed bed(3);
+        net::Device& dev = bed.add_device("a", {0, 0});
+        BleRadio second(bed.ble_medium(), bed.simulator(), dev.meter(),
+                        dev.node(), bed.calibration());
+      },
+      "at most one BLE radio");
 }
 
 }  // namespace

@@ -241,7 +241,7 @@ TEST(RegionTest, NeighborhoodEpochIgnoresDistantChurn) {
 
   std::uint64_t e0 = world.neighborhood_epoch({0, 0}, 100.0);
   // Churn far outside the queried neighborhood: fingerprint must hold, so
-  // a fan-out cache anchored here survives city-scale background motion.
+  // a nodes_near cache anchored here survives city-scale background motion.
   world.set_position(far, {5100, 5100});
   world.set_position(far, {5000, 5000});
   EXPECT_EQ(world.neighborhood_epoch({0, 0}, 100.0), e0);
